@@ -27,7 +27,7 @@ assembled in sorted order, so results are deterministic.
 """
 
 from .embedding import Embedding, clipped_sum_compare, probe_embedding, verify_embedding
-from .graphproduct import (ProductSpec, SplitData, bass_serre_window, build,
+from .graphproduct import (ProductSpec, SplitData, build,
                            direct_product_structure, split)
 from .indexmaps import (IndexMap, verify_fullness, verify_index_map,
                         verify_wedge_join_commute)
@@ -45,7 +45,7 @@ from .treecombine import (ComparisonNotUniform, HypothesisFailure, TreeOfHHS,
 
 __all__ = [
     "Embedding", "clipped_sum_compare", "probe_embedding", "verify_embedding",
-    "ProductSpec", "SplitData", "bass_serre_window", "build",
+    "ProductSpec", "SplitData", "build",
     "direct_product_structure", "split",
     "IndexMap", "verify_fullness", "verify_index_map", "verify_wedge_join_commute",
     "EMPTY", "IndexLattice", "MissingRelation", "NotALattice", "singleton_lattice",

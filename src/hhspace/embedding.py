@@ -17,8 +17,8 @@ import numpy as np
 
 from .indexmaps import verify_fullness, verify_index_map
 from .lattice import ValidationReport
-from .model import (HHSModel, audit_axioms, gate_map, hq_check,
-                    product_region, realize)
+from .model import (HHSModel, _least_grid_fit, _linear_need, audit_axioms,
+                    gate_map, hq_check, product_region)
 from .spaces import CoarseMap, coarse_map_constants, qi_constants, vkey
 
 
@@ -117,19 +117,8 @@ def _fit_linear(lhs, rhs):
     """Least (K, C) on the integer C grid with lhs <= K * rhs + C pointwise."""
     lhs = lhs.astype(np.float64)
     rhs = rhs.astype(np.float64)
-    best = None
-    for C in range(0, int(lhs.max()) + 2):
-        feasible = ~((rhs == 0) & (lhs > C))
-        if not feasible.all():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.where(rhs > 0, (lhs - C) / np.where(rhs > 0, rhs, 1), 0.0)
-        K = max(1.0, float(k.max()))
-        if best is None or (K, float(C)) < best:
-            best = (K, float(C))
-        if K == 1.0:
-            break
-    return best
+    K, C, _ = _least_grid_fit(lambda C: _linear_need(lhs, rhs, C), int(lhs.max()) + 2)
+    return (K, C)
 
 
 @dataclass

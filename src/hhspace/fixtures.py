@@ -128,10 +128,6 @@ def hagen(r):
                      name="hagen-r%d" % r)
 
 
-def hagen_corner(m):
-    return (m, m)
-
-
 # -- the exponential-distortion window -----------------------------------------
 
 
@@ -198,15 +194,6 @@ def raag_path(radius=2, ball=1):
         {"a": ("z", ball), "b": ("z", ball), "c": ("z", ball)},
         window_radius=radius)
     return build(spec)
-
-
-def raag_path_spec(radius=2, ball=1):
-    from .graphproduct import ProductSpec
-    return ProductSpec(
-        ("a", "b", "c"),
-        frozenset([frozenset(("a", "b")), frozenset(("b", "c"))]),
-        {"a": ("z", ball), "b": ("z", ball), "c": ("z", ball)},
-        window_radius=radius)
 
 
 def random_valid_lattice(seed, n=6):

@@ -705,39 +705,3 @@ def raise_unimplemented_amalgam(spec, data):
         "splitting whose link differs from the pivot complement needs "
         "coset windows over a proper subgroup; not implemented for %r"
         % (spec.vertices,), data.pivot)
-
-
-def bass_serre_window(data, radius, budget=6000):
-    """Windowed Bass-Serre tree of a splitting.
-
-    Accepts either a disconnected ProductSpec (free product: coset tree over
-    the trivial edge group) or SplitData whose link carries the whole
-    complement (the amalgam with the product of the link and the pivot).
-    Radius zero always yields the single root vertex."""
-    from .treecombine import HypothesisFailure
-
-    if isinstance(data, ProductSpec):
-        comps = data.components()
-        if len(comps) < 2:
-            raise ValueError("free-product window needs a disconnected graph")
-        for comp in comps:
-            if len(comp) > 1:
-                raise HypothesisFailure(
-                    "free factors with composite structures are outside the "
-                    "implemented window scope", comp)
-        bases = [data.bases[c[0]] for c in comps]
-        return free_product_window(bases, [c[0] for c in comps], radius, budget)
-    if tuple(sorted(data.link)) != data.left.vertices:
-        raise_unimplemented_amalgam(data.spec, data)
-    if radius == 0:
-        side = build(data.left).model
-        return TreeOfHHS_single(side)
-    side = build(data.left).model
-    pivot_model = base_group_model(data.spec.bases[data.pivot], data.pivot)
-    return amalgam_star_window(side, pivot_model,
-                               name="amalgam:%s" % (data.pivot,))
-
-
-def TreeOfHHS_single(model):
-    from .treecombine import TreeOfHHS
-    return TreeOfHHS(["root"], [], {"root": model}, {}, {}, name="single")

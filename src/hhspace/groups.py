@@ -45,16 +45,6 @@ class FreeProductBases:
     def inv(self, w):
         return self.normalize(tuple((i, -e) for (i, e) in reversed(w)))
 
-    def syl_len(self, i, e):
-        n = self.order(i)
-        if n:
-            e %= n
-            return min(e, n - e)
-        return abs(e)
-
-    def length(self, w):
-        return sum(self.syl_len(i, e) for (i, e) in w)
-
     def coset_rep(self, w, i):
         """Canonical representative of w * (base i): strip a trailing
         i-syllable."""

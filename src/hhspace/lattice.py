@@ -208,9 +208,13 @@ class IndexLattice:
     def above(self, e):
         return self._above[e]
 
-    def orthogonal_partners(self, u, within=None):
-        zone = self.below(within) if within is not None else self.elements
-        return tuple(v for v in zone if self.orthogonal(u, v))
+    def nest_pairs(self):
+        """The properly nested pairs (a, b), in vkey order."""
+        return sorted(self._nest, key=lambda p: (vkey(p[0]), vkey(p[1])))
+
+    def orth_pairs(self):
+        """The orthogonal pairs as frozensets, in vkey order."""
+        return sorted(self._orth, key=lambda p: sorted(map(vkey, p)))
 
     # -- containers --------------------------------------------------------
 
@@ -246,17 +250,18 @@ class IndexLattice:
     def validate_relations(self):
         """Check the structural rules; every failure is listed with witnesses."""
         rep = ValidationReport("lattice:%s" % self.name)
-        for a, b in self._nest:
+        nest = self.nest_pairs()
+        for a, b in nest:
             if (b, a) in self._nest:
                 rep.add("nesting-antisymmetry", (a, b))
-        for (a, b) in self._nest:
+        for (a, b) in nest:
             for c in self.elements:
                 if (b, c) in self._nest and a != c and (a, c) not in self._nest:
                     rep.add("nesting-transitivity", (a, b, c))
         for e in self.elements:
             if e != self.maximal and (e, self.maximal) not in self._nest:
                 rep.add("unique-maximal", (e,), "not nested in %r" % (self.maximal,))
-        for p in self._orth:
+        for p in self.orth_pairs():
             if len(p) == 1:
                 rep.add("orthogonality-antireflexive", tuple(p))
         for a in self.elements:
@@ -264,7 +269,7 @@ class IndexLattice:
                 if a != b and self.orthogonal(a, b) and self.rel(a, b) == NESTED:
                     rep.add("relation-exclusive", (a, b), "both nested and orthogonal")
         # orthogonality inheritance: v nested in w and w orth u force v orth u
-        for (v, w) in self._nest:
+        for (v, w) in nest:
             for u in self.elements:
                 if self.orthogonal(w, u) and not self.orthogonal(v, u) and v != u:
                     rep.add("orthogonality-inheritance", (v, w, u))
@@ -436,7 +441,7 @@ class IndexLattice:
     def hasse_pairs(self):
         """Covering pairs of the nesting order, for Hasse-diagram export."""
         out = []
-        for (a, b) in sorted(self._nest, key=lambda p: (vkey(p[0]), vkey(p[1]))):
+        for (a, b) in self.nest_pairs():
             if not any((a, c) in self._nest and (c, b) in self._nest
                        for c in self.elements):
                 out.append((a, b))
@@ -448,7 +453,7 @@ class IndexLattice:
             lines.append('  "%s";' % (e,))
         for a, b in self.hasse_pairs():
             lines.append('  "%s" -> "%s";' % (a, b))
-        for p in sorted(self._orth, key=lambda p: sorted(map(vkey, p))):
+        for p in self.orth_pairs():
             a, b = sorted(p, key=vkey)
             lines.append('  "%s" -> "%s" [dir=none, style=dashed];' % (a, b))
         lines.append("}")

@@ -126,7 +126,6 @@ class HHSModel:
         self.rho_set = {k: frozenset(v) for k, v in (rho_set or {}).items()}
         self.rho_map = dict(rho_map or {})
         self.name = name
-        self._tables = {}
         self._pair = {}
         self._realize_defect = None
         self._basics = None
@@ -141,36 +140,28 @@ class HHSModel:
     def basepoint(self):
         return self.space.vertices[0]
 
-    def table(self, U):
-        if U not in self._tables:
-            self._tables[U] = self.proj[U].set_table()
-        return self._tables[U]
-
     def pair_matrix(self, U):
         """T with T[x, y] = d_U(x, y) over base-space vertex indices."""
         if U not in self._pair:
-            sids, _, M = self.table(U)
-            self._pair[U] = M[np.ix_(sids, sids)]
+            self._pair[U] = self.proj[U].pair_distance_matrix()
         return self._pair[U]
 
-    def du(self, U, x, y):
-        i, j = self.space.index[x], self.space.index[y]
-        return int(self.pair_matrix(U)[i, j])
+    def max_pair_matrix(self):
+        """Elementwise max over U of pair_matrix(U), as a running maximum."""
+        out = None
+        for U in self.elements:
+            T = self.pair_matrix(U)
+            out = T.copy() if out is None else np.maximum(out, T, out=out)
+        return out
 
     def dist_to_set_array(self, U, S):
         """array over base vertices: sup-distance from the projection to S."""
-        sids, sets, _ = self.table(U)
-        CU = self.hyp[U]
-        vals = np.fromiter((CU.dset(sets[a], S) for a in range(len(sets))),
-                           dtype=np.int64, count=len(sets))
-        return vals[sids]
+        m = self.proj[U]
+        return m.dset_row(S)[m.image_sets().sids]
 
     def gap_to_set_array(self, U, S):
-        sids, sets, _ = self.table(U)
-        CU = self.hyp[U]
-        vals = np.fromiter((CU.gap(sets[a], S) for a in range(len(sets))),
-                           dtype=np.int64, count=len(sets))
-        return vals[sids]
+        m = self.proj[U]
+        return m.gap_row(S)[m.image_sets().sids]
 
     def coords_of(self, x):
         return {U: self.proj[U](x) for U in self.elements}
@@ -195,9 +186,7 @@ class HHSModel:
         """Max over points of the minimax defect of re-realizing the point's
         own coordinate tuple; zero on exact models."""
         if self._realize_defect is None:
-            stack = np.stack([self.pair_matrix(U) for U in self.elements])
-            mm = stack.max(axis=0)
-            self._realize_defect = int(mm.min(axis=0).max())
+            self._realize_defect = int(self.max_pair_matrix().min(axis=0).max())
         return self._realize_defect
 
     # -- structure ---------------------------------------------------------
@@ -263,7 +252,7 @@ def _consistency_scan(model):
                 if m > kappa0:
                     kappa0, wit = m, ("nested", v, w, x)
     coherence, cwit = 0, None
-    for (v, w) in lat._nest:
+    for (v, w) in lat.nest_pairs():
         for U in lat.elements:
             if U in (v, w):
                 continue
@@ -286,13 +275,12 @@ def _nested_consistency(model, v, w):
     CV = model.hyp[v]
     vals = np.empty(len(model.space), dtype=np.int64)
     cache = {}
-    sids_w, sets_w, _ = model.table(w)
-    sids_v, sets_v, _ = model.table(v)
+    on_w, on_v = model.proj[w].image_sets(), model.proj[v].image_sets()
     for i in range(len(model.space)):
-        key = (sids_w[i], sids_v[i])
+        key = (on_w.sids[i], on_v.sids[i])
         if key not in cache:
-            img = rmap.image_of_set(sets_w[sids_w[i]])
-            cache[key] = CV.dset(sets_v[sids_v[i]], img)
+            img = rmap.image_of_set(on_w.sets[key[0]])
+            cache[key] = CV.dset(on_v.sets[key[1]], img)
         vals[i] = cache[key]
     both = np.minimum(a, vals)
     return int(both.max()), model.space.vertices[int(both.argmax())]
@@ -454,31 +442,25 @@ def gate_map(model, target, hq=None, threshold=None):
                      % (hq.k0, hq.table))
     t_sorted = sorted(target, key=vkey)
     t_idx = model.space.idx(t_sorted)
-    images = {}
-    cols = []
+    # worst[t, x]: max over U of the distance from pi_U(t) to the points of
+    # pi_U(target) closest to pi_U(x); x gates to the t minimizing it
+    worst = np.zeros((len(t_sorted), len(model.space)), dtype=np.int64)
     for U in model.elements:
-        sids, sets, _ = model.table(U)
-        CU = model.hyp[U]
-        A = model.proj[U].image_of_set(target)
-        A_sorted = sorted(A, key=vkey)
-        proj_of = {}
-        for a in set(sids):
-            gaps = [CU.gap(sets[a], [p]) for p in A_sorted]
-            g = min(gaps)
-            proj_of[a] = frozenset(p for p, gp in zip(A_sorted, gaps) if gp == g)
-        # distance from each target point's U-projection to each closest-point set
-        col = np.empty((len(t_sorted), len(sets)), dtype=np.int64)
-        for a in set(sids):
-            arr = model.dist_to_set_array(U, proj_of[a])
-            col[:, a] = arr[t_idx]
-        cols.append((U, sids, col))
-    out = {}
-    for x in model.space.vertices:
-        i = model.space.index[x]
-        best = np.zeros(len(t_sorted), dtype=np.int64)
-        for U, sids, col in cols:
-            best = np.maximum(best, col[:, sids[i]])
-        out[x] = frozenset([t_sorted[int(best.argmin())]])
+        m = model.proj[U]
+        rec = m.image_sets()
+        A = sorted(m.image_of_set(target), key=vkey)
+        A_idx = m.codomain.idx(A)
+        gaps = m.per_set(A, np.minimum)
+        closest = gaps == gaps.min(axis=1, keepdims=True)
+        # far[t, p] = dset(pi_U(t), {p}) for target points t and p in A
+        far = np.maximum(m.per_set(A, np.maximum), rec.diams[:, None])[rec.sids[t_idx]]
+        col = np.empty((len(t_sorted), len(rec.sets)), dtype=np.int64)
+        for a, near in enumerate(closest):
+            diam = m.codomain.dist[np.ix_(A_idx[near], A_idx[near])].max()
+            col[:, a] = np.maximum(far[:, near].max(axis=1), diam)
+        np.maximum(worst, col[:, rec.sids], out=worst)
+    best = worst.argmin(axis=0)
+    out = {x: frozenset([t_sorted[i]]) for x, i in zip(model.space.vertices, best)}
     return CoarseMap(model.space, model.space, out, name="gate")
 
 
@@ -561,36 +543,53 @@ def distance_formula_fit(model, s):
     projection distances, over all vertex pairs; C ranges over the integer
     grid, K is minimized first. Also returns the pair attaining the worst
     ratio at the chosen constants."""
-    stacks = [np.where(model.pair_matrix(U) >= s, model.pair_matrix(U), 0)
-              for U in model.elements]
-    total = np.zeros_like(stacks[0])
-    for t in stacks:
-        total = total + t
+    total = np.zeros((len(model.space),) * 2, dtype=np.int64)
+    for U in model.elements:
+        T = model.pair_matrix(U)
+        total += np.where(T >= s, T, 0)
     D = model.space.dist
     iu = np.triu_indices(len(model.space), k=1)
     d_flat = D[iu].astype(np.float64)
     t_flat = total[iu].astype(np.float64)
     if len(d_flat) == 0:
         return DistanceFormulaFit(s, 1.0, 0.0, (model.basepoint, model.basepoint))
+
+    def need(C):
+        upper = _linear_need(d_flat, t_flat, C)
+        if upper is None:
+            return None
+        lower = np.where(d_flat + C > 0, t_flat / np.maximum(d_flat + C, 1), 0.0)
+        return np.maximum(upper, lower)
+
+    K, C, j = _least_grid_fit(need, int(D.max()) + 1)
+    return DistanceFormulaFit(s, K, C, (model.space.vertices[iu[0][j]],
+                                        model.space.vertices[iu[1][j]]))
+
+
+def _linear_need(lhs, rhs, C):
+    """The K each entry needs for lhs <= K * rhs + C, or None when an entry
+    with rhs = 0 has lhs > C."""
+    if ((rhs == 0) & (lhs > C)).any():
+        return None
+    return np.where(rhs > 0, (lhs - C) / np.where(rhs > 0, rhs, 1), 0.0)
+
+
+def _least_grid_fit(need, c_end):
+    """Least (K, C), K first and at least 1, over C = 0 .. c_end - 1, where
+    need(C) is the array of K each entry requires at C, or None when C is
+    infeasible. Stops at the first C with K = 1. Returns (K, C, j), j the
+    entry requiring the most at the chosen C."""
     best = None
-    for C in range(0, int(D.max()) + 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k1 = np.where(t_flat > 0, (d_flat - C) / np.where(t_flat > 0, t_flat, 1), np.nan)
-            bad = (t_flat == 0) & (d_flat > C)
-            if bad.any():
-                continue
-            k2 = t_flat / (d_flat + C) if C > 0 else np.where(
-                d_flat > 0, t_flat / np.where(d_flat > 0, d_flat, 1), 0.0)
-        K = max(1.0, float(np.nanmax(k1)) if np.isfinite(np.nanmax(k1)) else 1.0,
-                float(k2.max()))
-        if best is None or (K, C) < best[:2]:
-            need = np.maximum(np.where(np.isnan(k1), 0, k1), k2)
-            j = int(need.argmax())
-            best = (K, float(C), (model.space.vertices[iu[0][j]],
-                                  model.space.vertices[iu[1][j]]))
+    for C in range(c_end):
+        req = need(C)
+        if req is None:
+            continue
+        K = max(1.0, float(req.max()))
+        if best is None or K < best[0]:
+            best = (K, float(C), int(req.argmax()))
         if K == 1.0:
             break
-    return DistanceFormulaFit(s, best[0], best[1], best[2])
+    return best
 
 
 # -- the auditor ----------------------------------------------------------------
@@ -700,6 +699,20 @@ def audit_axioms(model):
     return rep
 
 
+def _innermost_big(lat, family, big_of):
+    """(T, mask) for each T of the family with a nonempty mask: the pairs big
+    in T (big_of(T) is a boolean pair array) and in no member of the family
+    properly containing T."""
+    bigs = {T: big_of(T) for T in family}
+    for T in family:
+        mask = bigs[T].copy()
+        for T2 in family:
+            if T2 != T and lat.properly_nested(T, T2):
+                mask &= ~bigs[T2]
+        if mask.any():
+            yield T, mask
+
+
 def _audit_large_links(model, E):
     lat = model.lattice
     lam, witness = 1.0, None
@@ -709,19 +722,12 @@ def _audit_large_links(model, E):
         if not nested:
             continue
         dW = model.pair_matrix(W).astype(np.float64)
-        bigs = {T: model.pair_matrix(T) >= E for T in nested}
         fam = np.zeros((n, n), dtype=np.int64)
         rho_req = np.zeros((n, n), dtype=np.int64)
-        for T in nested:
-            mask = bigs[T].copy()
-            for T2 in nested:
-                if T2 != T and lat.properly_nested(T, T2):
-                    mask &= ~bigs[T2]
-            if not mask.any():
-                continue
+        for T, mask in _innermost_big(lat, nested, lambda T: model.pair_matrix(T) >= E):
             fam += mask
             arr = model.dist_to_set_array(W, model.rho_set[(T, W)])
-            rho_req = np.maximum(rho_req, np.where(mask, arr[:, None], 0))
+            np.maximum(rho_req, np.where(mask, arr[:, None], 0), out=rho_req)
         need = np.maximum(fam, rho_req).astype(np.float64) / (dW + 1.0)
         m = float(need.max())
         if m > lam:
@@ -737,26 +743,13 @@ def _audit_bgi(model):
     rho set, diameter of the interval's image under the downward map)."""
     lat = model.lattice
     e_bgi, witness = 0, None
-    for (v, w) in sorted(lat._nest, key=lambda p: (vkey(p[0]), vkey(p[1]))):
+    for (v, w) in lat.nest_pairs():
         CW = model.hyp[w]
-        CV = model.hyp[v]
         rho = sorted(model.rho_set[(v, w)], key=vkey)
         rho_idx = CW.idx(rho)
         to_rho = CW.dist[:, rho_idx].min(axis=1)
-        rmap = model.rho_map[(v, w)]
-        sids = np.empty(len(CW), dtype=np.int64)
-        canon, sets = {}, []
-        for i, p in enumerate(CW.vertices):
-            key = tuple(sorted(rmap(p), key=vkey))
-            if key not in canon:
-                canon[key] = len(sets)
-                sets.append(rmap(p))
-            sids[i] = canon[key]
-        k = len(sets)
-        M2 = np.zeros((k, k), dtype=np.int64)
-        for a in range(k):
-            for b in range(a, k):
-                M2[a, b] = M2[b, a] = CV.dset(sets[a], sets[b])
+        sids, _, M2 = model.rho_map[(v, w)].set_table()
+        k = len(M2)
         sidmask = np.zeros((k, len(CW)), dtype=bool)
         sidmask[sids, np.arange(len(CW))] = True
         D = CW.dist
@@ -780,8 +773,7 @@ def _audit_bgi(model):
 
 
 def _theta_table(model):
-    stack = np.stack([model.pair_matrix(U) for U in model.elements])
-    m = stack.max(axis=0)
+    m = model.max_pair_matrix()
     D = model.space.dist
     table = {}
     for kappa in range(0, int(m.max()) + 2):

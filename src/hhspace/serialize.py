@@ -264,7 +264,3 @@ def combined_to_json(c):
         "decorated": c.decorated,
         "warnings": list(c.warnings),
     }
-
-
-def coned_tree_dot(coned):
-    return coned.space.dot()

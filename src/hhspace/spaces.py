@@ -12,7 +12,7 @@ All distance conventions used by the auditors live here:
   gates and Hausdorff distances.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 
@@ -156,9 +156,6 @@ class FiniteSpace:
         m = self.dist[np.ix_(order, order)]
         return FiniteSpace([verts[i] for i in order], dist=m, name=name or self.name)
 
-    def is_tree(self):
-        return self.edges is not None and len(self.edges) == len(self.vertices) - 1
-
     def dot(self):
         lines = ["graph {"]
         for v in self.vertices:
@@ -251,6 +248,9 @@ def four_point_delta(space):
     return best / 2.0
 
 
+ImageSets = namedtuple("ImageSets", "sids sets flat starts diams")
+
+
 class CoarseMap:
     """Set-valued map between FiniteSpaces with bounded point images."""
 
@@ -264,11 +264,12 @@ class CoarseMap:
             if not img:
                 raise ValueError("coarse map image must be nonempty at %r" % (v,))
             self.images[v] = frozenset(img)
+        self._sets = None
         self._table = None
 
     @property
     def diam_bound(self):
-        return max(self.codomain.diam_set(img) for img in self.images.values())
+        return int(self.image_sets().diams.max())
 
     def __call__(self, v):
         return self.images[v]
@@ -306,36 +307,62 @@ class CoarseMap:
     def quasi_inverse(self):
         """Closest-point preimage: y maps to the first (in vertex order) domain
         vertex whose image is closest to y."""
-        imgs = {}
-        for y in self.codomain.vertices:
-            best_v, best_d = None, None
-            for v in self.domain.vertices:
-                d = self.codomain.gap(self.images[v], [y])
-                if best_d is None or d < best_d:
-                    best_v, best_d = v, d
-            imgs[y] = frozenset([best_v])
+        gaps = self.per_set(self.codomain.vertices, np.minimum)[self.image_sets().sids]
+        best = gaps.argmin(axis=0)
+        imgs = {y: frozenset([self.domain.vertices[i]])
+                for y, i in zip(self.codomain.vertices, best)}
         return CoarseMap(self.codomain, self.domain, imgs, name="inv:" + self.name)
+
+    def image_sets(self):
+        """The distinct image sets, in order of first appearance: per-domain-
+        vertex set ids, the sets, their codomain indices concatenated with
+        the start offset of each set, and each set's diameter."""
+        if self._sets is None:
+            canon = {}
+            sids = np.empty(len(self.domain), dtype=np.int64)
+            sets = []
+            for i, v in enumerate(self.domain.vertices):
+                img = self.images[v]
+                if img not in canon:
+                    canon[img] = len(sets)
+                    sets.append(img)
+                sids[i] = canon[img]
+            parts = [np.sort(self.codomain.idx(list(A))) for A in sets]
+            starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
+            diams = np.array([self.codomain.dist[np.ix_(p, p)].max() if len(p) > 1 else 0
+                              for p in parts], dtype=np.int64)
+            self._sets = ImageSets(sids, sets, np.concatenate(parts), starts, diams)
+        return self._sets
+
+    def per_set(self, points, reduce):
+        """k x |points| table: ``reduce`` (np.minimum or np.maximum) of the
+        codomain distances from each distinct image set to each point."""
+        rec = self.image_sets()
+        cols = self.codomain.dist[np.ix_(rec.flat, self.codomain.idx(list(points)))]
+        return reduce.reduceat(cols, rec.starts, axis=0)
+
+    def dset_row(self, S):
+        """Per distinct image set A: dset(A, S), the diameter of A | S."""
+        rec = self.image_sets()
+        if not S:
+            return rec.diams.copy()
+        far = self.per_set(S, np.maximum).max(axis=1)
+        return np.maximum(np.maximum(rec.diams, far), self.codomain.diam_set(S))
+
+    def gap_row(self, S):
+        """Per distinct image set A: gap(A, S) for a nonempty S."""
+        return self.per_set(S, np.minimum).min(axis=1)
 
     def set_table(self):
         """(sids, sets, M): per-domain-vertex id of its image set among the
         distinct image sets, and the matrix of pairwise sup-distances between
         distinct sets. Lets scans over vertex pairs run as numpy lookups."""
         if self._table is None:
-            canon = {}
-            sids = np.empty(len(self.domain), dtype=np.int64)
-            sets = []
-            for i, v in enumerate(self.domain.vertices):
-                key = tuple(sorted(self.images[v], key=vkey))
-                if key not in canon:
-                    canon[key] = len(sets)
-                    sets.append(self.images[v])
-                sids[i] = canon[key]
-            k = len(sets)
-            M = np.zeros((k, k), dtype=np.int64)
-            for a in range(k):
-                for b in range(a, k):
-                    M[a, b] = M[b, a] = self.codomain.dset(sets[a], sets[b])
-            self._table = (sids, sets, M)
+            rec = self.image_sets()
+            far = self.per_set(self.codomain.vertices, np.maximum)
+            M = np.maximum.reduceat(far[:, rec.flat], rec.starts, axis=1)
+            M = np.maximum(M, np.maximum(rec.diams[:, None], rec.diams[None, :]))
+            self._table = (rec.sids, rec.sets, M)
         return self._table
 
     def pair_distance_matrix(self):

@@ -31,8 +31,8 @@ import numpy as np
 from .embedding import Embedding, verify_embedding
 from .indexmaps import IndexMap
 from .lattice import IndexLattice, ValidationReport
-from .model import (AxiomEntry, HHSModel, audit_axioms, hq_check,
-                    product_region)
+from .model import (AxiomEntry, HHSModel, _innermost_big, audit_axioms,
+                    hq_check, product_region)
 from .spaces import (CoarseMap, FiniteSpace, cone_off, coarse_map_constants,
                      qi_constants, sorted_vertices, vkey)
 
@@ -112,8 +112,11 @@ class TreeOfHHS:
         return tuple(sorted((a, b), key=vkey))
 
     def closest_vertex(self, v, subtree):
-        sub = sorted(subtree, key=vkey)
-        return min(sub, key=lambda w: (self.space.d(v, w), vkey(w)))
+        """The nearest vertex of the subtree; ties break to the least vertex
+        (space indices follow vkey order)."""
+        index = self.space.index
+        row = self.space.dist[index[v]]
+        return min(subtree, key=lambda w: (row[index[w]], index[w]))
 
     def entry_edge(self, v, subtree):
         """Last edge of the geodesic from v into the subtree: (outside, inside)."""
@@ -377,12 +380,6 @@ class CombinedStructure:
     @property
     def that(self):
         return THAT
-
-    def class_elements(self):
-        return [c.id for c in self.classes]
-
-    def support_elements(self):
-        return sorted(self.supports, key=vkey)
 
 
 def check_hypotheses(t, hq_threshold=None):
@@ -760,19 +757,19 @@ class _CombinedBuilder:
         raise HypothesisFailure("no vertex witnesses the nesting",
                                 (small.id, big.id))
 
+    def _cone_base(self, p):
+        """A tree vertex for a point of a coned tree: cone points (labelled
+        by support ids) go to the least vertex of their support."""
+        if isinstance(p, tuple) and len(p) == 2 and p[0] == "cone":
+            return min(self.supports[p[1]], key=vkey)
+        return p
+
     def _support_point_map(self, from_sid, to_set, to_space):
         """Closest-point projection between support trees, cone points going
         through the least vertex of their coned subtree."""
-        src = self.coned[from_sid].space
-
-        def value(p):
-            if isinstance(p, tuple) and len(p) == 2 and p[0] == "cone":
-                base = min(self.supports[p[1]], key=vkey) if p[1] in self.supports \
-                    else min(self.coned[from_sid].cones[p[1]], key=vkey)
-                p = base
-            return self.t.closest_vertex(p, to_set)
-
-        return CoarseMap.single(src, to_space, value)
+        return CoarseMap.single(
+            self.coned[from_sid].space, to_space,
+            lambda p: self.t.closest_vertex(self._cone_base(p), to_set))
 
     def _rho_supports(self, lattice, hyp, rho_set, rho_map, sup_ids, proper):
         for s1 in sup_ids:
@@ -807,7 +804,7 @@ class _CombinedBuilder:
                     # cls nested in the support (it is orthogonal to the owner)
                     inter = sup & cls.support
                     rho_set[(cls.id, sid)] = frozenset(inter)
-                    rho_map[(cls.id, sid)] = self._support_to_class_map(cls, sid)
+                    rho_map[(cls.id, sid)] = self._class_point_map(cls, sid)
                 else:
                     inter = sup & cls.support
                     if inter:
@@ -819,51 +816,31 @@ class _CombinedBuilder:
                     owner = self.owners[sid][0]
                     rho_set[(sid, cls.id)] = self.class_marker(owner, cls)
 
-    def _support_to_class_map(self, cls, sid):
-        src = self.coned[sid].space
-        fallback = self.base_marker(cls)
-        fav_id = self.comp[(cls.id, cls.favorite_vertex)]
-        r0 = fav_id.image_of_set(fallback)
+    def _class_point_map(self, cls, key):
+        """rho map from the coned tree ``key`` (a support id or THAT) down to
+        the class: the base marker inside the support, the entry-edge value
+        outside it."""
+        inside = self.comp[(cls.id, cls.favorite_vertex)].image_of_set(
+            self.base_marker(cls))
 
         def value(p):
-            if isinstance(p, tuple) and len(p) == 2 and p[0] == "cone":
-                label = p[1]
-                base = min(self.supports[label], key=vkey) if label in self.supports \
-                    else min(self.coned[sid].cones[label], key=vkey)
-                p = base
+            p = self._cone_base(p)
             if p in cls.support:
-                return r0
+                return inside
             return self.entry_value(cls, self.t.entry_edge(p, cls.support))
 
-        imgs = {p: value(p) for p in src.vertices}
+        src = self.coned[key].space
         return CoarseMap(src, self.t.vertex_models[cls.favorite_vertex]
-                         .hyp[cls.favorite_rep], imgs)
+                         .hyp[cls.favorite_rep], {p: value(p) for p in src.vertices})
 
     def _rho_that(self, lattice, hyp, rho_set, rho_map, sup_ids, proj):
-        that_space = self.coned[THAT].space
         for cls in self.classes:
             rho_set[(cls.id, THAT)] = frozenset(cls.support)
-            rho_map[(cls.id, THAT)] = self._that_to_class_map(cls, that_space, hyp)
+            rho_map[(cls.id, THAT)] = self._class_point_map(cls, THAT)
         for sid in sup_ids:
             rho_set[(sid, THAT)] = frozenset(self.supports[sid])
             rho_map[(sid, THAT)] = self._support_point_map(
                 THAT, self.supports[sid], hyp[sid])
-
-    def _that_to_class_map(self, cls, that_space, hyp):
-        fallback = self.comp[(cls.id, cls.favorite_vertex)].image_of_set(
-            self.base_marker(cls))
-
-        def value(p):
-            if isinstance(p, tuple) and len(p) == 2 and p[0] == "cone":
-                p = min(self.supports[p[1]], key=vkey)
-            if p in cls.support:
-                return fallback
-            return self.entry_value(cls, self.t.entry_edge(p, cls.support))
-
-        imgs = {p: value(p) for p in that_space.vertices}
-        return CoarseMap(that_space,
-                         self.t.vertex_models[cls.favorite_vertex]
-                         .hyp[cls.favorite_rep], imgs)
 
 
 # -- combined-structure verification ------------------------------------------
@@ -1087,8 +1064,6 @@ def _longest_chain(lat, subset):
 def _support_large_links(c, threshold):
     """|maximal support elements with big pair distance| must be bounded by
     the pair's distance in the ambient support element; zero tolerance."""
-    import numpy as np
-
     lat = c.model.lattice
     sup_ids = sorted(c.supports, key=vkey)
     bad = []
@@ -1098,13 +1073,9 @@ def _support_large_links(c, threshold):
         dS = c.model.pair_matrix(S)
         if not nested:
             continue
-        bigs = {X: c.model.pair_matrix(X) > threshold for X in nested}
         count = np.zeros((n, n), dtype=np.int64)
-        for X in nested:
-            mask = bigs[X].copy()
-            for X2 in nested:
-                if X2 != X and lat.properly_nested(X, X2):
-                    mask &= ~bigs[X2]
+        for _, mask in _innermost_big(lat, nested,
+                                      lambda X: c.model.pair_matrix(X) > threshold):
             count += mask
         viol = count > dS
         if viol.any():

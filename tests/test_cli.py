@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+
+import hhspace
 
 from hhspace import serialize
 from hhspace.cli import main
@@ -102,6 +107,18 @@ def test_reports_byte_identical(tmp_path):
     assert run(["--out", out2, "examples", "fixture-b-product"]) == 0
     assert (out1 / "fixture-b-product.json").read_bytes() == \
         (out2 / "fixture-b-product.json").read_bytes()
+
+
+def test_reports_byte_identical_across_hash_seeds():
+    src = os.path.dirname(os.path.dirname(hhspace.__file__))
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "hhspace.cli", "examples", "raag-path"],
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        for seed in ("0", "1")]
+    outs = [p.communicate()[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outs[0] == outs[1]
 
 
 def test_dot_format(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from hhspace.fixtures import bounded_factor_product, fixture_b_product, grid_product
@@ -238,3 +240,11 @@ def test_concretize_removes_artificial_bounded_element():
     assert res.changed
     assert W in res.removed
     assert audit_axioms(res.model).ok
+
+
+def test_distance_formula_fit_without_clipped_pairs_emits_no_warning():
+    # at s = 3 every clipped sum on fixture B is zero: the default CLI path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = distance_formula_fit(fixture_b_product(), 3)
+    assert (fit.K, fit.C, fit.worst_pair) == (1.0, 2.0, ((0, 0), (0, 1)))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhspace.spaces import (CoarseMap, FiniteSpace, coarse_map_constants,
                             cone_off, cycle_graph, four_point_delta,
@@ -107,13 +109,47 @@ def test_compose():
     assert h(2) == frozenset([8])
 
 
-def test_pair_distance_matrix_matches_dset():
-    g = path_graph(0, 5)
-    f = CoarseMap(g, g, {v: frozenset([v, min(v + 1, 5)]) for v in g.vertices})
+@st.composite
+def connected_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return FiniteSpace(range(n), sorted(edges))
+
+
+@st.composite
+def maps_and_targets(draw):
+    dom, cod = draw(connected_graphs()), draw(connected_graphs())
+    points = st.sampled_from(cod.vertices)
+    images = {v: draw(st.frozensets(points, min_size=1, max_size=3))
+              for v in dom.vertices}
+    return CoarseMap(dom, cod, images), draw(st.frozensets(points, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_and_targets())
+def test_pair_distance_matrix_matches_dset(case):
+    f, S = case
+    dom, cod = f.domain, f.codomain
     T = f.pair_distance_matrix()
-    for i, u in enumerate(g.vertices):
-        for j, v in enumerate(g.vertices):
-            assert T[i, j] == g.dset(f(u), f(v))
+    for i, u in enumerate(dom.vertices):
+        for j, v in enumerate(dom.vertices):
+            assert T[i, j] == cod.dset(f(u), f(v))
+    sids, sets, M = f.set_table()
+    assert [sets[a] for a in sids] == [f(v) for v in dom.vertices]
+    for a, A in enumerate(sets):
+        for b, B in enumerate(sets):
+            assert M[a, b] == cod.dset(A, B)
+    assert list(f.dset_row(S)) == [cod.dset(A, S) for A in sets]
+    if S:
+        assert list(f.gap_row(S)) == [cod.gap(A, S) for A in sets]
+    assert f.diam_bound == max(cod.diam_set(f(v)) for v in dom.vertices)
+    inv = f.quasi_inverse()
+    for y in cod.vertices:
+        gaps = [cod.gap(f(v), [y]) for v in dom.vertices]
+        assert inv(y) == frozenset([dom.vertices[gaps.index(min(gaps))]])
 
 
 def test_relabel_and_dot():
