@@ -33,9 +33,9 @@ from .indexmaps import (IndexMap, verify_fullness, verify_index_map,
                         verify_wedge_join_commute)
 from .lattice import (EMPTY, IndexLattice, MissingRelation, NotALattice,
                       singleton_lattice)
-from .model import (HHSModel, audit_axioms, concretize, distance_formula_fit,
-                    epsilon_support, gate, hq_check, normalize, product_region,
-                    realize, trivial_model)
+from .model import (HHSModel, ScanBudgetExceeded, audit_axioms, concretize,
+                    distance_formula_fit, epsilon_support, gate, hq_check,
+                    normalize, product_region, realize, trivial_model)
 from .spaces import (CoarseMap, FiniteSpace, coarse_map_constants, cone_off,
                      cycle_graph, four_point_delta, path_graph, product_graph,
                      qi_constants, single_point)
@@ -49,7 +49,8 @@ __all__ = [
     "direct_product_structure", "split",
     "IndexMap", "verify_fullness", "verify_index_map", "verify_wedge_join_commute",
     "EMPTY", "IndexLattice", "MissingRelation", "NotALattice", "singleton_lattice",
-    "HHSModel", "audit_axioms", "concretize", "distance_formula_fit",
+    "HHSModel", "ScanBudgetExceeded", "audit_axioms", "concretize",
+    "distance_formula_fit",
     "epsilon_support", "gate", "hq_check", "normalize", "product_region",
     "realize", "trivial_model",
     "CoarseMap", "FiniteSpace", "coarse_map_constants", "cone_off", "cycle_graph",

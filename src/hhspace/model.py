@@ -30,6 +30,10 @@ class NotHQC(Exception):
     pass
 
 
+class ScanBudgetExceeded(Exception):
+    """A finite scan would visit more choices than its budget allows."""
+
+
 @dataclass
 class ConstantsRecord:
     """Measured constants of a model; all values are minimal workable ones."""
@@ -626,7 +630,7 @@ def measure_alpha(model, budget=500000):
         for sz in sizes:
             count *= sz
         if count > budget:
-            raise MemoryError("partial-realization scan exceeds budget: %d choices" % count)
+            raise ScanBudgetExceeded("partial-realization scan exceeds budget: %d choices" % count)
         for choice in itertools.product(*(range(sz) for sz in sizes)):
             req = pin.copy()
             for Vj, ci in zip(Vs, choice):
@@ -662,7 +666,8 @@ def audit_axioms(model):
             lip = max(lip, 1.0 if Dp.max() > 0 else 0.0)
         img = model.proj[U].image()
         qc = max(qc, model.hyp[U].qc_constant(img))
-        surj = max(surj, max(model.hyp[U].gap(img, [p]) for p in model.hyp[U].vertices))
+        CU = model.hyp[U]
+        surj = max(surj, int(CU.dist[:, CU.idx(list(img))].min(axis=1).max()))
     rep.entries.append(AxiomEntry("projections", True,
                                   {"proj_lip": lip, "proj_qc": qc,
                                    "surj_radius": surj, "xi": float(xi),
@@ -740,35 +745,31 @@ def _audit_large_links(model, E):
 def _audit_bgi(model):
     """Interval variant: for each properly nested pair and each endpoint pair
     in the ambient model, E must exceed min(distance from the interval to the
-    rho set, diameter of the interval's image under the downward map)."""
+    rho set, diameter of the interval's image under the downward map). The
+    witness is the first maximal endpoint pair in row-major order."""
     lat = model.lattice
     e_bgi, witness = 0, None
     for (v, w) in lat.nest_pairs():
         CW = model.hyp[w]
         rho = sorted(model.rho_set[(v, w)], key=vkey)
-        rho_idx = CW.idx(rho)
-        to_rho = CW.dist[:, rho_idx].min(axis=1)
+        to_rho = CW.dist[:, CW.idx(rho)].min(axis=1)
         sids, _, M2 = model.rho_map[(v, w)].set_table()
         k = len(M2)
-        sidmask = np.zeros((k, len(CW)), dtype=bool)
-        sidmask[sids, np.arange(len(CW))] = True
-        D = CW.dist
-        for a in range(len(CW)):
-            on = D[a][None, :] + D == D[a][:, None]   # on[b, v]: v on a geodesic a..b
-            gapv = np.where(on, to_rho[None, :], np.iinfo(np.int64).max).min(axis=1)
-            present = (on @ sidmask.T) > 0            # present[b, s]
-            diam = np.zeros(len(CW), dtype=np.int64)
-            for s in range(k):
-                for t in range(s, k):
-                    if M2[s, t] > 0:
-                        both = present[:, s] & present[:, t]
-                        if both.any():
-                            diam[both] = np.maximum(diam[both], M2[s, t])
+        # columns grouped by image set, so present[..., s] says whether the
+        # interval meets a vertex whose downward image is set s
+        order = np.argsort(sids, kind="stable")
+        starts = np.searchsorted(sids[order], np.arange(k))
+        ends = np.arange(len(CW))
+        for a0, on in CW.intervals(ends, ends, extra=k * k):
+            gapv = np.where(on, to_rho, np.iinfo(np.int64).max).min(axis=-1)
+            present = np.logical_or.reduceat(on[..., order], starts, axis=-1)
+            both = present[..., :, None] & present[..., None, :]
+            diam = np.where(both, M2, 0).max(axis=(-2, -1))
             vals = np.minimum(gapv, diam)
-            m = int(vals.max())
-            if m > e_bgi:
-                e_bgi = m
-                witness = (v, w, CW.vertices[a], CW.vertices[int(vals.argmax())])
+            i, b = np.unravel_index(int(vals.argmax()), vals.shape)
+            if vals[i, b] > e_bgi:
+                e_bgi = int(vals[i, b])
+                witness = (v, w, CW.vertices[a0 + i], CW.vertices[b])
     return e_bgi, witness
 
 

@@ -16,6 +16,10 @@ from collections import deque, namedtuple
 
 import numpy as np
 
+# cells (of any dtype) one chunk of FiniteSpace.intervals and its caller's
+# temporaries may take; small chunks keep the interval scans' peak memory flat
+_CHUNK_CELLS = 1 << 15
+
 
 def vkey(v):
     """Total deterministic ordering key for vertex/element ids of mixed types."""
@@ -70,12 +74,28 @@ class FiniteSpace:
 
     @classmethod
     def from_matrix(cls, vertices, table, name=""):
-        """Build from an explicit metric; ``table`` rows follow ``vertices`` order."""
-        order = sorted_vertices(vertices)
+        """Build from an explicit metric; ``table`` rows follow ``vertices`` order.
+        Raises ValueError unless the table is a square integer metric: non-
+        negative, zero on the diagonal, symmetric, with the triangle inequality."""
         src = list(vertices)
+        n = len(src)
+        m = np.asarray(table)
+        if m.shape != (n, n):
+            raise ValueError("distance table must be square, one row per vertex")
+        if not np.issubdtype(m.dtype, np.integer):
+            raise ValueError("distance table must hold integers")
+        m = m.astype(np.int64)
+        if (m < 0).any() or m.diagonal().any():
+            raise ValueError("distance table must be non-negative with a zero diagonal")
+        if (m != m.T).any():
+            raise ValueError("distance table must be symmetric")
+        for k in range(n):
+            if (m > m[:, k, None] + m[None, k, :]).any():
+                raise ValueError("distance table breaks the triangle inequality "
+                                 "through vertex %r" % (src[k],))
+        order = sorted_vertices(src)
         perm = [src.index(v) for v in order]
-        m = np.asarray(table, dtype=np.int64)[np.ix_(perm, perm)]
-        return cls(order, dist=m, name=name)
+        return cls(order, dist=m[np.ix_(perm, perm)], name=name)
 
     def __len__(self):
         return len(self.vertices)
@@ -123,6 +143,19 @@ class FiniteSpace:
         on = self.dist[iu] + self.dist[iv] == self.dist[iu, iv]
         return tuple(self.vertices[i] for i in on.nonzero()[0])
 
+    def intervals(self, rows, cols, extra=0):
+        """Geodesic intervals in row chunks: yields (r0, on) with on[i, j, x]
+        true when x lies on a geodesic from rows[r0 + i] to cols[j], that is
+        d(rows[r0 + i], x) + d(cols[j], x) = d(rows[r0 + i], cols[j]).
+        ``extra`` is the number of cells the caller's own temporaries take per
+        (row, col) pair; a chunk holds about _CHUNK_CELLS cells in all."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        Dc = self.dist[cols]
+        step = max(1, _CHUNK_CELLS // max(1, len(cols) * (len(self) + extra)))
+        for r0 in range(0, len(rows), step):
+            Dr = self.dist[rows[r0:r0 + step]]
+            yield r0, Dr[:, None, :] + Dc[None, :, :] == Dr[:, cols, None]
+
     def qc_constant(self, A):
         """Quasiconvexity constant of the subset A: the largest distance from a
         point on a geodesic between points of A back to A. Exact, because the
@@ -132,15 +165,7 @@ class FiniteSpace:
         if len(ia) <= 1:
             return 0
         to_A = self.dist[:, ia].min(axis=1)
-        best = 0
-        for p in range(len(ia)):
-            iu = ia[p]
-            row_u = self.dist[iu]
-            for q in range(p + 1, len(ia)):
-                iv = ia[q]
-                on = row_u + self.dist[iv] == row_u[iv]
-                best = max(best, int(to_A[on].max()))
-        return best
+        return max(int(np.where(on, to_A, 0).max()) for _, on in self.intervals(ia, ia))
 
     def subspace(self, keep, name=""):
         """Metric subspace (restricted ambient metric, not induced path metric)."""

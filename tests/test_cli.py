@@ -111,14 +111,15 @@ def test_reports_byte_identical(tmp_path):
 
 def test_reports_byte_identical_across_hash_seeds():
     src = os.path.dirname(os.path.dirname(hhspace.__file__))
-    procs = [subprocess.Popen(
-        [sys.executable, "-m", "hhspace.cli", "examples", "raag-path"],
-        stdout=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
-        for seed in ("0", "1")]
-    outs = [p.communicate()[0] for p in procs]
-    assert [p.returncode for p in procs] == [0, 0]
-    assert outs[0] == outs[1]
+    for name in ("raag-path", "free-product-z2-z3"):
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "hhspace.cli", "examples", name],
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+            for seed in ("0", "1")]
+        outs = [p.communicate()[0] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], name
+        assert outs[0] == outs[1], name
 
 
 def test_dot_format(tmp_path):

@@ -1,13 +1,20 @@
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hhspace import fixtures
 from hhspace.fixtures import bounded_factor_product, fixture_b_product, grid_product
-from hhspace.model import (NoConsistentTuple, NotHQC, audit_axioms, concretize,
+from hhspace.lattice import IndexLattice
+from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceeded,
+                           _audit_bgi, audit_axioms, concretize,
                            distance_formula_fit, epsilon_support, gate,
-                           hq_check, normalize, product_region, realize,
-                           trivial_model, tuple_consistency_defect)
-from hhspace.spaces import path_graph, single_point
+                           hq_check, measure_alpha, normalize, product_region,
+                           realize, trivial_model, tuple_consistency_defect)
+from hhspace.spaces import CoarseMap, path_graph, single_point, vkey
+from test_spaces import connected_graphs
 
 L1 = ("l", "S1")
 R2 = ("r", "S2")
@@ -248,3 +255,84 @@ def test_distance_formula_fit_without_clipped_pairs_emits_no_warning():
         warnings.simplefilter("error")
         fit = distance_formula_fit(fixture_b_product(), 3)
     assert (fit.K, fit.C, fit.worst_pair) == (1.0, 2.0, ((0, 0), (0, 1)))
+
+
+def test_measure_alpha_budget_is_typed():
+    m = fixture_b_product()
+    assert m.lattice.orthogonal(L1, R2)
+    with pytest.raises(ScanBudgetExceeded):
+        measure_alpha(m, budget=1)
+
+
+def _audit_bgi_reference(model):
+    """The per-endpoint loop the chunked interval scan replaced."""
+    lat = model.lattice
+    e_bgi, witness = 0, None
+    for (v, w) in lat.nest_pairs():
+        CW = model.hyp[w]
+        rho = sorted(model.rho_set[(v, w)], key=vkey)
+        rho_idx = CW.idx(rho)
+        to_rho = CW.dist[:, rho_idx].min(axis=1)
+        sids, _, M2 = model.rho_map[(v, w)].set_table()
+        k = len(M2)
+        sidmask = np.zeros((k, len(CW)), dtype=bool)
+        sidmask[sids, np.arange(len(CW))] = True
+        D = CW.dist
+        for a in range(len(CW)):
+            on = D[a][None, :] + D == D[a][:, None]   # on[b, v]: v on a geodesic a..b
+            gapv = np.where(on, to_rho[None, :], np.iinfo(np.int64).max).min(axis=1)
+            present = (on @ sidmask.T) > 0            # present[b, s]
+            diam = np.zeros(len(CW), dtype=np.int64)
+            for s in range(k):
+                for t in range(s, k):
+                    if M2[s, t] > 0:
+                        both = present[:, s] & present[:, t]
+                        if both.any():
+                            diam[both] = np.maximum(diam[both], M2[s, t])
+            vals = np.minimum(gapv, diam)
+            m = int(vals.max())
+            if m > e_bgi:
+                e_bgi = m
+                witness = (v, w, CW.vertices[a], CW.vertices[int(vals.argmax())])
+    return e_bgi, witness
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_audit_bgi_matches_reference_on_hagen(r):
+    target = fixtures.hagen(r).target
+    assert _audit_bgi(target) == _audit_bgi_reference(target)
+
+
+def test_audit_bgi_matches_reference_on_fixture_b():
+    m = fixture_b_product()
+    assert _audit_bgi(m) == _audit_bgi_reference(m)
+
+
+def test_audit_bgi_matches_reference_on_raag_window():
+    # |C_W| = 63 with up to 24 image sets: many chunks per nested pair
+    m = fixtures.raag_path(2).combined.model
+    got = _audit_bgi(m)
+    assert got == _audit_bgi_reference(m)
+    assert got[0] == 2
+    assert got[1][:2] == (("c", ("P", ()), ("That",)), ("T", 5))
+
+
+@st.composite
+def nested_pairs(draw):
+    """A two-element model V < W over random graphs: random rho set in C_W
+    and random set-valued downward map C_W -> C_V."""
+    CW, CV = draw(connected_graphs(max_n=40)), draw(connected_graphs(max_n=12))
+    images = {p: draw(st.frozensets(st.sampled_from(CV.vertices), min_size=1, max_size=3))
+              for p in CW.vertices}
+    rho = draw(st.frozensets(st.sampled_from(CW.vertices), min_size=1, max_size=3))
+    V, W = "V", "W"
+    lat = IndexLattice([V, W], W, nested_pairs=[(V, W)])
+    proj = {W: CoarseMap.identity(CW), V: CoarseMap.constant(CW, CV, CV.vertices[:1])}
+    return HHSModel(CW, lat, {V: CV, W: CW}, proj, {(V, W): rho},
+                    {(V, W): CoarseMap(CW, CV, images)}, name="random-pair")
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_pairs())
+def test_audit_bgi_matches_reference_on_random_pairs(m):
+    assert _audit_bgi(m) == _audit_bgi_reference(m)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,22 @@ def test_quasiconvexity_exact():
     assert grid.qc_constant(corners) == 4
 
 
+def test_from_matrix_rejects_non_metrics():
+    ok = FiniteSpace.from_matrix([2, 0, 1], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert ok.d(2, 1) == 2
+    bad = [
+        [[0, 1, 5], [2, 0, 1], [5, 1, 0]],      # asymmetric
+        [[0, 1, 5], [1, 0, 1], [5, 1, 0]],      # 5 > 1 + 1 through vertex 1
+        [[0, 1], [1, 0]],                       # not one row per vertex
+        [[1, 1, 2], [1, 0, 1], [2, 1, 0]],      # nonzero diagonal
+        [[0, -1, 2], [-1, 0, 1], [2, 1, 0]],    # negative
+        [[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]],  # not integer
+    ]
+    for table in bad:
+        with pytest.raises(ValueError):
+            FiniteSpace.from_matrix([0, 1, 2], table)
+
+
 def test_cone_off_diameter():
     g = path_graph(0, 9)
     c = cone_off(g, {"all": g.vertices})
@@ -117,6 +134,50 @@ def connected_graphs(draw, max_n=7):
     if pairs:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
     return FiniteSpace(range(n), sorted(edges))
+
+
+def _qc_constant_reference(space, A):
+    """The pairwise definition: the farthest interval point from A over all
+    pairs of points of A."""
+    ia = space.idx(list(A))
+    if len(ia) <= 1:
+        return 0
+    to_A = space.dist[:, ia].min(axis=1)
+    best = 0
+    for p in range(len(ia)):
+        row_u = space.dist[ia[p]]
+        for q in range(p + 1, len(ia)):
+            on = row_u + space.dist[ia[q]] == row_u[ia[q]]
+            best = max(best, int(to_A[on].max()))
+    return best
+
+
+@st.composite
+def graphs_and_subsets(draw):
+    # above 32 vertices one chunk of intervals(all, all) no longer covers
+    # every row; qc_constant(A) needs |A| > 28 on 40 vertices for that, so A
+    # is a small set or the complement of one
+    g = draw(connected_graphs(max_n=40))
+    A = draw(st.frozensets(st.sampled_from(g.vertices), max_size=8))
+    return g, frozenset(g.vertices) - A if draw(st.booleans()) else A
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_and_subsets())
+def test_interval_kernel_matches_pairwise(case):
+    g, A = case
+    assert g.qc_constant(A) == _qc_constant_reference(g, A)
+    ends = np.arange(len(g))
+    for rows in (ends, g.idx(list(A))):
+        seen = 0
+        for r0, on in g.intervals(rows, ends):
+            assert r0 == seen and on.shape[1:] == (len(g), len(g))
+            seen += len(on)
+            for i, r in enumerate(rows[r0:r0 + len(on)]):
+                for j, v in enumerate(g.vertices):
+                    got = tuple(g.vertices[x] for x in on[i, j].nonzero()[0])
+                    assert got == g.interval(g.vertices[r], v)
+        assert seen == len(rows)
 
 
 @st.composite
