@@ -3,7 +3,8 @@
 One command per process, structured JSON in and out, DOT for renderings,
 no interactive mode. Exit status 0 when every designated assertion
 passes, 1 on combination-hypothesis failures (the witness is emitted as
-JSON), 2 on schema errors.
+JSON), 2 on input that fails to load (unreadable, not JSON, or not the
+schema).
 """
 
 import argparse
@@ -14,11 +15,17 @@ import sys
 from . import fixtures, serialize
 from .embedding import probe_embedding, verify_embedding
 from .graphproduct import build
+from .lattice import MissingRelation
 from .model import audit_axioms, distance_formula_fit
 from .treecombine import (ComparisonNotUniform, HypothesisFailure,
                           audit_combined, build_combined)
 
 OK, HYPOTHESIS_FAILURE, SCHEMA_ERROR = 0, 1, 2
+
+
+class SchemaError(Exception):
+    """An input file that cannot be read, is not JSON, or does not fit the
+    schema of the command."""
 
 
 def main(argv=None):
@@ -74,8 +81,7 @@ def main(argv=None):
         _emit(args, "failure.json", _failure_doc(exc))
         print("hypothesis failure: %s" % exc, file=sys.stderr)
         return HYPOTHESIS_FAILURE
-    except (KeyError, ValueError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    except SchemaError as exc:
         print("schema error: %s" % exc, file=sys.stderr)
         return SCHEMA_ERROR
 
@@ -94,9 +100,19 @@ def _failure_doc(exc):
     return doc
 
 
-def _load(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load(path, parse, key=None):
+    """parse() of the file's JSON document, or of its ``key`` entry when it
+    wraps one. Only a failure to read, decode or parse is a SchemaError:
+    errors of the later stages must not pass for bad input."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict) and key in doc:
+            doc = doc[key]
+        return parse(doc)
+    except (OSError, ValueError, KeyError, TypeError, IndexError,
+            MissingRelation) as exc:
+        raise SchemaError(exc) from exc
 
 
 def _emit(args, name, doc, dot=None):
@@ -115,19 +131,15 @@ def _emit(args, name, doc, dot=None):
         print(payload)
 
 
-def _unwrap(doc, key):
-    return doc[key] if isinstance(doc, dict) and key in doc else doc
-
-
 def cmd_audit(args):
-    model = serialize.model_from_json(_unwrap(_load(args.file), "model"))
+    model = _load(args.file, serialize.model_from_json, "model")
     rep = audit_axioms(model)
     _emit(args, "audit.json", rep.as_dict(), dot=model.lattice.hasse_dot())
     return OK if rep.ok else HYPOTHESIS_FAILURE
 
 
 def cmd_combine(args):
-    tree = serialize.tree_from_json(_unwrap(_load(args.file), "tree"))
+    tree = _load(args.file, serialize.tree_from_json, "tree")
     if not args.no_decorate:
         from .treecombine import decorate
         tree = decorate(tree, copy_cap=args.copy_cap)
@@ -142,7 +154,7 @@ def cmd_combine(args):
 
 
 def cmd_product(args):
-    spec = serialize.spec_from_json(_load(args.file))
+    spec = _load(args.file, serialize.spec_from_json)
     res = build(spec)
     doc = {"cert": res.cert.as_dict(),
            "model": serialize.model_to_json(res.model)}
@@ -153,7 +165,7 @@ def cmd_product(args):
 
 
 def cmd_distance_formula(args):
-    model = serialize.model_from_json(_unwrap(_load(args.file), "model"))
+    model = _load(args.file, serialize.model_from_json, "model")
     table = []
     for s in range(1, max(1, args.s) + 1):
         fit = distance_formula_fit(model, s)
@@ -165,7 +177,7 @@ def cmd_distance_formula(args):
 
 
 def cmd_probe(args):
-    emb = serialize.embedding_from_json(_unwrap(_load(args.file), "embedding"))
+    emb = _load(args.file, serialize.embedding_from_json, "embedding")
     rep = verify_embedding(emb)
     pr = probe_embedding(emb)
     _emit(args, "probe.json", {"verify_ok": rep.ok, "probe": pr.as_dict()})

@@ -65,20 +65,20 @@ def verify_embedding(e, full=True):
     out = ValidationReport("embedding:%s" % e.name)
     out.violations = list(rep.violations)
     defect = 0.0
-    hyp_k = 0.0
+    hyp_qi = (1.0, 0.0)
     for U in e.source.elements:
         Ui = e.index_map(U)
         fU = e.hyp_maps[U]
+        hyp_qi = max(hyp_qi, qi_constants(fU))
         if fU.domain is not e.source.hyp[U] or fU.codomain is not e.target.hyp[Ui]:
             out.add("hyp-map-spaces", (U,), "domain or codomain mismatch")
             continue
-        K, C = qi_constants(fU)
-        hyp_k = max(hyp_k, K, C)
         # first diagram: project then map vs map then project
-        for x in e.source.space.vertices:
-            a = fU.image_of_set(e.source.proj[U](x))
-            b = e.target.proj[Ui].image_of_set(e.space_map(x))
-            defect = max(defect, e.target.hyp[Ui].dset(a, b))
+        src, via = e.source.proj[U].image_sets(), e.space_map.image_sets()
+        CU = e.target.hyp[Ui]
+        a = CU.set_family([fU.image_of_set(A) for A in src.sets])
+        b = CU.set_family([e.target.proj[Ui].image_of_set(B) for B in via.sets])
+        defect = max(defect, int(CU.dset_table(a, b)[src.sids, via.sids].max()))
     rho_defect = 0.0
     for (v, w), rmap in e.source.rho_map.items():
         vi, wi = e.index_map(v), e.index_map(w)
@@ -86,12 +86,14 @@ def verify_embedding(e, full=True):
             out.add("missing-target-rho-map", (v, w))
             continue
         tmap = e.target.rho_map[(vi, wi)]
-        for p in e.source.hyp[w].vertices:
-            a = e.hyp_maps[v].image_of_set(rmap(p))
-            b = tmap.image_of_set(e.hyp_maps[w](p))
-            rho_defect = max(rho_defect, e.target.hyp[vi].dset(a, b))
+        down, across = rmap.image_sets(), e.hyp_maps[w].image_sets()
+        CV = e.target.hyp[vi]
+        a = CV.set_family([e.hyp_maps[v].image_of_set(A) for A in down.sets])
+        b = CV.set_family([tmap.image_of_set(B) for B in across.sets])
+        rho_defect = max(rho_defect,
+                         int(CV.dset_table(a, b)[down.sids, across.sids].max()))
     out.measured = {"diagram_defect": defect, "rho_diagram_defect": rho_defect,
-                    "hyp_qi": hyp_k}
+                    "hyp_qi": hyp_qi}
     return out
 
 

@@ -480,19 +480,13 @@ def _certify_inclusion(name, emb, bounded_diam=2):
     taken is recorded."""
     from .embedding import verify_embedding
     from .model import hq_check
-    from .spaces import qi_constants as qi
 
     rep = verify_embedding(emb)
     hq = hq_check(emb.target, emb.image())
-    worst = (1.0, 0.0)
-    bounded = True
-    for U in emb.source.elements:
-        K, C = qi(emb.hyp_maps[U])
-        if (K, C) > worst:
-            worst = (K, C)
-        if (emb.hyp_maps[U].domain.diam() > bounded_diam
-                or emb.hyp_maps[U].codomain.diam() > bounded_diam):
-            bounded = False
+    worst = rep.measured["hyp_qi"]
+    bounded = all(emb.hyp_maps[U].domain.diam() <= bounded_diam
+                  and emb.hyp_maps[U].codomain.diam() <= bounded_diam
+                  for U in emb.source.elements)
     exact = worst == (1.0, 0.0)
     iso_ok = exact or (bounded and worst[0] <= bounded_diam
                        and worst[1] <= bounded_diam)

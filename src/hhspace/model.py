@@ -19,7 +19,7 @@ import networkx as nx
 import numpy as np
 
 from .lattice import ValidationReport
-from .spaces import CoarseMap, four_point_delta, vkey
+from .spaces import CoarseMap, coarse_map_constants, four_point_delta, vkey
 
 
 class NoConsistentTuple(Exception):
@@ -275,18 +275,10 @@ def _consistency_scan(model):
 def _nested_consistency(model, v, w):
     """min( d_w(pi_w x, rho), diam(pi_v x | rho-map(pi_w x)) ) maximized over x."""
     a = model.dist_to_set_array(w, model.rho_set[(v, w)])
-    rmap = model.rho_map[(v, w)]
-    CV = model.hyp[v]
-    vals = np.empty(len(model.space), dtype=np.int64)
-    cache = {}
+    rmap, CV = model.rho_map[(v, w)], model.hyp[v]
     on_w, on_v = model.proj[w].image_sets(), model.proj[v].image_sets()
-    for i in range(len(model.space)):
-        key = (on_w.sids[i], on_v.sids[i])
-        if key not in cache:
-            img = rmap.image_of_set(on_w.sets[key[0]])
-            cache[key] = CV.dset(on_v.sets[key[1]], img)
-        vals[i] = cache[key]
-    both = np.minimum(a, vals)
+    down = CV.set_family([rmap.image_of_set(B) for B in on_w.sets])
+    both = np.minimum(a, CV.dset_table(on_v, down)[on_v.sids, on_w.sids])
     return int(both.max()), model.space.vertices[int(both.argmax())]
 
 
@@ -614,7 +606,6 @@ def measure_alpha(model, budget=500000):
     alpha = 0
     point_rows = {}
     for V in lat.elements:
-        CV = model.hyp[V]
         pts = sorted(model.proj[V].image(), key=vkey)
         rows = np.stack([model.dist_to_set_array(V, [p]) for p in pts])
         point_rows[V] = (pts, rows)
@@ -658,12 +649,7 @@ def audit_axioms(model):
 
     lip = qc = surj = 0.0
     for U in lat.elements:
-        Dp = model.pair_matrix(U).astype(np.float64)
-        D = model.space.dist.astype(np.float64)
-        if Dp.max() > 0 and not (Dp <= D).all():
-            lip = max(lip, float((Dp / (D + 1.0)).max()))
-        else:
-            lip = max(lip, 1.0 if Dp.max() > 0 else 0.0)
+        lip = max(lip, coarse_map_constants(model.proj[U])[0])
         img = model.proj[U].image()
         qc = max(qc, model.hyp[U].qc_constant(img))
         CU = model.hyp[U]

@@ -20,6 +20,8 @@ import numpy as np
 # temporaries may take; small chunks keep the interval scans' peak memory flat
 _CHUNK_CELLS = 1 << 15
 
+SetFamily = namedtuple("SetFamily", "sets flat starts diams")
+
 
 def vkey(v):
     """Total deterministic ordering key for vertex/element ids of mixed types."""
@@ -167,6 +169,29 @@ class FiniteSpace:
         to_A = self.dist[:, ia].min(axis=1)
         return max(int(np.where(on, to_A, 0).max()) for _, on in self.intervals(ia, ia))
 
+    def set_family(self, sets):
+        """Index a list of nonempty point sets for the table kernels below:
+        the sets, their vertex indices concatenated (each set sorted) with
+        the start offset of each set, and each set's diameter."""
+        parts = [np.sort(self.idx(list(A))) for A in sets]
+        starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
+        diams = np.array([self.dist[np.ix_(p, p)].max() if len(p) > 1 else 0
+                          for p in parts], dtype=np.int64)
+        return SetFamily(sets, np.concatenate(parts), starts, diams)
+
+    def per_set(self, fam, cols, reduce):
+        """len(fam.sets) x len(cols) table: ``reduce`` (np.minimum or
+        np.maximum) of the distances from each set of the family to each
+        vertex index in cols."""
+        return reduce.reduceat(self.dist[np.ix_(fam.flat, cols)], fam.starts, axis=0)
+
+    def dset_table(self, fa, fb):
+        """len(fa.sets) x len(fb.sets) table of dset(A, B) = diam(A | B) over
+        the sets A of family fa and B of family fb."""
+        far = self.per_set(fa, fb.flat, np.maximum)
+        M = np.maximum.reduceat(far, fb.starts, axis=1)
+        return np.maximum(M, np.maximum(fa.diams[:, None], fb.diams[None, :]))
+
     def subspace(self, keep, name=""):
         """Metric subspace (restricted ambient metric, not induced path metric)."""
         ks = sorted_vertices(keep)
@@ -273,7 +298,7 @@ def four_point_delta(space):
     return best / 2.0
 
 
-ImageSets = namedtuple("ImageSets", "sids sets flat starts diams")
+ImageSets = namedtuple("ImageSets", ("sids",) + SetFamily._fields)
 
 
 class CoarseMap:
@@ -339,9 +364,8 @@ class CoarseMap:
         return CoarseMap(self.codomain, self.domain, imgs, name="inv:" + self.name)
 
     def image_sets(self):
-        """The distinct image sets, in order of first appearance: per-domain-
-        vertex set ids, the sets, their codomain indices concatenated with
-        the start offset of each set, and each set's diameter."""
+        """The distinct image sets, in order of first appearance, as a
+        codomain set family, with the per-domain-vertex set ids."""
         if self._sets is None:
             canon = {}
             sids = np.empty(len(self.domain), dtype=np.int64)
@@ -352,27 +376,21 @@ class CoarseMap:
                     canon[img] = len(sets)
                     sets.append(img)
                 sids[i] = canon[img]
-            parts = [np.sort(self.codomain.idx(list(A))) for A in sets]
-            starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
-            diams = np.array([self.codomain.dist[np.ix_(p, p)].max() if len(p) > 1 else 0
-                              for p in parts], dtype=np.int64)
-            self._sets = ImageSets(sids, sets, np.concatenate(parts), starts, diams)
+            self._sets = ImageSets(sids, *self.codomain.set_family(sets))
         return self._sets
 
     def per_set(self, points, reduce):
         """k x |points| table: ``reduce`` (np.minimum or np.maximum) of the
         codomain distances from each distinct image set to each point."""
-        rec = self.image_sets()
-        cols = self.codomain.dist[np.ix_(rec.flat, self.codomain.idx(list(points)))]
-        return reduce.reduceat(cols, rec.starts, axis=0)
+        cod = self.codomain
+        return cod.per_set(self.image_sets(), cod.idx(list(points)), reduce)
 
     def dset_row(self, S):
         """Per distinct image set A: dset(A, S), the diameter of A | S."""
         rec = self.image_sets()
         if not S:
             return rec.diams.copy()
-        far = self.per_set(S, np.maximum).max(axis=1)
-        return np.maximum(np.maximum(rec.diams, far), self.codomain.diam_set(S))
+        return self.codomain.dset_table(rec, self.codomain.set_family([S]))[:, 0]
 
     def gap_row(self, S):
         """Per distinct image set A: gap(A, S) for a nonempty S."""
@@ -384,10 +402,7 @@ class CoarseMap:
         distinct sets. Lets scans over vertex pairs run as numpy lookups."""
         if self._table is None:
             rec = self.image_sets()
-            far = self.per_set(self.codomain.vertices, np.maximum)
-            M = np.maximum.reduceat(far[:, rec.flat], rec.starts, axis=1)
-            M = np.maximum(M, np.maximum(rec.diams[:, None], rec.diams[None, :]))
-            self._table = (rec.sids, rec.sets, M)
+            self._table = (rec.sids, rec.sets, self.codomain.dset_table(rec, rec))
         return self._table
 
     def pair_distance_matrix(self):

@@ -525,6 +525,7 @@ class _CombinedBuilder:
         self.comp = comp_maps
         self.warnings = warnings
         self.coned = {}
+        self.rels = {}   # (c1.id, c2.id) -> rel_classes(c1, c2), both orders
 
     # ---- helpers
 
@@ -622,11 +623,10 @@ class _CombinedBuilder:
         elements = cls_ids + sup_ids + [THAT]
 
         nested, orth = [], []
-        rels = {}
         for i, c1 in enumerate(self.classes):
             for c2 in self.classes[i + 1:]:
-                r, v, oriented = self.rel_classes(c1, c2)
-                rels[(c1.id, c2.id)] = r
+                r, v, oriented = self.rels[(c1.id, c2.id)] = self.rel_classes(c1, c2)
+                self.rels[(c2.id, c1.id)] = (r, v, None if oriented is None else not oriented)
                 if r == "nested":
                     if oriented:
                         nested.append((c1.id, c2.id))
@@ -644,11 +644,11 @@ class _CombinedBuilder:
                 if any(cls.id == o.id for o in self.owners[sid]):
                     orth.append((cls.id, sid))
                     continue
-                r = rels.get((cls.id, owner.id)) or rels.get((owner.id, cls.id))
+                r, _, inside = self.rels[(cls.id, owner.id)]
                 if r == "nested":
                     # orthogonal when cls is nested in the owner; the owner
                     # nested in cls falls to the transverse default
-                    if self._nested_in(cls, owner):
+                    if inside:
                         orth.append((cls.id, sid))
                 elif r == "orth":
                     nested.append((cls.id, sid))
@@ -665,7 +665,6 @@ class _CombinedBuilder:
                         if self.supports[s2] < self.supports[sid]]
                   for sid in sup_ids}
         for sid in sup_ids:
-            sub = t.space.subspace(self.supports[sid])
             base_edges = [(a, b) for (a, b) in t.edges
                           if a in self.supports[sid] and b in self.supports[sid]]
             graph = FiniteSpace(self.supports[sid], base_edges)
@@ -680,7 +679,6 @@ class _CombinedBuilder:
 
         # projections
         proj = {}
-        vertex_of = {x: x[0] for x in X.vertices}
         proj[THAT] = CoarseMap.single(X, that_coned, lambda x: x[0], name="pi:That")
         for sid in sup_ids:
             sup = self.supports[sid]
@@ -714,14 +712,6 @@ class _CombinedBuilder:
         return HHSModel(X, lattice, hyp, proj, rho_set, rho_map,
                         name=t.name + "|combined")
 
-    def _nested_in(self, c1, c2):
-        commons = c1.support & c2.support
-        for v in sorted(commons, key=vkey):
-            lat = self.t.vertex_models[v].lattice
-            if lat.rel(c1.rep_at[v], c2.rep_at[v]) == "nested":
-                return lat.nested(c1.rep_at[v], c2.rep_at[v])
-        return False
-
     def _class_rho_map(self, small, big, v):
         """rho map C[big] -> C[small] through a common vertex v with nested
         representatives: comparison back to v, the vertex-level map, then
@@ -742,20 +732,15 @@ class _CombinedBuilder:
                 if r == "nested":
                     small, big = (c1, c2) if lattice.properly_nested(c1.id, c2.id) \
                         else (c2, c1)
-                    v = self._nested_vertex(small, big)
+                    r_cls, v, _ = self.rels[(small.id, big.id)]
+                    if r_cls != "nested":
+                        raise HypothesisFailure("no vertex witnesses the nesting",
+                                                (small.id, big.id))
                     rho_set[(small.id, big.id)] = self.class_marker(small, big)
                     rho_map[(small.id, big.id)] = self._class_rho_map(small, big, v)
                 else:
                     rho_set[(c1.id, c2.id)] = self.class_marker(c1, c2)
                     rho_set[(c2.id, c1.id)] = self.class_marker(c2, c1)
-
-    def _nested_vertex(self, small, big):
-        for v in sorted(small.support & big.support, key=vkey):
-            lat = self.t.vertex_models[v].lattice
-            if lat.rel(small.rep_at[v], big.rep_at[v]) == "nested":
-                return v
-        raise HypothesisFailure("no vertex witnesses the nesting",
-                                (small.id, big.id))
 
     def _cone_base(self, p):
         """A tree vertex for a point of a coned tree: cone points (labelled
@@ -787,11 +772,11 @@ class _CombinedBuilder:
                         rho_set[(s1, s2)] = frozenset(inter)
                         rho_set[(s2, s1)] = frozenset(inter)
                     else:
+                        # the bridge between disjoint subtrees is unique, so
+                        # each endpoint is the closest vertex to the other
                         a, b = self.t.bridge(self.supports[s1], self.supports[s2])
-                        rho_set[(s1, s2)] = frozenset([self.t.closest_vertex(
-                            a, self.supports[s2])])
-                        rho_set[(s2, s1)] = frozenset([self.t.closest_vertex(
-                            b, self.supports[s1])])
+                        rho_set[(s1, s2)] = frozenset([b])
+                        rho_set[(s2, s1)] = frozenset([a])
 
     def _rho_cross(self, lattice, hyp, rho_set, rho_map, sup_ids):
         for cls in self.classes:
@@ -810,9 +795,8 @@ class _CombinedBuilder:
                     if inter:
                         rho_set[(cls.id, sid)] = frozenset(inter)
                     else:
-                        a, b = self.t.bridge(cls.support, sup)
-                        rho_set[(cls.id, sid)] = frozenset(
-                            [self.t.closest_vertex(a, sup)])
+                        _, b = self.t.bridge(cls.support, sup)
+                        rho_set[(cls.id, sid)] = frozenset([b])
                     owner = self.owners[sid][0]
                     rho_set[(sid, cls.id)] = self.class_marker(owner, cls)
 
@@ -1123,7 +1107,6 @@ def _far_side_exactness(c):
                 continue
             for (src, dst) in ((c1, c2), (c2, c1)):
                 rho = c.model.rho_set[(src.id, dst.id)]
-                a, b = c.tree.bridge(src.support, dst.support)
                 # vertices whose geodesic to dst's support passes the bridge
                 for v in sorted(src.support, key=vkey):
                     for x in c.tree.vertex_models[v].space.vertices:

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 
-import hhspace
+import pytest
 
-from hhspace import serialize
+import hhspace
+from hhspace import cli, serialize
 from hhspace.cli import main
-from hhspace.fixtures import bs_window, factor_inclusion, grid_product
+from hhspace.fixtures import bs_window, factor_inclusion, fixture_b_product, grid_product
 from hhspace.graphproduct import ProductSpec
 
 
@@ -99,6 +100,25 @@ def test_schema_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"vertices\": 3}")
     assert run(["audit", bad]) == 2
+
+
+def test_missing_relation_is_schema_error(tmp_path):
+    doc = serialize.model_to_json(fixture_b_product())
+    del doc["lattice"]["relations"][0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(serialize.dumps(doc))
+    assert run(["audit", bad]) == 2
+
+
+def test_errors_after_loading_are_not_schema_errors(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_text(serialize.dumps(serialize.model_to_json(grid_product(2, 2))))
+
+    def broken(model):
+        raise KeyError("internal")
+    monkeypatch.setattr(cli, "audit_axioms", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(["audit", path])
 
 
 def test_reports_byte_identical(tmp_path):

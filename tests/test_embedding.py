@@ -1,11 +1,16 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhspace.embedding import (Embedding, NotFull, clipped_sum_compare,
                                probe_embedding, pullback_model, verify_embedding)
 from hhspace.fixtures import factor_inclusion, grid_product, hagen, hagen_target
 from hhspace.indexmaps import IndexMap
-from hhspace.model import audit_axioms, trivial_model
-from hhspace.spaces import CoarseMap, path_graph
+from hhspace.lattice import IndexLattice
+from hhspace.model import HHSModel, audit_axioms, trivial_model
+from hhspace.spaces import CoarseMap, path_graph, qi_constants
 
 
 def test_identity_embedding_trivial():
@@ -127,3 +132,110 @@ def test_pullback_model_structure():
     assert len(pb.space) == 5
     assert pb.lattice.elements == e.source.lattice.elements
     assert audit_axioms(pb).ok
+
+
+def _diagram_defects_reference(e):
+    """The per-vertex diagram loops the set-family tables replaced."""
+    defect = 0.0
+    for U in e.source.elements:
+        Ui = e.index_map(U)
+        fU = e.hyp_maps[U]
+        if fU.domain is not e.source.hyp[U] or fU.codomain is not e.target.hyp[Ui]:
+            continue
+        for x in e.source.space.vertices:
+            a = fU.image_of_set(e.source.proj[U](x))
+            b = e.target.proj[Ui].image_of_set(e.space_map(x))
+            defect = max(defect, e.target.hyp[Ui].dset(a, b))
+    rho_defect = 0.0
+    for (v, w), rmap in e.source.rho_map.items():
+        vi, wi = e.index_map(v), e.index_map(w)
+        if (vi, wi) not in e.target.rho_map:
+            continue
+        tmap = e.target.rho_map[(vi, wi)]
+        for p in e.source.hyp[w].vertices:
+            a = e.hyp_maps[v].image_of_set(rmap(p))
+            b = tmap.image_of_set(e.hyp_maps[w](p))
+            rho_defect = max(rho_defect, e.target.hyp[vi].dset(a, b))
+    return defect, rho_defect
+
+
+def _path_embedding(n, image):
+    """Two-element models V < W on both sides, every space the path on n
+    vertices and every map set-valued: vertex i goes to the vertices whose
+    indices image(i) returns, drawn afresh for each map and vertex."""
+    def cmap(dom, cod):
+        return CoarseMap(dom, cod, {x: frozenset(cod.vertices[j] for j in image(i))
+                                    for i, x in enumerate(dom.vertices)})
+
+    def model(name):
+        X, CV, CW = path_graph(n), path_graph(n), path_graph(n)
+        lat = IndexLattice(["V", "W"], "W", nested_pairs=[("V", "W")])
+        return HHSModel(X, lat, {"V": CV, "W": CW}, {"V": cmap(X, CV), "W": cmap(X, CW)},
+                        {("V", "W"): CW.vertices[:1]}, {("V", "W"): cmap(CW, CV)}, name=name)
+
+    src, tgt = model("src"), model("tgt")
+    return Embedding(src, tgt, cmap(src.space, tgt.space),
+                     IndexMap(src.lattice, tgt.lattice, {"V": "V", "W": "W"}),
+                     {U: cmap(src.hyp[U], tgt.hyp[U]) for U in ("V", "W")}, name="random")
+
+
+def _near_identity(n, offsets):
+    """i goes to i + k for k in offsets(), clipped to the path: both diagrams
+    then commute up to a defect that varies with the vertex, so pairing the
+    wrong image sets shows."""
+    return lambda i: {min(n - 1, i + k) for k in offsets()}
+
+
+@st.composite
+def random_embeddings(draw):
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return _path_embedding(n, _near_identity(
+            n, lambda: draw(st.frozensets(st.integers(0, 2), min_size=1))))
+    return _path_embedding(
+        n, lambda i: draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=2)))
+
+
+def _assert_defects_match_reference(e):
+    m = verify_embedding(e).measured
+    got = (m["diagram_defect"], m["rho_diagram_defect"])
+    want = _diagram_defects_reference(e)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_embeddings())
+def test_diagram_defects_match_reference_on_random_embeddings(e):
+    _assert_defects_match_reference(e)
+
+
+def test_diagram_defects_match_reference_when_both_are_nonzero():
+    # fixture embeddings all commute (both defects 0.0), so the comparison
+    # must also be made where the tables, not the zero default, decide
+    for seed in range(10):
+        rng = random.Random(seed)
+        n = rng.randint(6, 12)
+        e = _path_embedding(n, _near_identity(n, lambda: rng.sample(range(3), rng.randint(1, 3))))
+        assert min(_diagram_defects_reference(e)) >= 1
+        _assert_defects_match_reference(e)
+
+
+@pytest.mark.parametrize("e", [factor_inclusion(2), hagen(4)], ids=["factor", "hagen"])
+def test_diagram_defects_match_reference_on_fixtures(e):
+    _assert_defects_match_reference(e)
+
+
+def test_hyp_qi_is_the_worst_over_every_hyperbolic_map():
+    # the certification's hyp_qi is the worst (K, C) over every hyperbolic
+    # map, also one that fails the space check
+    e = Embedding.identity(grid_product(3, 6))
+    l, r = ("l", "S1"), ("r", "S2")
+    fl, fr = e.hyp_maps[l], e.hyp_maps[r]
+    e.hyp_maps[l] = CoarseMap.constant(fl.domain, fl.codomain, fl.codomain.vertices[:1])
+    copy = fr.domain.relabel(lambda v: v)   # equal to C_r, but not the same object
+    e.hyp_maps[r] = CoarseMap.constant(copy, fr.codomain, fr.codomain.vertices[:1])
+    rep = verify_embedding(e)
+    assert [v.witness for v in rep.violations] == [(r,)]
+    assert [qi_constants(e.hyp_maps[U]) for U in (l, r)] == [(2.0, 2.0), (5.0, 5.0)]
+    assert rep.measured["hyp_qi"] == (5.0, 5.0)

@@ -1,15 +1,17 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhspace import fixtures
+from hhspace import fixtures, model as model_module
 from hhspace.fixtures import bounded_factor_product, fixture_b_product, grid_product
 from hhspace.lattice import IndexLattice
 from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceeded,
-                           _audit_bgi, audit_axioms, concretize,
+                           _audit_bgi, _consistency_scan, _nested_consistency,
+                           audit_axioms, concretize,
                            distance_formula_fit, epsilon_support, gate,
                            hq_check, measure_alpha, normalize, product_region,
                            realize, trivial_model, tuple_consistency_defect)
@@ -45,6 +47,7 @@ def test_grid_audits(grid):
     rec = rep.constants_record()
     assert rec.complexity == 3
     assert rec.kappa0 == 0
+    assert rec.proj_lip == 1.0   # every projection is 1-lipschitz, none constant
 
 
 def test_missing_rho_detected(grid):
@@ -308,9 +311,14 @@ def test_audit_bgi_matches_reference_on_fixture_b():
     assert _audit_bgi(m) == _audit_bgi_reference(m)
 
 
-def test_audit_bgi_matches_reference_on_raag_window():
+@pytest.fixture(scope="module")
+def raag_window():
+    return fixtures.raag_path(2).combined.model
+
+
+def test_audit_bgi_matches_reference_on_raag_window(raag_window):
     # |C_W| = 63 with up to 24 image sets: many chunks per nested pair
-    m = fixtures.raag_path(2).combined.model
+    m = raag_window
     got = _audit_bgi(m)
     assert got == _audit_bgi_reference(m)
     assert got[0] == 2
@@ -319,20 +327,61 @@ def test_audit_bgi_matches_reference_on_raag_window():
 
 @st.composite
 def nested_pairs(draw):
-    """A two-element model V < W over random graphs: random rho set in C_W
-    and random set-valued downward map C_W -> C_V."""
+    """A two-element model V < W over random graphs: random rho set in C_W,
+    random set-valued downward map C_W -> C_V and projection to C_V."""
     CW, CV = draw(connected_graphs(max_n=40)), draw(connected_graphs(max_n=12))
-    images = {p: draw(st.frozensets(st.sampled_from(CV.vertices), min_size=1, max_size=3))
-              for p in CW.vertices}
+
+    def images():
+        return {p: draw(st.frozensets(st.sampled_from(CV.vertices), min_size=1, max_size=3))
+                for p in CW.vertices}
     rho = draw(st.frozensets(st.sampled_from(CW.vertices), min_size=1, max_size=3))
     V, W = "V", "W"
     lat = IndexLattice([V, W], W, nested_pairs=[(V, W)])
-    proj = {W: CoarseMap.identity(CW), V: CoarseMap.constant(CW, CV, CV.vertices[:1])}
+    proj = {W: CoarseMap.identity(CW), V: CoarseMap(CW, CV, images())}
     return HHSModel(CW, lat, {V: CV, W: CW}, proj, {(V, W): rho},
-                    {(V, W): CoarseMap(CW, CV, images)}, name="random-pair")
+                    {(V, W): CoarseMap(CW, CV, images())}, name="random-pair")
 
 
 @settings(max_examples=80, deadline=None)
 @given(nested_pairs())
 def test_audit_bgi_matches_reference_on_random_pairs(m):
     assert _audit_bgi(m) == _audit_bgi_reference(m)
+
+
+def _nested_consistency_reference(model, v, w):
+    """The per-vertex loop the set-family table replaced."""
+    a = model.dist_to_set_array(w, model.rho_set[(v, w)])
+    rmap = model.rho_map[(v, w)]
+    CV = model.hyp[v]
+    vals = np.empty(len(model.space), dtype=np.int64)
+    cache = {}
+    on_w, on_v = model.proj[w].image_sets(), model.proj[v].image_sets()
+    for i in range(len(model.space)):
+        key = (on_w.sids[i], on_v.sids[i])
+        if key not in cache:
+            img = rmap.image_of_set(on_w.sets[key[0]])
+            cache[key] = CV.dset(on_v.sets[key[1]], img)
+        vals[i] = cache[key]
+    both = np.minimum(a, vals)
+    return int(both.max()), model.space.vertices[int(both.argmax())]
+
+
+def _assert_consistency_matches_reference(m):
+    for v, w in m.lattice.nest_pairs():
+        assert _nested_consistency(m, v, w) == _nested_consistency_reference(m, v, w)
+    with mock.patch.object(model_module, "_nested_consistency",
+                           _nested_consistency_reference):
+        want = _consistency_scan(m)
+    assert _consistency_scan(m) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_pairs())
+def test_consistency_scan_matches_reference_on_random_pairs(m):
+    _assert_consistency_matches_reference(m)
+
+
+def test_consistency_scan_matches_reference_on_raag_window(raag_window):
+    m = raag_window
+    _assert_consistency_matches_reference(m)
+    assert max(_nested_consistency(m, v, w)[0] for v, w in m.lattice.nest_pairs()) > 0

@@ -186,14 +186,22 @@ def maps_and_targets(draw):
     points = st.sampled_from(cod.vertices)
     images = {v: draw(st.frozensets(points, min_size=1, max_size=3))
               for v in dom.vertices}
-    return CoarseMap(dom, cod, images), draw(st.frozensets(points, max_size=3))
+    families = [draw(st.lists(st.frozensets(points, min_size=1, max_size=3),
+                              min_size=1, max_size=5)) for _ in range(2)]
+    return CoarseMap(dom, cod, images), draw(st.frozensets(points, max_size=3)), families
 
 
 @settings(max_examples=150, deadline=None)
 @given(maps_and_targets())
 def test_pair_distance_matrix_matches_dset(case):
-    f, S = case
+    f, S, families = case
     dom, cod = f.domain, f.codomain
+    fa, fb = (cod.set_family(sets) for sets in families)
+    table = cod.dset_table(fa, fb)
+    assert table.shape == (len(fa.sets), len(fb.sets))
+    for a, A in enumerate(fa.sets):
+        for b, B in enumerate(fb.sets):
+            assert table[a, b] == cod.dset(A, B)
     T = f.pair_distance_matrix()
     for i, u in enumerate(dom.vertices):
         for j, v in enumerate(dom.vertices):

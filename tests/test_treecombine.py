@@ -1,7 +1,7 @@
 import pytest
 
 from hhspace.embedding import Embedding
-from hhspace.fixtures import bs_window
+from hhspace.fixtures import bs_window, grid_product
 from hhspace.indexmaps import IndexMap
 from hhspace.model import audit_axioms, trivial_model
 from hhspace.spaces import CoarseMap, FiniteSpace, path_graph, single_point
@@ -228,3 +228,38 @@ def test_raag_b_factor_class_supported_at_center_only():
     originals = {v for v in b_cls[0].support
                  if not (isinstance(v, tuple) and v and v[0] == "deco")}
     assert originals == {("Q",)}
+
+
+def grid_chain():
+    """grid - segment - grid, glued through point edges into the l-factor of
+    each grid: the r-factor classes of the two grids get the disjoint
+    supports {a} and {c}."""
+    vm = {"a": grid_product(3, 3), "b": trivial_model(path_graph(0, 2), elt="S", name="b"),
+          "c": grid_product(3, 3)}
+    into = {"a": ("l", "S1"), "b": "S", "c": ("l", "S1")}
+    edges, em, emap = [("a", "b"), ("b", "c")], {}, {}
+    for i, e in enumerate(edges):
+        pm = em[e] = trivial_model(single_point(("e", i)), elt="SE")
+        for end in e:
+            m, U = vm[end], into[end]
+            p = m.space.vertices[0]
+            emap[(e, end)] = Embedding(
+                pm, m, CoarseMap.constant(pm.space, m.space, [p]),
+                IndexMap(pm.lattice, m.lattice, {"SE": U}),
+                {"SE": CoarseMap.constant(pm.hyp["SE"], m.hyp[U], m.proj[U](p))})
+    return TreeOfHHS(["a", "b", "c"], edges, vm, em, emap, name="grid-chain")
+
+
+def test_rho_markers_across_disjoint_supports_are_nearest_vertices():
+    c = build_combined(grid_chain())
+    t, lat, rho = c.tree, c.model.lattice, c.model.rho_set
+    supports = {**c.supports, **{cls.id: cls.support for cls in c.classes}}
+    checked = set()
+    for (u, sid), marker in rho.items():
+        if sid in c.supports and u in supports and not supports[u] & c.supports[sid] \
+                and lat.transverse(u, sid):
+            near = t.space.gap(supports[u], c.supports[sid])
+            assert marker == {y for y in c.supports[sid]
+                              if t.space.gap(supports[u], [y]) == near}
+            checked.add("support" if u in c.supports else "class")
+    assert checked == {"support", "class"}
