@@ -69,7 +69,6 @@ def main(argv=None):
                        help="materialize a fixture and run its checks")
     p.add_argument("name", choices=sorted(FIXTURES))
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--copy-cap", type=int, default=2)
 
     args = ap.parse_args(argv)
     for key, val in (("out", None), ("format", "json"), ("seed", 0)):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .indexmaps import verify_fullness, verify_index_map
 from .lattice import ValidationReport
-from .model import (HHSModel, _least_grid_fit, _linear_need, audit_axioms,
-                    gate_map, hq_check, product_region)
+from .model import (HHSModel, _audit_bgi, _least_grid_fit, _linear_need,
+                    audit_axioms, gate_map, hq_check, product_region)
 from .spaces import CoarseMap, coarse_map_constants, qi_constants, vkey
 
 
@@ -56,12 +56,11 @@ class Embedding:
                    name=name)
 
 
-def verify_embedding(e, full=True):
-    """Index-map checks plus measured commutation defects of both diagrams
-    and the per-element quasi-isometry constants of the hyperbolic maps."""
-    rep = verify_index_map(e.index_map)
-    if full:
-        rep = rep.merged(verify_fullness(e.index_map))
+def verify_embedding(e):
+    """Index-map and fullness checks plus measured commutation defects of
+    both diagrams and the per-element quasi-isometry constants of the
+    hyperbolic maps."""
+    rep = verify_index_map(e.index_map).merged(verify_fullness(e.index_map))
     out = ValidationReport("embedding:%s" % e.name)
     out.violations = list(rep.violations)
     defect = 0.0
@@ -164,7 +163,7 @@ class ProbeReport:
         }
 
 
-def probe_embedding(e, kappa=None, hq_threshold=None):
+def probe_embedding(e):
     """Measure the five linked conditions for a full embedding with
     hierarchically quasiconvex image, plus the region comparisons.
 
@@ -181,7 +180,7 @@ def probe_embedding(e, kappa=None, hq_threshold=None):
         raise NotFull("embedding is not a full structure map: %r" % rep)
     tgt = e.target
     image = frozenset(e.image())
-    image_hq = hq_check(tgt, image, threshold=hq_threshold)
+    image_hq = hq_check(tgt, image)
 
     lip = coarse_map_constants(e.space_map)
     qi = qi_constants(e.space_map)
@@ -199,17 +198,14 @@ def probe_embedding(e, kappa=None, hq_threshold=None):
             mu_proper = max(mu_proper, d)
 
     xi, k0 = tgt.basics()
-    if kappa is None:
-        kappa = max(1.0, xi, k0)
+    kappa = max(1.0, xi, k0)
     region = product_region(tgt, s_img, kappa).F
     if not region:
         region = frozenset([min(image, key=vkey)])
 
-    g_img = gate_map(tgt, image, hq=image_hq if image_hq.passed else None,
-                     threshold=float("inf") if not image_hq.passed else None)
-    region_hq = hq_check(tgt, region)
-    g_reg = gate_map(tgt, region, hq=region_hq if region_hq.passed else None,
-                     threshold=float("inf") if not region_hq.passed else None)
+    # the gates are measured whether or not their targets pass hq_check
+    g_img = gate_map(tgt, image)
+    g_reg = gate_map(tgt, region)
     d1 = max(tgt.space.gap(g_reg.compose(g_img)(z), [z]) for z in region)
     d2 = max(tgt.space.gap(g_img.compose(g_reg)(y), [y]) for y in image)
 
@@ -217,7 +213,8 @@ def probe_embedding(e, kappa=None, hq_threshold=None):
     pb_audit = audit_axioms(pullback)
 
     dist_region = tgt.space.gap(region, image)
-    kap_probe = max(2 * k0, 2 * _bgi_of(tgt), _bgi_of(tgt) + mu) + 1.0
+    e_bgi = _audit_bgi(tgt)[0]
+    kap_probe = max(2 * k0, 2 * e_bgi, e_bgi + mu) + 1.0
     hq_for_eta = image_hq.table
     eta_key = min((k for k in hq_for_eta if k >= 3 * kap_probe),
                   default=max(hq_for_eta) if hq_for_eta else 0)
@@ -243,13 +240,6 @@ def probe_embedding(e, kappa=None, hq_threshold=None):
         rho_coincidence=rho_co, rho_coincidence_max=worst,
         hausdorff=float(dh), hausdorff_bound=j_bound,
         fullness_ok=True, image_hq=image_hq, kappa_used=float(kappa))
-
-
-def _bgi_of(model):
-    from .model import _audit_bgi
-    if not hasattr(model, "_bgi_cache"):
-        model._bgi_cache = _audit_bgi(model)[0]
-    return model._bgi_cache
 
 
 def pullback_model(e):

@@ -455,7 +455,7 @@ class BuildResult:
     include: object           # callable subgraph-vertices -> Embedding
 
 
-def build(spec, comparison_bound=2.0, decorate_windows=True, copy_cap=2):
+def build(spec):
     """Recursive construction of the combined structure of the whole graph
     product: complete graphs fold into direct products, disconnected graphs
     into free-product windows, everything else splits along the link of the
@@ -465,17 +465,18 @@ def build(spec, comparison_bound=2.0, decorate_windows=True, copy_cap=2):
     fullness, hierarchical quasiconvexity and isometry of the inclusions
     used."""
     levels = []
-    opts = {"bound": comparison_bound, "decorate": decorate_windows,
-            "cap": copy_cap}
-    model, combined, include = _build_sub(spec, levels, opts)
+    model, combined, include = _build_sub(spec, levels)
     return BuildResult(model, combined, CertChain(levels), include)
 
 
-def _certify_inclusion(name, emb, bounded_diam=2):
+BOUNDED_DIAM = 2
+
+
+def _certify_inclusion(name, emb):
     """Verify one inclusion: relation/fullness checks, hierarchically
     quasiconvex image, and isometric induced maps on hyperbolic models.
-    Collapsing identifications between uniformly bounded models (the
-    free-product windows) are quasi-isometries with constants within the
+    Collapsing identifications between models of diameter at most
+    BOUNDED_DIAM (the free-product windows) are quasi-isometries with constants within the
     model diameter; those count as isometric-up-to-bounded and the branch
     taken is recorded."""
     from .embedding import verify_embedding
@@ -484,12 +485,12 @@ def _certify_inclusion(name, emb, bounded_diam=2):
     rep = verify_embedding(emb)
     hq = hq_check(emb.target, emb.image())
     worst = rep.measured["hyp_qi"]
-    bounded = all(emb.hyp_maps[U].domain.diam() <= bounded_diam
-                  and emb.hyp_maps[U].codomain.diam() <= bounded_diam
+    bounded = all(emb.hyp_maps[U].domain.diam() <= BOUNDED_DIAM
+                  and emb.hyp_maps[U].codomain.diam() <= BOUNDED_DIAM
                   for U in emb.source.elements)
     exact = worst == (1.0, 0.0)
-    iso_ok = exact or (bounded and worst[0] <= bounded_diam
-                       and worst[1] <= bounded_diam)
+    iso_ok = exact or (bounded and worst[0] <= BOUNDED_DIAM
+                       and worst[1] <= BOUNDED_DIAM)
     return {
         "name": name, "full_ok": rep.ok, "hq_ok": hq.passed,
         "iso_ok": iso_ok, "iso_exact": exact, "hyp_qi": list(worst),
@@ -502,7 +503,7 @@ def _lattice_checks(model):
             model.lattice.verify_clean_containers().ok)
 
 
-def _build_sub(spec, levels, opts):
+def _build_sub(spec, levels):
     verts = spec.vertices
     if len(verts) == 1:
         v = verts[0]
@@ -517,20 +518,20 @@ def _build_sub(spec, levels, opts):
         return model, None, include
 
     if spec.is_complete():
-        return _build_complete(spec, levels, opts)
+        return _build_complete(spec, levels)
     comps = spec.components()
     if len(comps) > 1:
-        return _build_free(spec, comps, levels, opts)
-    return _build_split(spec, levels, opts)
+        return _build_free(spec, comps, levels)
+    return _build_split(spec, levels)
 
 
 class HypothesisFailureLocal(Exception):
     pass
 
 
-def _build_complete(spec, levels, opts):
+def _build_complete(spec, levels):
     order = list(spec.vertices)
-    model, _, include = _build_sub(spec.induced(order[:1]), levels, opts)
+    model, _, include = _build_sub(spec.induced(order[:1]), levels)
     prefix = order[:1]
     for v in order[1:]:
         right = base_group_model(spec.bases[v], v)
@@ -564,8 +565,8 @@ def _build_complete(spec, levels, opts):
     return model, None, include
 
 
-def _build_free(spec, comps, levels, opts):
-    from .treecombine import HypothesisFailure, build_combined
+def _build_free(spec, comps, levels):
+    from .treecombine import HypothesisFailure, build_combined, decorate
 
     sub_results = []
     for comp in comps:
@@ -573,13 +574,12 @@ def _build_free(spec, comps, levels, opts):
             raise HypothesisFailure(
                 "free factors with composite structures are outside the "
                 "implemented window scope", comp)
-        sub_results.append(_build_sub(spec.induced(comp), levels, opts))
+        sub_results.append(_build_sub(spec.induced(comp), levels))
     bases = [spec.bases[comp[0]] for comp in comps]
     labels = [comp[0] for comp in comps]
     window = free_product_window(bases, labels, spec.window_radius,
                                  spec.budget, name="fp:" + ",".join(map(str, labels)))
-    window = _maybe_decorate(window, opts)
-    combined = build_combined(window, comparison_bound=opts["bound"])
+    combined = build_combined(decorate(window))
     model = combined.model
 
     def component_embedding(idx):
@@ -627,13 +627,6 @@ def _build_free(spec, comps, levels, opts):
     return model, combined, include
 
 
-def _maybe_decorate(window, opts):
-    from .treecombine import decorate
-    if opts.get("decorate", True):
-        return decorate(window, copy_cap=opts.get("cap", 2))
-    return window
-
-
 def _class_of(combined, vertex, elt):
     for cls in combined.classes:
         if (vertex, elt) in cls.members:
@@ -641,8 +634,8 @@ def _class_of(combined, vertex, elt):
     raise KeyError((vertex, elt))
 
 
-def _build_split(spec, levels, opts):
-    from .treecombine import build_combined
+def _build_split(spec, levels):
+    from .treecombine import build_combined, decorate
 
     data = split(spec)
     v = data.pivot
@@ -652,13 +645,11 @@ def _build_split(spec, levels, opts):
         # the general amalgam needs coset windows over a proper subgroup of
         # the complement; see the decisions on scope
         raise_unimplemented_amalgam(spec, data)
-    p_model, p_combined, p_include = _build_sub(left, levels, opts)
-    e_model = p_model
+    p_model, _, p_include = _build_sub(left, levels)
     pivot_model = base_group_model(spec.bases[v], v)
-    window = amalgam_star_window(e_model, pivot_model,
-                                 name="amalgam:%s" % (v,))
-    window = _maybe_decorate(window, opts)
-    combined = build_combined(window, comparison_bound=opts["bound"])
+    window = decorate(amalgam_star_window(p_model, pivot_model,
+                                          name="amalgam:%s" % (v,)))
+    combined = build_combined(window)
     model = combined.model
     center = ("Q",)
     leaves = sorted((w for w in combined.tree.vertices

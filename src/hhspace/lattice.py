@@ -97,17 +97,17 @@ class IndexLattice:
       maximal       the unique nesting-maximal element
       nested_pairs  iterable of (a, b) meaning a is properly nested in b
       orth_pairs    iterable of unordered orthogonal pairs
-      containers    optional {(Z, U): W} table of orthogonal containers;
-                    computed (unique minimal element above all orthogonal
-                    partners) when absent, cross-checked when present
       strict_total  when True, every distinct pair must appear in
                     nested_pairs or orth_pairs or trans_pairs, otherwise
                     MissingRelation is raised (the JSON loading path);
                     when False the remaining pairs default to transverse.
+
+    The orthogonal containers {(Z, U): W}, W the unique minimal element
+    below Z above all orthogonal partners of U, are computed here.
     """
 
     def __init__(self, elements, maximal, nested_pairs=(), orth_pairs=(),
-                 trans_pairs=(), containers=None, strict_total=False, name=""):
+                 trans_pairs=(), strict_total=False, name=""):
         self.name = name
         self.elements = tuple(sorted(set(elements), key=vkey))
         self.pos = {e: i for i, e in enumerate(self.elements)}
@@ -140,19 +140,7 @@ class IndexLattice:
                        for e in self.elements}
 
         self.container_problems = []
-        computed = self._compute_containers()
-        if containers is None:
-            self.containers = computed
-        else:
-            self.containers = dict(containers)
-            for key, val in sorted(computed.items(), key=lambda kv: vkey(kv[0])):
-                if key not in self.containers:
-                    self.container_problems.append(
-                        Violation("container-missing", key, "computed %r" % (val,)))
-                elif self.containers[key] != val:
-                    self.container_problems.append(
-                        Violation("container-mismatch", key,
-                                  "given %r, computed %r" % (self.containers[key], val)))
+        self.containers = self._compute_containers()
         self._prefill_caches()
 
     def _prefill_caches(self):

@@ -13,6 +13,7 @@ projection sets; distances from a point to a subspace use the min-gap.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -387,23 +388,25 @@ class HQReport:
     passed: bool
 
 
-def hq_check(model, subset, threshold=None, slope=4.0):
+HQ_SLOPE = 4.0   # slope of the affine bound of hq_check
+
+
+def hq_check(model, subset):
     """Measure hierarchical quasiconvexity of a vertex subset.
 
     k0 is the worst quasiconvexity constant of a projection of the subset;
     the table maps kappa to the largest distance from a point, all of whose
     projections are kappa-close to the subset's projections, back to the
     subset. Passing means the realization function stays under the declared
-    affine bound, k(kappa) <= slope * kappa + threshold; the failure mode
+    affine bound, k(kappa) <= HQ_SLOPE * kappa + threshold; the failure mode
     of a non-quasiconvex subset is a large k at small kappa (points whose
     every coordinate looks close but which sit far from the subset), which
-    no slope forgives. The default threshold comes from the model's
-    measured slack."""
+    no slope forgives. The threshold comes from the model's measured
+    slack."""
     subset = frozenset(subset)
     if not subset:
         raise ValueError("empty subset")
-    if threshold is None:
-        threshold = 2.0 * (model.xi() + model.realization_defect()) + 2.0
+    threshold = 2.0 * (model.xi() + model.realization_defect()) + 2.0
     k0 = 0
     for U in model.elements:
         img = model.proj[U].image_of_set(subset)
@@ -415,27 +418,27 @@ def hq_check(model, subset, threshold=None, slope=4.0):
     table = {}
     for kappa in sorted(set(int(g) for g in gaps)):
         table[kappa] = int(to_sub[gaps <= kappa].max())
-    passed = k0 <= threshold and all(v <= slope * k + threshold
+    passed = k0 <= threshold and all(v <= HQ_SLOPE * k + threshold
                                      for k, v in table.items())
-    return HQReport(k0, table, float(threshold), float(slope), passed)
+    return HQReport(k0, table, threshold, HQ_SLOPE, passed)
 
 
-def gate(model, target, x, hq=None, threshold=None):
-    """Gate of x onto a hierarchically quasiconvex vertex set.
-
-    Picks the target point whose projections best realize the
-    closest-point projections of the projections of x; ties break to the
-    least vertex. Raises NotHQC when the target fails hq_check."""
-    return gate_map(model, target, hq=hq, threshold=threshold)(x)
-
-
-def gate_map(model, target, hq=None, threshold=None):
-    target = frozenset(target)
-    if hq is None:
-        hq = hq_check(model, target, threshold=threshold)
+def gate(model, target, x):
+    """Gate of x onto a hierarchically quasiconvex vertex set, as computed
+    by gate_map. Raises NotHQC when the target fails hq_check."""
+    hq = hq_check(model, target)
     if not hq.passed:
         raise NotHQC("target fails hierarchical quasiconvexity: k0=%s table=%s"
                      % (hq.k0, hq.table))
+    return gate_map(model, target)(x)
+
+
+def gate_map(model, target):
+    """The gate onto a vertex set as a map of the space: each x goes to the
+    target point whose projections best realize the closest-point
+    projections of the projections of x; ties break to the least vertex.
+    The target is not checked for hierarchical quasiconvexity here."""
+    target = frozenset(target)
     t_sorted = sorted(target, key=vkey)
     t_idx = model.space.idx(t_sorted)
     # worst[t, x]: max over U of the distance from pi_U(t) to the points of
@@ -449,7 +452,7 @@ def gate_map(model, target, hq=None, threshold=None):
         gaps = m.per_set(A, np.minimum)
         closest = gaps == gaps.min(axis=1, keepdims=True)
         # far[t, p] = dset(pi_U(t), {p}) for target points t and p in A
-        far = np.maximum(m.per_set(A, np.maximum), rec.diams[:, None])[rec.sids[t_idx]]
+        far = m.dset_points(A)[rec.sids[t_idx]]
         col = np.empty((len(t_sorted), len(rec.sets)), dtype=np.int64)
         for a, near in enumerate(closest):
             diam = m.codomain.dist[np.ix_(A_idx[near], A_idx[near])].max()
@@ -482,7 +485,7 @@ class ConcretizeResult:
     neighborhood: int      # measured distance of the space to the core region
 
 
-def concretize(model, eps=None, kappa=None):
+def concretize(model, eps=None):
     """Restrict the structure to everything below the join of the eps-support
     of the whole space. Bounded models and already-concrete models are
     returned unchanged. The measured neighborhood constant (how far the
@@ -498,10 +501,8 @@ def concretize(model, eps=None, kappa=None):
         return ConcretizeResult(model, False, None, (), eps, 0)
     keep = model.lattice.below(s_eps)
     removed = tuple(e for e in model.elements if e not in keep)
-    if kappa is None:
-        xi, k0 = model.basics()
-        kappa = max(xi, k0)
-    region = product_region(model, s_eps, kappa)
+    xi, k0 = model.basics()
+    region = product_region(model, s_eps, max(xi, k0))
     core = region.F if region.F else frozenset([model.basepoint])
     ii = model.space.idx(sorted(core, key=vkey))
     dist_to_core = int(model.space.dist[:, ii].min(axis=1).max())
@@ -529,9 +530,6 @@ class DistanceFormulaFit:
     K: float
     C: float
     worst_pair: tuple
-
-    def holds(self, d, total):
-        return (total / self.K - self.C) <= d <= (self.K * total + self.C)
 
 
 def distance_formula_fit(model, s):
@@ -604,31 +602,31 @@ def measure_alpha(model, budget=500000):
                 G.add_edge(a, b)
     n = len(model.space)
     alpha = 0
-    point_rows = {}
+    # per element V: the pin row (the worst distance to a rho marker of V
+    # over the elements above or transverse to V) and one row per point p
+    # of the projection image, dset(pi_V(x), {p}) over base vertices x
+    pin_row, point_rows = {}, {}
     for V in lat.elements:
-        pts = sorted(model.proj[V].image(), key=vkey)
-        rows = np.stack([model.dist_to_set_array(V, [p]) for p in pts])
-        point_rows[V] = (pts, rows)
+        pin = np.zeros(n, dtype=np.int64)
+        for W in lat.elements:
+            if lat.properly_nested(V, W) or lat.transverse(V, W):
+                pin = np.maximum(pin, model.dist_to_set_array(W, model.rho_set[(V, W)]))
+        pin_row[V] = pin
+        m = model.proj[V]
+        pts = sorted(m.image(), key=vkey)
+        point_rows[V] = m.dset_points(pts).T[:, m.image_sets().sids]
     for clique in nx.enumerate_all_cliques(G):
         Vs = sorted(clique, key=vkey)
-        pin = np.zeros(n, dtype=np.int64)
-        for Vj in Vs:
-            for W in lat.elements:
-                if lat.properly_nested(Vj, W) or lat.transverse(Vj, W):
-                    pin = np.maximum(pin, model.dist_to_set_array(W, model.rho_set[(Vj, W)]))
-        sizes = [len(point_rows[Vj][0]) for Vj in Vs]
-        count = 1
-        for sz in sizes:
-            count *= sz
+        pin = np.maximum.reduce([pin_row[Vj] for Vj in Vs])
+        sizes = [len(point_rows[Vj]) for Vj in Vs]
+        count = math.prod(sizes)
         if count > budget:
             raise ScanBudgetExceeded("partial-realization scan exceeds budget: %d choices" % count)
         for choice in itertools.product(*(range(sz) for sz in sizes)):
             req = pin.copy()
             for Vj, ci in zip(Vs, choice):
-                req = np.maximum(req, point_rows[Vj][1][ci])
-            val = int(req.min())
-            if val > alpha:
-                alpha = val
+                req = np.maximum(req, point_rows[Vj][ci])
+            alpha = max(alpha, int(req.min()))
     return alpha
 
 
@@ -739,12 +737,12 @@ def _audit_bgi(model):
         CW = model.hyp[w]
         rho = sorted(model.rho_set[(v, w)], key=vkey)
         to_rho = CW.dist[:, CW.idx(rho)].min(axis=1)
-        sids, _, M2 = model.rho_map[(v, w)].set_table()
+        rmap = model.rho_map[(v, w)]
+        M2 = rmap.set_table()[2]
         k = len(M2)
         # columns grouped by image set, so present[..., s] says whether the
         # interval meets a vertex whose downward image is set s
-        order = np.argsort(sids, kind="stable")
-        starts = np.searchsorted(sids[order], np.arange(k))
+        order, starts = rmap.fibers()
         ends = np.arange(len(CW))
         for a0, on in CW.intervals(ends, ends, extra=k * k):
             gapv = np.where(on, to_rho, np.iinfo(np.int64).max).min(axis=-1)

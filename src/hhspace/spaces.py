@@ -385,6 +385,12 @@ class CoarseMap:
         cod = self.codomain
         return cod.per_set(self.image_sets(), cod.idx(list(points)), reduce)
 
+    def dset_points(self, points):
+        """k x |points| table: dset(A, {p}) = diam(A | {p}) from each distinct
+        image set A to each point p."""
+        return np.maximum(self.per_set(points, np.maximum),
+                          self.image_sets().diams[:, None])
+
     def dset_row(self, S):
         """Per distinct image set A: dset(A, S), the diameter of A | S."""
         rec = self.image_sets()
@@ -405,6 +411,25 @@ class CoarseMap:
             self._table = (rec.sids, rec.sets, self.codomain.dset_table(rec, rec))
         return self._table
 
+    def fibers(self):
+        """(order, starts): domain vertex indices grouped by image set id, in
+        vertex order within a group, and the offset of each group in order."""
+        rec = self.image_sets()
+        order = np.argsort(rec.sids, kind="stable")
+        return order, np.searchsorted(rec.sids[order], np.arange(len(rec.sets)))
+
+    def fiber_table(self, reduce):
+        """k x k table: ``reduce`` (np.minimum or np.maximum) of the domain
+        distances from the fiber of image set s to the fiber of image set t.
+        Every pair in that block has image distance set_table()'s M[s, t], so
+        with lo and hi the min and max tables, a largest M / (d + 1) there is
+        M[s, t] / (lo[s, t] + 1), a largest d / (M + 1) is
+        hi[s, t] / (M[s, t] + 1), and the map constants below need no n x n
+        table."""
+        order, starts = self.fibers()
+        rows = reduce.reduceat(self.domain.dist[order], starts, axis=0)
+        return reduce.reduceat(rows[:, order], starts, axis=1)
+
     def pair_distance_matrix(self):
         """T with T[x, y] = dset(f(x), f(y)) over domain vertex indices."""
         sids, _, M = self.set_table()
@@ -415,13 +440,13 @@ def coarse_map_constants(m):
     """Measured coarsely-lipschitz constants in the (K, K) convention:
     the least K with dset(f x, f y) <= K d(x, y) + K. Returns (1, 0) for
     1-lipschitz maps and (0, 0) for constant maps."""
-    Dp = m.pair_distance_matrix().astype(np.float64)
-    if Dp.max() == 0:
+    M = m.set_table()[2]
+    if M.max() == 0:
         return (0.0, 0.0)
-    D = m.domain.dist.astype(np.float64)
-    if (Dp <= D).all():
+    lo = m.fiber_table(np.minimum)
+    if (M <= lo).all():
         return (1.0, 0.0)
-    K = float((Dp / (D + 1.0)).max())
+    K = float((M / (lo + 1.0)).max())
     return (K, K)
 
 
@@ -429,11 +454,11 @@ def qi_constants(m):
     """Quasi-isometric-embedding constants: max of the forward (K,K) constant
     and the reverse one (domain distance against image distance). Isometric
     maps measure (1, 0)."""
-    Dp = m.pair_distance_matrix().astype(np.float64)
-    D = m.domain.dist.astype(np.float64)
-    if (Dp == D).all():
+    M = m.set_table()[2]
+    lo, hi = m.fiber_table(np.minimum), m.fiber_table(np.maximum)
+    if (M == lo).all() and (M == hi).all():
         return (1.0, 0.0)
-    kf = (Dp / (D + 1.0)).max() if Dp.max() > 0 else 0.0
-    kr = (D / (Dp + 1.0)).max()
+    kf = (M / (lo + 1.0)).max() if M.max() > 0 else 0.0
+    kr = (hi / (M + 1.0)).max()
     K = max(1.0, float(kf), float(kr))
     return (K, K)

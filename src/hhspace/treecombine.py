@@ -354,6 +354,8 @@ def _cached_qinv(t, e, endpoint, E, cache):
 
 THAT = ("That",)
 
+COMPARISON_BOUND = 2.0     # the declared bound on K of every comparison map
+
 
 @dataclass
 class ConedTree:
@@ -382,7 +384,7 @@ class CombinedStructure:
         return THAT
 
 
-def check_hypotheses(t, hq_threshold=None):
+def check_hypotheses(t):
     """Theorem-hypothesis screen for every edge embedding: relation/fullness
     checks, hierarchically quasiconvex image, finite lipschitz constants."""
     worst_lip = 0.0
@@ -393,8 +395,7 @@ def check_hypotheses(t, hq_threshold=None):
             if not rep.ok:
                 raise HypothesisFailure("edge map fails structure checks",
                                         (e, endpoint, rep.violations[:3]))
-            hq = hq_check(t.vertex_models[endpoint], emb.image(),
-                          threshold=hq_threshold)
+            hq = hq_check(t.vertex_models[endpoint], emb.image())
             if not hq.passed:
                 raise HypothesisFailure("edge image not hierarchically quasiconvex",
                                         (e, endpoint, hq.k0, hq.table))
@@ -449,13 +450,11 @@ def concretize_edges(t, eps=None):
                      edge_maps, name=t.name)
 
 
-def build_combined(t, comparison_bound=2.0, hq_threshold=None,
-                   skip_hypotheses=False):
+def build_combined(t):
     """Run the whole combination: hypothesis screen, edge concretization,
     classes and supports, comparison maps (uniformity enforced), the glued
     space, the combined lattice and all projection data."""
-    if not skip_hypotheses:
-        check_hypotheses(t, hq_threshold=hq_threshold)
+    check_hypotheses(t)
     t = concretize_edges(t)
     classes = equivalence_classes(t)
     warnings = []
@@ -469,12 +468,12 @@ def build_combined(t, comparison_bound=2.0, hq_threshold=None,
             m, K, C = comparison_map(t, cls, v, cls.favorite_vertex,
                                      _cache=qinv_cache)
             comp_maps[(cls.id, v)] = m
-            d = len(t.path(v, cls.favorite_vertex)) - 1
+            d = t.space.d(v, cls.favorite_vertex)
             table.append((cls.id, v, d, K, C))
-            if K > comparison_bound:
+            if K > COMPARISON_BOUND:
                 offenders.append((cls.id, v, d, K, C))
     if offenders:
-        raise ComparisonNotUniform(comparison_bound, table, offenders)
+        raise ComparisonNotUniform(COMPARISON_BOUND, table, offenders)
 
     # supports, deduplicated by vertex set
     support_sets = []
@@ -509,7 +508,7 @@ def build_combined(t, comparison_bound=2.0, hq_threshold=None,
         class_of={c.id: c for c in classes}, supports=supports,
         support_of=support_of, coned=builder.coned,
         comparison_table=table, comparison_maps=comp_maps,
-        comparison_bound=comparison_bound,
+        comparison_bound=COMPARISON_BOUND,
         decorated=decorated, warnings=warnings)
 
 
@@ -973,7 +972,10 @@ def _owners_of(c, sid):
     return [cls for cls in c.classes if cls.support == c.supports[sid]]
 
 
-def audit_combined(c, large_links_threshold=4, require_decorated=None):
+LARGE_LINKS_THRESHOLD = 4  # big pair distance for the support-count bound
+
+
+def audit_combined(c, require_decorated=None):
     """Generic nine-axiom audit of the combined model plus the
     combination-specific claims: the complexity bound, the support-count
     bound for large links over support elements, the support laws (with the
@@ -998,10 +1000,10 @@ def audit_combined(c, large_links_threshold=4, require_decorated=None):
         {"complexity": chi, "class_complexity": chain1,
          "max_vertex_complexity": chi_v}))
 
-    bad = _support_large_links(c, large_links_threshold)
+    bad = _support_large_links(c, LARGE_LINKS_THRESHOLD)
     rep.entries.append(AxiomEntry(
         "large-links-support-count", not bad,
-        {"threshold": large_links_threshold, "violations": len(bad)},
+        {"threshold": LARGE_LINKS_THRESHOLD, "violations": len(bad)},
         bad[:8]))
 
     demand = c.decorated if require_decorated is None else require_decorated

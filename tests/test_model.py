@@ -1,6 +1,8 @@
+import itertools
 import warnings
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceed
                            _audit_bgi, _consistency_scan, _nested_consistency,
                            audit_axioms, concretize,
                            distance_formula_fit, epsilon_support, gate,
-                           hq_check, measure_alpha, normalize, product_region,
+                           gate_map, hq_check, measure_alpha, normalize, product_region,
                            realize, trivial_model, tuple_consistency_defect)
 from hhspace.spaces import CoarseMap, path_graph, single_point, vkey
 from test_spaces import connected_graphs
@@ -121,6 +123,16 @@ def test_gate_fixed_on_target(grid):
 
 def test_gate_rejects_non_hqc(grid):
     diag = [(i, i) for i in range(5)]
+    with pytest.raises(NotHQC):
+        gate(grid, diag, (4, 0))
+
+
+def test_gate_map_has_no_guard(grid):
+    diag = [(i, i) for i in range(5)]
+    assert not hq_check(grid, diag).passed
+    g = gate_map(grid, diag)
+    assert isinstance(g, CoarseMap)
+    assert all(g(x) <= frozenset(diag) for x in grid.space.vertices)
     with pytest.raises(NotHQC):
         gate(grid, diag, (4, 0))
 
@@ -385,3 +397,89 @@ def test_consistency_scan_matches_reference_on_raag_window(raag_window):
     m = raag_window
     _assert_consistency_matches_reference(m)
     assert max(_nested_consistency(m, v, w)[0] for v, w in m.lattice.nest_pairs()) > 0
+
+
+def _measure_alpha_reference(model, budget=500000):
+    """The scan that recomputed pin rows per clique and built point rows
+    with one dist_to_set_array call per projection-image point."""
+    lat = model.lattice
+    G = nx.Graph()
+    G.add_nodes_from(lat.elements)
+    for i, a in enumerate(lat.elements):
+        for b in lat.elements[i + 1:]:
+            if lat.orthogonal(a, b):
+                G.add_edge(a, b)
+    n = len(model.space)
+    alpha = 0
+    point_rows = {}
+    for V in lat.elements:
+        pts = sorted(model.proj[V].image(), key=vkey)
+        rows = np.stack([model.dist_to_set_array(V, [p]) for p in pts])
+        point_rows[V] = (pts, rows)
+    for clique in nx.enumerate_all_cliques(G):
+        Vs = sorted(clique, key=vkey)
+        pin = np.zeros(n, dtype=np.int64)
+        for Vj in Vs:
+            for W in lat.elements:
+                if lat.properly_nested(Vj, W) or lat.transverse(Vj, W):
+                    pin = np.maximum(pin, model.dist_to_set_array(W, model.rho_set[(Vj, W)]))
+        sizes = [len(point_rows[Vj][0]) for Vj in Vs]
+        count = 1
+        for sz in sizes:
+            count *= sz
+        if count > budget:
+            raise ScanBudgetExceeded("partial-realization scan exceeds budget: %d choices" % count)
+        for choice in itertools.product(*(range(sz) for sz in sizes)):
+            req = pin.copy()
+            for Vj, ci in zip(Vs, choice):
+                req = np.maximum(req, point_rows[Vj][1][ci])
+            val = int(req.min())
+            if val > alpha:
+                alpha = val
+    return alpha
+
+
+def test_measure_alpha_matches_reference_on_raag_window(raag_window):
+    assert measure_alpha(raag_window) == _measure_alpha_reference(raag_window) == 2
+
+
+@pytest.mark.parametrize("r", [2, 5, 8])
+def test_measure_alpha_matches_reference_on_hagen(r):
+    target = fixtures.hagen(r).target
+    assert measure_alpha(target) == _measure_alpha_reference(target)
+
+
+def test_measure_alpha_matches_reference_on_fixture_b():
+    m = fixture_b_product()
+    assert measure_alpha(m) == _measure_alpha_reference(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_pairs())
+def test_measure_alpha_matches_reference_on_random_pairs(m):
+    assert measure_alpha(m) == _measure_alpha_reference(m)
+
+
+@st.composite
+def orthogonal_pairs(draw):
+    """V orthogonal to W, T transverse to both, all below S, over a random
+    base graph with random set-valued projections and random rho sets: the
+    clique {V, W} pins both V's and W's markers, T pins V and W."""
+    X = draw(connected_graphs(max_n=12))
+    V, W, T, S = "V", "W", "T", "S"
+    hyp = {U: draw(connected_graphs(max_n=6)) for U in (V, W, T, S)}
+
+    def subset(U):
+        return draw(st.frozensets(st.sampled_from(hyp[U].vertices), min_size=1, max_size=3))
+    proj = {U: CoarseMap(X, hyp[U], {x: subset(U) for x in X.vertices}) for U in hyp}
+    lat = IndexLattice([V, W, T, S], S, nested_pairs=[(U, S) for U in (V, W, T)],
+                       orth_pairs=[(V, W)])
+    rho = {(a, b): subset(b) for a, b in [(V, S), (W, S), (T, S), (V, T), (T, V),
+                                          (W, T), (T, W)]}
+    return HHSModel(X, lat, hyp, proj, rho, name="random-orth")
+
+
+@settings(max_examples=80, deadline=None)
+@given(orthogonal_pairs())
+def test_measure_alpha_matches_reference_on_random_orthogonal_pairs(m):
+    assert measure_alpha(m) == _measure_alpha_reference(m)

@@ -212,6 +212,8 @@ def test_pair_distance_matrix_matches_dset(case):
         for b, B in enumerate(sets):
             assert M[a, b] == cod.dset(A, B)
     assert list(f.dset_row(S)) == [cod.dset(A, S) for A in sets]
+    assert f.dset_points(cod.vertices).tolist() == [
+        [cod.dset(A, [p]) for p in cod.vertices] for A in sets]
     if S:
         assert list(f.gap_row(S)) == [cod.gap(A, S) for A in sets]
     assert f.diam_bound == max(cod.diam_set(f(v)) for v in dom.vertices)
@@ -219,6 +221,55 @@ def test_pair_distance_matrix_matches_dset(case):
     for y in cod.vertices:
         gaps = [cod.gap(f(v), [y]) for v in dom.vertices]
         assert inv(y) == frozenset([dom.vertices[gaps.index(min(gaps))]])
+
+
+def _coarse_map_constants_reference(m):
+    """The n x n form the fiber tables replaced."""
+    Dp = m.pair_distance_matrix().astype(np.float64)
+    if Dp.max() == 0:
+        return (0.0, 0.0)
+    D = m.domain.dist.astype(np.float64)
+    if (Dp <= D).all():
+        return (1.0, 0.0)
+    K = float((Dp / (D + 1.0)).max())
+    return (K, K)
+
+
+def _qi_constants_reference(m):
+    Dp = m.pair_distance_matrix().astype(np.float64)
+    D = m.domain.dist.astype(np.float64)
+    if (Dp == D).all():
+        return (1.0, 0.0)
+    kf = (Dp / (D + 1.0)).max() if Dp.max() > 0 else 0.0
+    kr = (D / (Dp + 1.0)).max()
+    K = max(1.0, float(kf), float(kr))
+    return (K, K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_and_targets())
+def test_map_constants_match_pair_matrix_reference(case):
+    f = case[0]
+    assert coarse_map_constants(f) == _coarse_map_constants_reference(f)
+    assert qi_constants(f) == _qi_constants_reference(f)
+    sids = f.image_sets().sids
+    order, starts = f.fibers()
+    assert list(order) == sorted(range(len(sids)), key=lambda i: (sids[i], i))
+    assert list(starts) == [int((sids < s).sum()) for s in range(len(f.image_sets().sets))]
+    lo, hi = f.fiber_table(np.minimum), f.fiber_table(np.maximum)
+    D = f.domain.dist
+    for s in range(len(lo)):
+        for t in range(len(lo)):
+            block = D[np.ix_(sids == s, sids == t)]
+            assert (lo[s, t], hi[s, t]) == (block.min(), block.max())
+
+
+def test_map_constants_match_reference_on_isometries():
+    g = product_graph(path_graph(0, 3), cycle_graph(5))
+    for f in (CoarseMap.identity(g), CoarseMap.constant(g, g, [(0, 0), (3, 2)]),
+              CoarseMap.single(path_graph(0, 4), g, lambda v: (v % 4, v % 5))):
+        assert coarse_map_constants(f) == _coarse_map_constants_reference(f)
+        assert qi_constants(f) == _qi_constants_reference(f)
 
 
 def test_relabel_and_dot():
