@@ -131,7 +131,7 @@ def hagen(r):
 # -- the exponential-distortion window -----------------------------------------
 
 
-def bs_window(k=2, radius=4, base_radius=1):
+def bs_window(k=2, radius=4):
     """Window of the Bass-Serre line of the ascending HNN extension of the
     integers by multiplication with k: a path of integer balls whose sizes
     grow k-fold per step, each edge including isometrically on one side and
@@ -147,13 +147,13 @@ def bs_window(k=2, radius=4, base_radius=1):
         return trivial_model(path_graph(-n, n), elt="Z", name=name)
 
     verts = ["v%d" % i for i in range(radius + 1)]
-    models = {verts[i]: zball(base_radius * k ** i, "ball%d" % i)
+    models = {verts[i]: zball(k ** i, "ball%d" % i)
               for i in range(radius + 1)}
     edges, edge_models, edge_maps = [], {}, {}
     for i in range(radius):
         e = tuple(sorted((verts[i], verts[i + 1])))
         edges.append(e)
-        em = zball(base_radius * k ** i, "edge%d" % i)
+        em = zball(k ** i, "edge%d" % i)
         edge_models[e] = em
         lo, hi = models[verts[i]], models[verts[i + 1]]
         edge_maps[(e, verts[i])] = Embedding(

@@ -19,6 +19,7 @@ from .indexmaps import IndexMap
 from .lattice import IndexLattice
 from .model import HHSModel, trivial_model
 from .spaces import CoarseMap, product_graph, single_point, vkey
+from .treecombine import HypothesisFailure
 
 
 def _l(u):
@@ -293,14 +294,14 @@ def base_group_model(kind, label):
     return trivial_model(space, elt="S", name="base:%s" % (label,))
 
 
-def _point_embedding(pm, target, point, name=""):
-    space_map = CoarseMap.constant(pm.space, target.space, [point], name=name)
+def _point_embedding(pm, target, point):
+    space_map = CoarseMap.constant(pm.space, target.space, [point])
     index_map = IndexMap(pm.lattice, target.lattice,
-                         {pm.lattice.maximal: target.lattice.maximal}, name=name)
+                         {pm.lattice.maximal: target.lattice.maximal})
     hyp_map = CoarseMap.constant(pm.hyp[pm.lattice.maximal],
                                  target.hyp[target.lattice.maximal], [point])
     return Embedding(pm, target, space_map, index_map,
-                     {pm.lattice.maximal: hyp_map}, name=name)
+                     {pm.lattice.maximal: hyp_map})
 
 
 def free_product_window(bases, labels, radius, budget, name=""):
@@ -514,7 +515,7 @@ def _build_sub(spec, levels):
         def include(theta, model=model, v=v):
             if tuple(theta) == (v,):
                 return Embedding.identity(model)
-            raise HypothesisFailureLocal("no such subgraph below a base vertex")
+            raise HypothesisFailure("no such subgraph below a base vertex", theta)
         return model, None, include
 
     if spec.is_complete():
@@ -523,10 +524,6 @@ def _build_sub(spec, levels):
     if len(comps) > 1:
         return _build_free(spec, comps, levels)
     return _build_split(spec, levels)
-
-
-class HypothesisFailureLocal(Exception):
-    pass
 
 
 def _build_complete(spec, levels):
@@ -558,15 +555,15 @@ def _build_complete(spec, levels):
                 return right_emb
             if v not in theta:
                 return old(theta).compose(left_emb)
-            raise HypothesisFailureLocal(
-                "inclusion of %r into the product fold %r is not a fold prefix"
-                % (theta, prefix))
+            raise HypothesisFailure(
+                "inclusion into the product fold %r is not a fold prefix"
+                % (prefix,), theta)
         model = product
     return model, None, include
 
 
 def _build_free(spec, comps, levels):
-    from .treecombine import HypothesisFailure, build_combined, decorate
+    from .treecombine import build_combined, decorate
 
     sub_results = []
     for comp in comps:
@@ -621,9 +618,8 @@ def _build_free(spec, comps, levels):
                 return component_embedding(idx)
             if set(theta) <= set(comp):
                 return sub_results[idx][2](theta).compose(component_embedding(idx))
-        raise HypothesisFailureLocal(
-            "inclusion of %r spanning several free factors is not implemented"
-            % (theta,))
+        raise HypothesisFailure(
+            "inclusion spanning several free factors is not implemented", theta)
     return model, combined, include
 
 
@@ -631,7 +627,9 @@ def _class_of(combined, vertex, elt):
     for cls in combined.classes:
         if (vertex, elt) in cls.members:
             return cls
-    raise KeyError((vertex, elt))
+    raise HypothesisFailure(
+        "no class of the combined window holds this (vertex, element); the "
+        "window radius does not reach that vertex", (vertex, elt))
 
 
 def _build_split(spec, levels):
@@ -678,14 +676,12 @@ def _build_split(spec, levels):
             return Embedding.identity(model)
         if set(theta) <= set(left.vertices):
             return p_include(theta).compose(side_embedding(leaves[0]))
-        raise HypothesisFailureLocal(
-            "inclusion of %r through the pivot side is not implemented"
-            % (theta,))
+        raise HypothesisFailure(
+            "inclusion through the pivot side is not implemented", theta)
     return model, combined, include
 
 
 def raise_unimplemented_amalgam(spec, data):
-    from .treecombine import HypothesisFailure
     raise HypothesisFailure(
         "splitting whose link differs from the pivot complement needs "
         "coset windows over a proper subgroup; not implemented for %r"

@@ -14,9 +14,9 @@ projection sets; distances from a point to a subspace use the min-gap.
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .lattice import ValidationReport
@@ -510,7 +510,7 @@ def concretize(model, eps=None):
     return ConcretizeResult(sub, True, s_eps, removed, eps, dist_to_core)
 
 
-def submodel(model, keep, new_maximal, name=""):
+def submodel(model, keep, new_maximal):
     keep = frozenset(keep)
     lat = model.lattice.restrict(keep, maximal=new_maximal)
     hyp = {U: model.hyp[U] for U in keep}
@@ -518,7 +518,7 @@ def submodel(model, keep, new_maximal, name=""):
     rset = {k: v for k, v in model.rho_set.items() if k[0] in keep and k[1] in keep}
     rmap = {k: v for k, v in model.rho_map.items() if k[0] in keep and k[1] in keep}
     return HHSModel(model.space, lat, hyp, proj, rset, rmap,
-                    name=name or model.name + "|core")
+                    name=model.name + "|core")
 
 
 # -- distance formula ----------------------------------------------------------
@@ -589,17 +589,24 @@ def _least_grid_fit(need, c_end):
 # -- the auditor ----------------------------------------------------------------
 
 
+def _orthogonal_families(lat):
+    """Every nonempty set of pairwise orthogonal elements, as a list in
+    element order; families come by size, then in element order."""
+    later = {a: [b for b in lat.elements[i + 1:] if lat.orthogonal(a, b)]
+             for i, a in enumerate(lat.elements)}
+    queue = deque(([a], later[a]) for a in lat.elements)
+    while queue:
+        base, common = queue.popleft()
+        yield base
+        for i, u in enumerate(common):
+            queue.append((base + [u], [w for w in common[i + 1:] if w in later[u]]))
+
+
 def measure_alpha(model, budget=500000):
     """Minimal partial-realization constant: over every family of pairwise
     orthogonal elements and every choice of image points, the best witness
     point's worst error."""
     lat = model.lattice
-    G = nx.Graph()
-    G.add_nodes_from(lat.elements)
-    for i, a in enumerate(lat.elements):
-        for b in lat.elements[i + 1:]:
-            if lat.orthogonal(a, b):
-                G.add_edge(a, b)
     n = len(model.space)
     alpha = 0
     # per element V: the pin row (the worst distance to a rho marker of V
@@ -615,8 +622,7 @@ def measure_alpha(model, budget=500000):
         m = model.proj[V]
         pts = sorted(m.image(), key=vkey)
         point_rows[V] = m.dset_points(pts).T[:, m.image_sets().sids]
-    for clique in nx.enumerate_all_cliques(G):
-        Vs = sorted(clique, key=vkey)
+    for Vs in _orthogonal_families(lat):
         pin = np.maximum.reduce([pin_row[Vj] for Vj in Vs])
         sizes = [len(point_rows[Vj]) for Vj in Vs]
         count = math.prod(sizes)

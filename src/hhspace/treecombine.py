@@ -297,12 +297,12 @@ def _restricted_model(model, U, copyset, name=""):
     return HHSModel(sub, lat, hyp, proj, rset, rmap, name=name)
 
 
-def _inclusion_embedding(sub, ambient, name="incl"):
-    space_map = CoarseMap.single(sub.space, ambient.space, lambda x: x, name=name)
+def _inclusion_embedding(sub, ambient):
+    space_map = CoarseMap.single(sub.space, ambient.space, lambda x: x, name="incl")
     index_map = IndexMap(sub.lattice, ambient.lattice,
-                         {U: U for U in sub.elements}, name=name)
+                         {U: U for U in sub.elements}, name="incl")
     hyp_maps = {U: CoarseMap.identity(sub.hyp[U]) for U in sub.elements}
-    return Embedding(sub, ambient, space_map, index_map, hyp_maps, name=name)
+    return Embedding(sub, ambient, space_map, index_map, hyp_maps, name="incl")
 
 
 # -- comparison maps -----------------------------------------------------------
@@ -416,15 +416,14 @@ def tree_epsilon(t):
     return 3.0 * worst + 1.0
 
 
-def concretize_edges(t, eps=None):
+def concretize_edges(t):
     """Restrict every edge model (and its two embeddings) to the join of its
     supports at the tree-wide threshold; identifications then run over
     concrete edge elements only. Decoration edges are exempt: they are
     built in place as product-region inclusions and deliberately carry the
     container identifications that a concreteness reduction would drop."""
     from .model import concretize
-    if eps is None:
-        eps = tree_epsilon(t)
+    eps = tree_epsilon(t)
     edge_models = dict(t.edge_models)
     edge_maps = dict(t.edge_maps)
     changed_any = False

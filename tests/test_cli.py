@@ -77,6 +77,18 @@ def test_product_command(tmp_path):
     assert doc["cert"]["ok"]
 
 
+def test_product_command_window_too_small(tmp_path):
+    spec = ProductSpec(("a", "b", "c", "d"),
+                       frozenset(frozenset(("a", v)) for v in "bcd"),
+                       {v: ("z", 1) for v in "abcd"}, window_radius=1)
+    path = tmp_path / "spec.json"
+    path.write_text(serialize.dumps(serialize.spec_to_json(spec)))
+    assert run(["--out", tmp_path, "product", path]) == 1
+    doc = json.loads((tmp_path / "failure.json").read_text())
+    assert doc["error"] == "HypothesisFailure"
+    assert doc["witness"] == repr((("gp", 1, ()), "S"))
+
+
 def test_distance_formula_command(tmp_path):
     model = grid_product(3, 4)
     path = tmp_path / "model.json"

@@ -100,6 +100,24 @@ def test_free_product_window_radius_zero():
     assert len(t.vertices) == 1
 
 
+STAR_Z1 = spec_of("abcd", [("a", "b"), ("a", "c"), ("a", "d")],
+                  {v: ("z", 1) for v in "abcd"}, radius=1)
+
+
+def test_window_missing_a_factor_root_is_a_hypothesis_failure():
+    # three free factors put each non-root coset two hops out, beyond radius 1
+    with pytest.raises(HypothesisFailure) as exc:
+        build(STAR_Z1)
+    assert exc.value.witness == (("gp", 1, ()), "S")
+
+
+def test_radius_zero_free_product_is_a_hypothesis_failure():
+    spec = spec_of("ab", [], {"a": ("cyclic", 2), "b": ("cyclic", 3)}, radius=0)
+    with pytest.raises(HypothesisFailure) as exc:
+        build(spec)
+    assert exc.value.witness == (("gp", 1, ()), "S")
+
+
 def test_window_budget():
     with pytest.raises(WindowTooLarge):
         free_product_window([("cyclic", 2), ("cyclic", 3)], ["a", "b"], 6, 20)
@@ -136,7 +154,7 @@ def test_include_factory():
     emb = res.include(("a", "c"))
     from hhspace.embedding import verify_embedding
     assert verify_embedding(emb).ok
-    with pytest.raises(Exception):
+    with pytest.raises(HypothesisFailure):
         res.include(("a", "b"))
 
 

@@ -1,18 +1,24 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhspace import fixtures, model as model_module
-from hhspace.fixtures import bounded_factor_product, fixture_b_product, grid_product
+import hhspace
+from hhspace import fixtures, model as model_module, serialize
+from hhspace.fixtures import (bounded_factor_product, fixture_b_product, grid_product,
+                              random_valid_lattice)
 from hhspace.lattice import IndexLattice
 from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceeded,
                            _audit_bgi, _consistency_scan, _nested_consistency,
+                           _orthogonal_families,
                            audit_axioms, concretize,
                            distance_formula_fit, epsilon_support, gate,
                            gate_map, hq_check, measure_alpha, normalize, product_region,
@@ -272,13 +278,6 @@ def test_distance_formula_fit_without_clipped_pairs_emits_no_warning():
     assert (fit.K, fit.C, fit.worst_pair) == (1.0, 2.0, ((0, 0), (0, 1)))
 
 
-def test_measure_alpha_budget_is_typed():
-    m = fixture_b_product()
-    assert m.lattice.orthogonal(L1, R2)
-    with pytest.raises(ScanBudgetExceeded):
-        measure_alpha(m, budget=1)
-
-
 def _audit_bgi_reference(model):
     """The per-endpoint loop the chunked interval scan replaced."""
     lat = model.lattice
@@ -399,16 +398,19 @@ def test_consistency_scan_matches_reference_on_raag_window(raag_window):
     assert max(_nested_consistency(m, v, w)[0] for v, w in m.lattice.nest_pairs()) > 0
 
 
+def _orthogonal_families_reference(lat):
+    """Every subset of the elements, size by size in element order, kept
+    when its members are pairwise orthogonal."""
+    for size in range(1, len(lat.elements) + 1):
+        for family in itertools.combinations(lat.elements, size):
+            if all(lat.orthogonal(a, b) for a, b in itertools.combinations(family, 2)):
+                yield list(family)
+
+
 def _measure_alpha_reference(model, budget=500000):
-    """The scan that recomputed pin rows per clique and built point rows
+    """The scan that recomputed pin rows per family and built point rows
     with one dist_to_set_array call per projection-image point."""
     lat = model.lattice
-    G = nx.Graph()
-    G.add_nodes_from(lat.elements)
-    for i, a in enumerate(lat.elements):
-        for b in lat.elements[i + 1:]:
-            if lat.orthogonal(a, b):
-                G.add_edge(a, b)
     n = len(model.space)
     alpha = 0
     point_rows = {}
@@ -416,8 +418,7 @@ def _measure_alpha_reference(model, budget=500000):
         pts = sorted(model.proj[V].image(), key=vkey)
         rows = np.stack([model.dist_to_set_array(V, [p]) for p in pts])
         point_rows[V] = (pts, rows)
-    for clique in nx.enumerate_all_cliques(G):
-        Vs = sorted(clique, key=vkey)
+    for Vs in _orthogonal_families_reference(lat):
         pin = np.zeros(n, dtype=np.int64)
         for Vj in Vs:
             for W in lat.elements:
@@ -483,3 +484,44 @@ def orthogonal_pairs(draw):
 @given(orthogonal_pairs())
 def test_measure_alpha_matches_reference_on_random_orthogonal_pairs(m):
     assert measure_alpha(m) == _measure_alpha_reference(m)
+
+
+def test_orthogonal_families_match_brute_force(raag_window):
+    lattices = [fixture_b_product().lattice, raag_window.lattice]
+    lattices += [fixtures.hagen(r).target.lattice for r in (2, 5, 8)]
+    lattices += [random_valid_lattice(seed) for seed in range(40)]
+    for lat in lattices:
+        assert list(_orthogonal_families(lat)) == list(_orthogonal_families_reference(lat))
+    # the raag window has orthogonal pairs, so families of size two are scanned
+    assert max(len(f) for f in _orthogonal_families(raag_window.lattice)) >= 2
+
+
+def test_measure_alpha_budget_is_typed():
+    m = fixture_b_product()
+    assert m.lattice.orthogonal(L1, R2)
+    # budget 1 trips on the single element L1 (2 choices), budget 3 on the
+    # orthogonal pair {L1, R2} (6 choices)
+    for budget in (1, 3):
+        with pytest.raises(ScanBudgetExceeded) as want:
+            _measure_alpha_reference(m, budget=budget)
+        with pytest.raises(ScanBudgetExceeded) as got:
+            measure_alpha(m, budget=budget)
+        assert str(got.value) == str(want.value)
+
+
+def test_import_loads_numpy_as_its_only_dependency():
+    src = os.path.dirname(os.path.dirname(hhspace.__file__))
+    code = ("import sys; before = set(sys.modules); import hhspace; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "['hhspace', 'numpy']"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(nested_pairs(), orthogonal_pairs()))
+def test_audit_unchanged_by_json_round_trip(m):
+    back = serialize.model_from_json(json.loads(serialize.dumps(serialize.model_to_json(m))))
+    assert serialize.dumps(audit_axioms(back).as_dict()) == \
+        serialize.dumps(audit_axioms(m).as_dict())
