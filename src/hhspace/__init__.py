@@ -20,8 +20,8 @@ Layout:
   serialize     JSON schemas and DOT export
   cli           the batch front door
 
-Models are immutable after construction; lattice caches fill at
-construction time, model-level scan tables fill on first audit. Audits
+Models are immutable after construction; lattice wedge/join caches and
+model-level scan tables fill on first use. Audits
 decompose into independent read-only passes per axiom and reports are
 assembled in sorted order, so results are deterministic.
 """

@@ -217,6 +217,13 @@ class ProductSpec:
         for e in self.edges:
             if len(e) != 2 or not all(v in self.vertices for v in e):
                 raise ValueError("bad edge %r" % (sorted(e),))
+        for v in self.vertices:
+            base = self.bases.get(v)
+            if not (isinstance(base, tuple) and len(base) == 2
+                    and base[0] in ("cyclic", "z") and type(base[1]) is int
+                    and base[1] >= (1 if base[0] == "cyclic" else 0)):
+                raise ValueError("vertex %r needs a base ('cyclic', n >= 1) "
+                                 "or ('z', r >= 0), not %r" % (v, base))
 
     def adjacent(self, u, v):
         return frozenset((u, v)) in self.edges
@@ -624,12 +631,13 @@ def _build_free(spec, comps, levels):
 
 
 def _class_of(combined, vertex, elt):
-    for cls in combined.classes:
-        if (vertex, elt) in cls.members:
-            return cls
-    raise HypothesisFailure(
-        "no class of the combined window holds this (vertex, element); the "
-        "window radius does not reach that vertex", (vertex, elt))
+    try:
+        return combined.class_at[(vertex, elt)]
+    except KeyError:
+        raise HypothesisFailure(
+            "no class of the combined window holds this (vertex, element); "
+            "the window radius does not reach that vertex",
+            (vertex, elt)) from None
 
 
 def _build_split(spec, levels):

@@ -141,19 +141,6 @@ class IndexLattice:
 
         self.container_problems = []
         self.containers = self._compute_containers()
-        self._prefill_caches()
-
-    def _prefill_caches(self):
-        """Fill the wedge and join caches at construction so read-only use is
-        concurrency-safe; pairs without a unique answer stay uncached and the
-        accessors raise on demand."""
-        for i, u in enumerate(self.elements):
-            for v in self.elements[i:]:
-                for op in (self.wedge, self.join):
-                    try:
-                        op(u, v)
-                    except NotALattice:
-                        pass
 
     # -- relations ---------------------------------------------------------
 
@@ -275,11 +262,18 @@ class IndexLattice:
 
     def complexity(self):
         """Length of the longest chain of pairwise nested elements."""
-        order = sorted(self.elements, key=lambda e: (len(self.below(e)), vkey(e)))
+        return self.longest_chain(self.elements)
+
+    def longest_chain(self, subset):
+        """Length of the longest chain of pairwise nested elements of subset
+        (0 when it is empty)."""
+        subset = frozenset(subset)
+        order = sorted(subset, key=lambda e: (len(self.below(e) & subset), vkey(e)))
         longest = {}
         for e in order:
-            longest[e] = 1 + max((longest[x] for x in self.below(e) if x != e), default=0)
-        return max(longest.values())
+            longest[e] = 1 + max((longest[x] for x in self.below(e) & subset
+                                  if x != e), default=0)
+        return max(longest.values(), default=0)
 
     # -- wedge / join ------------------------------------------------------
 

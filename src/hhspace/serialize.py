@@ -144,21 +144,18 @@ def index_map_to_json(m):
     return {"map": [[_thaw(a), _thaw(m.mapping[a])] for a in m.source.elements]}
 
 
-def embedding_to_json(e):
+def _maps_to_json(emb):
+    """The space, index and hyperbolic maps of an embedding."""
     return {
-        "name": e.name,
-        "source": model_to_json(e.source),
-        "target": model_to_json(e.target),
-        "space_map": coarse_map_to_json(e.space_map),
-        "index_map": index_map_to_json(e.index_map),
-        "hyp_maps": [[_thaw(U), coarse_map_to_json(e.hyp_maps[U])]
-                     for U in e.source.elements],
+        "space_map": coarse_map_to_json(emb.space_map),
+        "index_map": index_map_to_json(emb.index_map),
+        "hyp_maps": [[_thaw(U), coarse_map_to_json(emb.hyp_maps[U])]
+                     for U in emb.source.elements],
     }
 
 
-def embedding_from_json(doc):
-    source = model_from_json(doc["source"])
-    target = model_from_json(doc["target"])
+def _maps_from_json(doc, source, target, name):
+    """The embedding of source into target whose three maps doc holds."""
     mapping = {_freeze(a): _freeze(b) for a, b in doc["index_map"]["map"]}
     index_map = IndexMap(source.lattice, target.lattice, mapping)
     space_map = coarse_map_from_json(doc["space_map"], source.space, target.space)
@@ -167,8 +164,17 @@ def embedding_from_json(doc):
         U = _freeze(U)
         hyp_maps[U] = coarse_map_from_json(cm, source.hyp[U],
                                            target.hyp[mapping[U]])
-    return Embedding(source, target, space_map, index_map, hyp_maps,
-                     name=doc.get("name", ""))
+    return Embedding(source, target, space_map, index_map, hyp_maps, name=name)
+
+
+def embedding_to_json(e):
+    return {"name": e.name, "source": model_to_json(e.source),
+            "target": model_to_json(e.target), **_maps_to_json(e)}
+
+
+def embedding_from_json(doc):
+    return _maps_from_json(doc, model_from_json(doc["source"]),
+                           model_from_json(doc["target"]), doc.get("name", ""))
 
 
 def tree_to_json(t):
@@ -182,12 +188,8 @@ def tree_to_json(t):
         "edge_models": [[edge_key(e), model_to_json(t.edge_models[e])]
                         for e in t.edges],
         "edge_maps": [[edge_key(e), _thaw(endpoint),
-                       {"space_map": coarse_map_to_json(emb.space_map),
-                        "index_map": index_map_to_json(emb.index_map),
-                        "hyp_maps": [[_thaw(U), coarse_map_to_json(emb.hyp_maps[U])]
-                                     for U in emb.source.elements]}]
-                      for e in t.edges for endpoint in e
-                      for emb in [t.edge_maps[(e, endpoint)]]],
+                       _maps_to_json(t.edge_maps[(e, endpoint)])]
+                      for e in t.edges for endpoint in e],
     }
 
 
@@ -207,14 +209,8 @@ def tree_from_json(doc):
     for (a, b), endpoint, maps in doc["edge_maps"]:
         e = tuple(sorted((_freeze(a), _freeze(b)), key=vkey))
         endpoint = _freeze(endpoint)
-        src = edge_models[e]
-        tgt = vertex_models[endpoint]
-        mapping = {_freeze(x): _freeze(y) for x, y in maps["index_map"]["map"]}
-        imap = IndexMap(src.lattice, tgt.lattice, mapping)
-        smap = coarse_map_from_json(maps["space_map"], src.space, tgt.space)
-        hmaps = {U: coarse_map_from_json(cm, src.hyp[U], tgt.hyp[mapping[U]])
-                 for U, cm in ((_freeze(U), cm) for U, cm in maps["hyp_maps"])}
-        edge_maps[(e, endpoint)] = Embedding(src, tgt, smap, imap, hmaps)
+        edge_maps[(e, endpoint)] = _maps_from_json(
+            maps, edge_models[e], vertex_models[endpoint], "")
     return TreeOfHHS(verts, edges, vertex_models, edge_models, edge_maps,
                      name=doc.get("name", ""))
 
@@ -236,10 +232,7 @@ def spec_from_json(doc):
     verts = [_freeze(v) for v in graph["vertices"]]
     edges = frozenset(frozenset((_freeze(a), _freeze(b)))
                       for a, b in graph.get("edges", []))
-    bases = {}
-    for v in verts:
-        spec = doc["bases"][str(v)]
-        bases[v] = (spec[0], int(spec[1]))
+    bases = {v: tuple(doc["bases"][str(v)]) for v in verts}
     return ProductSpec(tuple(verts), edges, bases,
                        window_radius=int(doc.get("window_radius", 2)),
                        budget=int(doc.get("budget", 6000)))

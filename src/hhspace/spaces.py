@@ -316,6 +316,7 @@ class CoarseMap:
             self.images[v] = frozenset(img)
         self._sets = None
         self._table = None
+        self._qinv = None
 
     @property
     def diam_bound(self):
@@ -356,12 +357,15 @@ class CoarseMap:
 
     def quasi_inverse(self):
         """Closest-point preimage: y maps to the first (in vertex order) domain
-        vertex whose image is closest to y."""
-        gaps = self.per_set(self.codomain.vertices, np.minimum)[self.image_sets().sids]
-        best = gaps.argmin(axis=0)
-        imgs = {y: frozenset([self.domain.vertices[i]])
-                for y, i in zip(self.codomain.vertices, best)}
-        return CoarseMap(self.codomain, self.domain, imgs, name="inv:" + self.name)
+        vertex whose image is closest to y. Computed once per map."""
+        if self._qinv is None:
+            gaps = self.per_set(self.codomain.vertices, np.minimum)[self.image_sets().sids]
+            best = gaps.argmin(axis=0)
+            imgs = {y: frozenset([self.domain.vertices[i]])
+                    for y, i in zip(self.codomain.vertices, best)}
+            self._qinv = CoarseMap(self.codomain, self.domain, imgs,
+                                   name="inv:" + self.name)
+        return self._qinv
 
     def image_sets(self):
         """The distinct image sets, in order of first appearance, as a

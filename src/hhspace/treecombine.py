@@ -67,6 +67,7 @@ class TreeOfHHS:
 
     edge_maps is keyed by (edge, endpoint) where edge is a sorted vertex
     pair; each value embeds the edge model into the endpoint vertex model.
+    Every tree question below is a lookup in the distance table of space.
     """
 
     def __init__(self, vertices, edges, vertex_models, edge_models, edge_maps,
@@ -78,35 +79,18 @@ class TreeOfHHS:
         if len(self.edges) != len(self.vertices) - 1:
             raise ValueError("not a tree: %d vertices, %d edges"
                              % (len(self.vertices), len(self.edges)))
-        self.adj = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            self.adj[a].append(b)
-            self.adj[b].append(a)
-        for v in self.adj:
-            self.adj[v].sort(key=vkey)
         self.vertex_models = dict(vertex_models)
         self.edge_models = dict(edge_models)
         self.edge_maps = dict(edge_maps)
         self.space = FiniteSpace(self.vertices, self.edges, name=name + "|T")
 
     def path(self, u, v):
-        """The unique geodesic vertex sequence from u to v."""
-        if u == v:
-            return (u,)
-        prev = {u: None}
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            for y in self.adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    if y == v:
-                        out = [v]
-                        while prev[out[-1]] is not None:
-                            out.append(prev[out[-1]])
-                        return tuple(reversed(out))
-                    q.append(y)
-        raise KeyError((u, v))
+        """The unique geodesic vertex sequence from u to v: the interval
+        {w : d(u, w) + d(w, v) = d(u, v)}, ordered by d(u, w)."""
+        D, index = self.space.dist, self.space.index
+        i, j = index[u], index[v]
+        on = np.flatnonzero(D[i] + D[j] == D[i, j])
+        return tuple(self.space.vertices[w] for w in on[np.argsort(D[i, on])])
 
     def edge_key(self, a, b):
         return tuple(sorted((a, b), key=vkey))
@@ -127,14 +111,12 @@ class TreeOfHHS:
         return (p[-2], p[-1])
 
     def bridge(self, sub1, sub2):
-        """Closest pair of vertices between two disjoint subtrees."""
-        best = None
-        for a in sorted(sub1, key=vkey):
-            b = self.closest_vertex(a, sub2)
-            d = self.space.d(a, b)
-            if best is None or d < best[0]:
-                best = (d, a, b)
-        return best[1], best[2]
+        """Closest pair of vertices between two disjoint subtrees; ties go to
+        the least vertex of sub1, then of sub2."""
+        rows = np.sort(self.space.idx(list(sub1)))
+        cols = np.sort(self.space.idx(list(sub2)))
+        i, j = divmod(int(self.space.dist[np.ix_(rows, cols)].argmin()), len(cols))
+        return self.space.vertices[rows[i]], self.space.vertices[cols[j]]
 
 
 @dataclass
@@ -210,18 +192,12 @@ def _deco_depth(v):
 
 
 def _check_connected(t, support):
-    sub = set(support)
-    start = next(iter(sub))
-    seen = {start}
-    q = deque([start])
-    while q:
-        x = q.popleft()
-        for y in t.adj[x]:
-            if y in sub and y not in seen:
-                seen.add(y)
-                q.append(y)
-    if seen != sub:
-        raise HypothesisFailure("class support is not connected", tuple(sorted(sub, key=vkey)))
+    """A vertex set of a tree is connected exactly when it spans |S| - 1
+    tree edges (pairs at distance one)."""
+    ids = t.space.idx(list(support))
+    if (t.space.dist[np.ix_(ids, ids)] == 1).sum() != 2 * (len(ids) - 1):
+        raise HypothesisFailure("class support is not connected",
+                                tuple(sorted(support, key=vkey)))
 
 
 # -- decoration ----------------------------------------------------------------
@@ -316,7 +292,7 @@ def edge_element(t, e, endpoint, vertex_elt):
     return None
 
 
-def comparison_map(t, cls, u, v, _cache=None):
+def comparison_map(t, cls, u, v):
     """Composition of edge-map quasi-inverses and edge maps along the
     geodesic from u to v; quasi-inverses pick the closest preimage with the
     vertex order breaking ties. Returns (map, K, C) with measured
@@ -333,20 +309,11 @@ def comparison_map(t, cls, u, v, _cache=None):
         if E is None:
             raise HypothesisFailure("support edge carries no identification",
                                     (cls.id, e))
-        back = _cached_qinv(t, e, a, E, _cache)
+        back = t.edge_maps[(e, a)].hyp_maps[E].quasi_inverse()
         fwd = t.edge_maps[(e, b)].hyp_maps[E]
         out = out.compose(back).compose(fwd)
     K, C = qi_constants(out)
     return out, K, C
-
-
-def _cached_qinv(t, e, endpoint, E, cache):
-    key = (e, endpoint, E)
-    if cache is None:
-        return t.edge_maps[(e, endpoint)].hyp_maps[E].quasi_inverse()
-    if key not in cache:
-        cache[key] = t.edge_maps[(e, endpoint)].hyp_maps[E].quasi_inverse()
-    return cache[key]
 
 
 # -- the combined structure ------------------------------------------------------
@@ -370,8 +337,11 @@ class CombinedStructure:
     model: HHSModel
     classes: list
     class_of: dict            # class id -> EquivClass
+    class_at: dict            # (tree vertex, vertex element) -> EquivClass
     supports: dict            # support id -> frozenset of tree vertices
+    support_id: dict          # frozenset of tree vertices -> support id
     support_of: dict          # class id -> support id
+    owners: dict              # support id -> classes on it, in class order
     coned: dict               # support id / THAT -> ConedTree
     comparison_table: list    # (class id, vertex, distance, K, C)
     comparison_maps: dict     # (class id, vertex) -> map into the favorite model
@@ -458,14 +428,12 @@ def build_combined(t):
     classes = equivalence_classes(t)
     warnings = []
 
-    qinv_cache = {}
     comp_maps = {}       # (cls id, vertex) -> map into the favorite model
     table = []
     offenders = []
     for cls in classes:
         for v in sorted(cls.support, key=vkey):
-            m, K, C = comparison_map(t, cls, v, cls.favorite_vertex,
-                                     _cache=qinv_cache)
+            m, K, C = comparison_map(t, cls, v, cls.favorite_vertex)
             comp_maps[(cls.id, v)] = m
             d = t.space.d(v, cls.favorite_vertex)
             table.append((cls.id, v, d, K, C))
@@ -474,51 +442,40 @@ def build_combined(t):
     if offenders:
         raise ComparisonNotUniform(COMPARISON_BOUND, table, offenders)
 
-    # supports, deduplicated by vertex set
-    support_sets = []
-    seen = {}
-    for cls in classes:
-        if cls.support not in seen:
-            seen[cls.support] = len(support_sets)
-            support_sets.append(cls.support)
-    order = sorted(range(len(support_sets)),
-                   key=lambda i: tuple(sorted(map(vkey, support_sets[i]))))
-    sup_id = {}
-    supports = {}
-    for rank, i in enumerate(order):
-        sid = ("T", rank)
-        sup_id[support_sets[i]] = sid
-        supports[sid] = support_sets[i]
-    support_of = {cls.id: sup_id[cls.support] for cls in classes}
+    # supports, numbered in the order of their sorted vertex lists
+    support_id = {sup: ("T", rank) for rank, sup in enumerate(sorted(
+        {cls.support for cls in classes},
+        key=lambda sup: tuple(sorted(map(vkey, sup)))))}
+    supports = {sid: sup for sup, sid in support_id.items()}
+    support_of = {cls.id: support_id[cls.support] for cls in classes}
     owners = {}
     for cls in classes:
-        owners.setdefault(sup_id[cls.support], []).append(cls)
+        owners.setdefault(support_id[cls.support], []).append(cls)
     for sid, owner in owners.items():
         if len(owner) > 1:
             warnings.append("support %r shared by %d classes (tree not decorated)"
                             % (sid, len(owner)))
     decorated = all(len(o) == 1 for o in owners.values())
 
-    builder = _CombinedBuilder(t, classes, supports, support_of, owners,
-                               comp_maps, warnings)
+    builder = _CombinedBuilder(t, classes, supports, owners, comp_maps,
+                               warnings)
     model = builder.build()
     return CombinedStructure(
         tree=t, model=model, classes=classes,
-        class_of={c.id: c for c in classes}, supports=supports,
-        support_of=support_of, coned=builder.coned,
+        class_of={c.id: c for c in classes},
+        class_at={m: c for c in classes for m in c.members},
+        supports=supports, support_id=support_id, support_of=support_of,
+        owners=owners, coned=builder.coned,
         comparison_table=table, comparison_maps=comp_maps,
         comparison_bound=COMPARISON_BOUND,
         decorated=decorated, warnings=warnings)
 
 
 class _CombinedBuilder:
-    def __init__(self, t, classes, supports, support_of, owners, comp_maps,
-                 warnings):
+    def __init__(self, t, classes, supports, owners, comp_maps, warnings):
         self.t = t
         self.classes = classes
-        self.class_of = {c.id: c for c in classes}
         self.supports = supports
-        self.support_of = support_of
         self.owners = owners
         self.comp = comp_maps
         self.warnings = warnings
@@ -566,14 +523,9 @@ class _CombinedBuilder:
             marker = vm.rho_set[(src.rep_at[v], dst.rep_at[v])]
             return self.comp[(dst.id, v)].image_of_set(marker)
         # disjoint supports: the image of the edge space across the last
-        # bridge edge, projected and compared into the favorite model
-        return self.entry_value(dst, self._last_edge_towards(src, dst))
-
-    def _last_edge_towards(self, src, dst):
-        """Last edge of the geodesic from src's support into dst's support."""
-        a, b = self.t.bridge(src.support, dst.support)
-        p = self.t.path(a, b)
-        return (p[-2], p[-1])
+        # edge of the bridge, projected and compared into the favorite model
+        a, _ = self.t.bridge(src.support, dst.support)
+        return self.entry_value(dst, self.t.entry_edge(a, dst.support))
 
     def entry_value(self, cls, edge):
         """Projection of the edge space into the class, through the inside
@@ -864,7 +816,7 @@ def combined_wedge_table(c):
                 return None
             if w is EMPTY:
                 return EMPTY
-            return _class_id_of(c, v, w)
+            return c.class_at[(v, w)].id
         return wedges[(c1.id, c2.id)]   # disjoint supports: no closed formula
 
     def container_class(cls):
@@ -877,9 +829,7 @@ def combined_wedge_table(c):
             cont = vlat.top_container(cls.rep_at[v])
             if cont is None:
                 continue
-            cid = _class_id_of(c, v, cont)
-            if cid is not None:
-                cands.append(cid)
+            cands.append(c.class_at[(v, cont)].id)
         if not cands:
             return None
         best = cands[0]
@@ -901,13 +851,13 @@ def combined_wedge_table(c):
             elif id1 in c.supports and id2 in c.supports:
                 inter = c.supports[id1] & c.supports[id2]
                 if inter:
-                    want = _support_id_of(c, inter)
+                    want = c.support_id.get(inter)
                     if want is None:
                         rep.add("support-intersection-missing", (id1, id2))
                         want = "skip"
                 else:
-                    k1 = container_class(c.class_of[_owner_of(c, id1)])
-                    k2 = container_class(c.class_of[_owner_of(c, id2)])
+                    k1 = container_class(c.owners[id1][0])
+                    k2 = container_class(c.owners[id2][0])
                     want = (EMPTY if k1 is None or k2 is None
                             else wedges[(k1, k2)])
             else:
@@ -915,7 +865,7 @@ def combined_wedge_table(c):
                 if lat.orthogonal(cid, sid):
                     want = EMPTY
                 else:
-                    k = container_class(c.class_of[_owner_of(c, sid)])
+                    k = container_class(c.owners[sid][0])
                     want = EMPTY if k is None else wedges[(cid, k)]
             if want != "skip":
                 same = (got is EMPTY and want is EMPTY) or got == want
@@ -928,7 +878,7 @@ def combined_wedge_table(c):
         if lat.top_container(cls.id) != sid:
             rep.add("container-identity", (cls.id,),
                     "container of the class should be its support tree")
-        if lat.top_container(sid) != cls.id and len(_owners_of(c, sid)) == 1:
+        if lat.top_container(sid) != cls.id and len(c.owners[sid]) == 1:
             rep.add("container-identity", (sid,),
                     "container of the support tree should be its class")
 
@@ -947,28 +897,6 @@ def combined_wedge_table(c):
                 rep.add("join-support-identity", (c1.id, c2.id, j),
                         "join of classes is not a class")
     return wedges, joins, rep
-
-
-def _class_id_of(c, vertex, elt):
-    for cls in c.classes:
-        if cls.rep_at.get(vertex) == elt:
-            return cls.id
-    return None
-
-
-def _support_id_of(c, vertex_set):
-    for sid, sup in c.supports.items():
-        if sup == frozenset(vertex_set):
-            return sid
-    return None
-
-
-def _owner_of(c, sid):
-    return _owners_of(c, sid)[0].id
-
-
-def _owners_of(c, sid):
-    return [cls for cls in c.classes if cls.support == c.supports[sid]]
 
 
 LARGE_LINKS_THRESHOLD = 4  # big pair distance for the support-count bound
@@ -990,8 +918,7 @@ def audit_combined(c, require_decorated=None):
     lat = c.model.lattice
 
     chi = lat.complexity()
-    cls_ids = set(c.class_of)
-    chain1 = _longest_chain(lat, cls_ids)
+    chain1 = lat.longest_chain(c.class_of)
     chi_v = max(t.lattice.complexity() for t in c.tree.vertex_models.values())
     ok = chi <= 2 * chain1 + 1 and chain1 <= chi_v + 1
     rep.entries.append(AxiomEntry(
@@ -1035,15 +962,6 @@ def audit_combined(c, require_decorated=None):
     rep.entries.append(AxiomEntry("wedge-table", wtab.ok, {},
                                   wtab.violations[:8]))
     return rep
-
-
-def _longest_chain(lat, subset):
-    order = sorted(subset, key=lambda e: (len(lat.below(e) & subset), vkey(e)))
-    longest = {}
-    for e in order:
-        longest[e] = 1 + max((longest[x] for x in lat.below(e) & subset
-                              if x != e), default=0)
-    return max(longest.values()) if longest else 0
 
 
 def _support_large_links(c, threshold):

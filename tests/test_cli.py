@@ -89,6 +89,22 @@ def test_product_command_window_too_small(tmp_path):
     assert doc["witness"] == repr((("gp", 1, ()), "S"))
 
 
+@pytest.mark.parametrize("bases", [{"a": ["Z", 1], "b": ["z", 1]},
+                                   {"a": ["cyclic", 0], "b": ["z", 1]},
+                                   {"a": ["z", -1], "b": ["z", 1]},
+                                   {"a": ["z", 1]},
+                                   {"a": ["z", 1.5], "b": ["z", 1]},
+                                   {"a": ["cyclic", "2"], "b": ["z", 1]}])
+def test_product_command_malformed_base_is_schema_error(tmp_path, capsys, bases):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"graph": {"vertices": ["a", "b"],
+                                          "edges": [["a", "b"]]},
+                                "bases": bases}))
+    assert run(["--out", tmp_path, "product", path]) == 2
+    assert "schema error" in capsys.readouterr().err
+    assert not (tmp_path / "product.json").exists()
+
+
 def test_distance_formula_command(tmp_path):
     model = grid_product(3, 4)
     path = tmp_path / "model.json"

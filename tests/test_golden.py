@@ -1,0 +1,50 @@
+"""Golden outputs: every `hhspace examples NAME` report at its default
+arguments, and the radius-7 bs12 failure, must stay byte-identical.
+
+The table holds the exit status and the SHA-256 of stdout of each run.
+A change that is meant to alter an example's output updates its row and
+says why."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from hhspace import cli
+
+GOLDEN = {
+    ("bs12-window",): (
+        1, "44407fa8341f4e2a542b8ca0f56c43d2b827b18a75a0fd8a3ed1eb1339cd151a"),
+    ("bs12-window", "--radius", "7"): (
+        1, "34c738f90e11a859025ec6b31134c2f0aad6364a77833f34fbdb931d2e87abd0"),
+    ("factor-inclusion",): (
+        0, "40ddb515572a28234a172e6a4853baacc2a821efffca9e1f24d39e8c59e3d234"),
+    ("fixture-b-product",): (
+        0, "453db0c2c3260d24d1b1b8cbd2019008dab90411575eb6f538abfd0bb9cd5f3a"),
+    ("free-product-z2-z3",): (
+        0, "ca5bff8c80f22b73f106e9694f54575c17119bbdf0727ef3a09489378ce7a03e"),
+    ("grid-p5x7",): (
+        0, "681e08f31166958a1ae2a17d56876c2f02f97945152de654f27687f89089d1db"),
+    ("hagen-f2",): (
+        0, "1900ff022d4e588057d6acb8656809d3666c6485c6e712c3be04cca0b3a28b49"),
+    ("raag-path",): (
+        0, "7c654298dfb2f1ad97cd1612cd9e12caf65a671aac9233ee71d59ee12612021a"),
+    ("random-lattice",): (
+        0, "6c85deae1cf699cef254dd090e0eae6826efd6972f0214ec5cefdd6ce841ae9e"),
+}
+
+
+def test_every_example_is_pinned():
+    assert {args[0] for args in GOLDEN} == set(cli.FIXTURES)
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
+def test_example_output_unchanged(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["examples", *args])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (code, digest) == GOLDEN[args], \
+        "output of `hhspace examples %s` changed" % " ".join(args)

@@ -14,6 +14,20 @@ def spec_of(vertices, edges, bases, radius=2, budget=6000):
                        bases, window_radius=radius, budget=budget)
 
 
+MALFORMED_BASES = [
+    {"a": ("Z", 1), "b": ("z", 1)},            # unknown kind (case matters)
+    {"a": ("cyclic", 0), "b": ("z", 1)},       # trivial cycle of no vertices
+    {"a": ("z", -1), "b": ("z", 1)},           # negative ball radius
+    {"a": ("z", 1)},                           # vertex b has no base
+]
+
+
+@pytest.mark.parametrize("bases", MALFORMED_BASES)
+def test_spec_rejects_malformed_bases(bases):
+    with pytest.raises(ValueError, match="base"):
+        spec_of("ab", [("a", "b")], bases)
+
+
 PATH3 = spec_of("abc", [("a", "b"), ("b", "c")],
                 {"a": ("z", 1), "b": ("z", 1), "c": ("z", 1)})
 

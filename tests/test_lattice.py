@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,23 @@ def test_two_meet_diamond_is_not_a_lattice():
     rep = lat.verify_intersection_property()
     assert not rep.ok
     assert any(v.rule == "wedge-not-unique" for v in rep.violations)
+
+
+def test_wedge_and_join_caches_fill_on_use():
+    lat = IndexLattice(
+        ["X", "Y", "A", "B", "S"], "S",
+        nested_pairs=[("X", "A"), ("X", "B"), ("Y", "A"), ("Y", "B"),
+                      ("X", "S"), ("Y", "S"), ("A", "S"), ("B", "S")])
+    assert lat._wedge_cache == {} and lat._join_cache == {}
+    assert lat.wedge("X", "A") == "X" and lat.join("X", "A") == "A"
+    assert lat._wedge_cache == {frozenset(("X", "A")): "X"}
+    assert lat._join_cache == {frozenset(("X", "A")): "A"}
+    for _ in range(2):      # pairs without a unique answer are never cached
+        with pytest.raises(NotALattice):
+            lat.wedge("A", "B")
+        with pytest.raises(NotALattice):
+            lat.join("X", "Y")
+    assert len(lat._wedge_cache) == len(lat._join_cache) == 1
 
 
 def test_orthogonality_inheritance_violation():
@@ -224,3 +243,23 @@ def test_join_monotone_random(lat):
 @given(random_lattices())
 def test_complexity_bounded_random(lat):
     assert 1 <= lat.complexity() <= len(lat.elements)
+
+
+def _longest_chain_brute_force(lat, subset):
+    subset = sorted(subset, key=str)
+    best = 0
+    for k in range(len(subset) + 1):
+        for chain in itertools.combinations(subset, k):
+            if all(lat.nested(a, b) or lat.nested(b, a)
+                   for a, b in itertools.combinations(chain, 2)):
+                best = k
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_lattices(), st.data())
+def test_longest_chain_matches_brute_force(lat, data):
+    subset = data.draw(st.sets(st.sampled_from(lat.elements)))
+    assert lat.longest_chain(subset) == _longest_chain_brute_force(lat, subset)
+    assert lat.complexity() == lat.longest_chain(lat.elements) \
+        == _longest_chain_brute_force(lat, lat.elements)

@@ -118,6 +118,15 @@ def test_quasi_inverse_closest_point():
     assert inv(8) == frozenset([2])
 
 
+def _quasi_inverse_reference(f):
+    """Each codomain point y goes to the first domain vertex whose image
+    comes closest to y, computed afresh on every call."""
+    dom, cod = f.domain, f.codomain
+    return {y: frozenset([min(dom.vertices, key=lambda x: (
+                min(cod.d(a, y) for a in f(x)), dom.index[x]))])
+            for y in cod.vertices}
+
+
 def test_compose():
     a, b, c = path_graph(0, 2), path_graph(0, 4), path_graph(0, 8)
     f = CoarseMap.single(a, b, lambda v: 2 * v)
@@ -277,3 +286,13 @@ def test_relabel_and_dot():
     r = g.relabel(lambda v: ("a", v))
     assert r.d(("a", 0), ("a", 2)) == 2
     assert '"0" -- "1"' in g.dot()
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps_and_targets())
+def test_quasi_inverse_is_computed_once(case):
+    f = case[0]
+    inv = f.quasi_inverse()
+    assert f.quasi_inverse() is inv
+    assert inv.domain is f.codomain and inv.codomain is f.domain
+    assert inv.images == _quasi_inverse_reference(f)

@@ -1,14 +1,19 @@
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhspace.embedding import Embedding
 from hhspace.fixtures import bs_window, grid_product
 from hhspace.indexmaps import IndexMap
 from hhspace.model import audit_axioms, trivial_model
-from hhspace.spaces import CoarseMap, FiniteSpace, path_graph, single_point
+from hhspace.spaces import (CoarseMap, FiniteSpace, path_graph, single_point,
+                            vkey)
 from hhspace.treecombine import (THAT, ComparisonNotUniform, HypothesisFailure,
-                                 TreeOfHHS, audit_combined, build_combined,
-                                 combined_wedge_table, comparison_map, decorate,
-                                 equivalence_classes)
+                                 TreeOfHHS, _check_connected, audit_combined,
+                                 build_combined, combined_wedge_table,
+                                 comparison_map, decorate, equivalence_classes)
 
 
 def point_edge_tree(spaces):
@@ -263,3 +268,174 @@ def test_rho_markers_across_disjoint_supports_are_nearest_vertices():
                               if t.space.gap(supports[u], [y]) == near}
             checked.add("support" if u in c.supports else "class")
     assert checked == {"support", "class"}
+
+
+# -- table lookups against loop-based searches -----------------------------------
+#
+# The references answer the same questions by search: a BFS over an
+# adjacency list for paths and connectivity, a row-by-row scan for bridges,
+# and scans over every class for the class, support and owner indexes.
+
+
+def _adjacency_reference(t):
+    adj = {v: [] for v in t.vertices}
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in adj:
+        adj[v].sort(key=vkey)
+    return adj
+
+
+def _path_reference(t, u, v):
+    if u == v:
+        return (u,)
+    adj = _adjacency_reference(t)
+    prev = {u: None}
+    q = deque([u])
+    while q:
+        x = q.popleft()
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                if y == v:
+                    out = [v]
+                    while prev[out[-1]] is not None:
+                        out.append(prev[out[-1]])
+                    return tuple(reversed(out))
+                q.append(y)
+    raise KeyError((u, v))
+
+
+def _entry_edge_reference(t, v, subtree):
+    p = _path_reference(t, v, t.closest_vertex(v, subtree))
+    return (p[-2], p[-1])
+
+
+def _bridge_reference(t, sub1, sub2):
+    best = None
+    for a in sorted(sub1, key=vkey):
+        b = t.closest_vertex(a, sub2)
+        d = t.space.d(a, b)
+        if best is None or d < best[0]:
+            best = (d, a, b)
+    return best[1], best[2]
+
+
+def _connected_reference(t, support):
+    adj = _adjacency_reference(t)
+    sub = set(support)
+    start = next(iter(sub))
+    seen = {start}
+    q = deque([start])
+    while q:
+        x = q.popleft()
+        for y in adj[x]:
+            if y in sub and y not in seen:
+                seen.add(y)
+                q.append(y)
+    return seen == sub
+
+
+@st.composite
+def random_trees(draw):
+    """A tree on up to 30 vertices with shuffled integer labels (so vertex
+    order and tree shape are unrelated), two disjoint subtrees on either
+    side of one edge, and two random vertex subsets."""
+    n = draw(st.integers(2, 30))
+    labels = draw(st.permutations(range(n)))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    edges = [(labels[i], labels[parent[i]]) for i in range(1, n)]
+    t = TreeOfHHS(labels, edges, {}, {}, {}, name="random")
+    cut = draw(st.sampled_from(edges))
+    side = {w for w in t.vertices if t.space.d(w, cut[0]) < t.space.d(w, cut[1])}
+    subtrees = []
+    for part in (side, set(t.vertices) - side):
+        # a ball meets a subtree in a subtree
+        centre = draw(st.sampled_from(sorted(part)))
+        r = draw(st.integers(0, 4))
+        subtrees.append(frozenset(w for w in part if t.space.d(w, centre) <= r))
+    subsets = [draw(st.frozensets(st.sampled_from(labels), min_size=1))
+               for _ in range(2)]
+    return t, subtrees, subsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_trees())
+def test_tree_lookups_match_searches(case):
+    t, (sub1, sub2), (subset, other) = case
+    for u in t.vertices[:6]:
+        for v in t.vertices:
+            assert t.path(u, v) == _path_reference(t, u, v)
+    assert t.bridge(sub1, sub2) == _bridge_reference(t, sub1, sub2)
+    assert t.bridge(sub2, sub1) == _bridge_reference(t, sub2, sub1)
+    # between disjoint subtrees the closest pair is unique; disjoint vertex
+    # sets have ties, which go to the least vertex of sub1, then of sub2
+    if subset - other:
+        assert t.bridge(subset - other, other) == \
+            _bridge_reference(t, subset - other, other)
+    for v in t.vertices:
+        for sub in (sub1, sub2):
+            if v not in sub:
+                assert t.entry_edge(v, sub) == _entry_edge_reference(t, v, sub)
+    for S in (subset, sub1, sub2, sub1 | sub2):
+        try:
+            _check_connected(t, S)
+            connected = True
+        except HypothesisFailure:
+            connected = False
+        assert connected == _connected_reference(t, S)
+
+
+def test_bridge_ties_go_to_the_least_vertex_of_the_first_set():
+    # the path 3 - 0 - 9 - 1 - 4: {1, 3} and {0, 4} are one apart twice
+    t = TreeOfHHS([3, 0, 9, 1, 4], [(3, 0), (0, 9), (9, 1), (1, 4)], {}, {}, {})
+    assert t.bridge({1, 3}, {0, 4}) == (1, 4)
+    assert t.bridge({0, 4}, {1, 3}) == (0, 3)
+
+
+def _class_id_reference(c, vertex, elt):
+    for cls in c.classes:
+        if cls.rep_at.get(vertex) == elt:
+            return cls.id
+    return None
+
+
+def _support_id_reference(c, vertex_set):
+    for sid, sup in c.supports.items():
+        if sup == frozenset(vertex_set):
+            return sid
+    return None
+
+
+def _owners_reference(c, sid):
+    return [cls for cls in c.classes if cls.support == c.supports[sid]]
+
+
+@pytest.fixture(scope="module", params=["free-product-z2-z3", "raag-path"])
+def window(request):
+    from hhspace.fixtures import free_product_z2_z3, raag_path
+    return (free_product_z2_z3 if request.param == "free-product-z2-z3"
+            else raag_path)(2).combined
+
+
+def test_class_index_matches_scans(window):
+    from hhspace.graphproduct import _class_of
+    c = window
+    pairs = {(v, U) for v in c.tree.vertices
+             for U in c.tree.vertex_models[v].elements}
+    assert set(c.class_at) == pairs
+    for v, U in sorted(pairs, key=vkey):
+        assert c.class_at[(v, U)].id == _class_id_reference(c, v, U)
+        assert _class_of(c, v, U) is c.class_at[(v, U)]
+    with pytest.raises(HypothesisFailure):
+        _class_of(c, ("not a tree vertex",), "S")
+    for sup, sid in c.support_id.items():
+        assert _support_id_reference(c, sup) == sid
+    for s1 in c.supports.values():
+        for s2 in c.supports.values():
+            assert c.support_id.get(s1 & s2) == _support_id_reference(c, s1 & s2)
+    assert set(c.owners) == set(c.supports)
+    for sid in c.supports:
+        assert [o.id for o in c.owners[sid]] == \
+            [o.id for o in _owners_reference(c, sid)]
