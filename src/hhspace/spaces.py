@@ -5,19 +5,22 @@ A FiniteSpace is either a connected graph with the shortest-path metric
 carry the restricted ambient metric rather than the induced path metric).
 All distance conventions used by the auditors live here:
 
-- point distances are integers from the BFS table,
+- point distances are integers from the BFS table, which one
+  level-synchronous search from all sources at once fills (int64, n x n),
 - the distance between two point-sets A, B is diam(A | B), the diameter of
   their union (the usual convention for projection distances),
 - ``gap`` is the minimal distance between sets, used for neighborhoods,
   gates and Hausdorff distances.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
+from itertools import chain
 
 import numpy as np
 
 # cells (of any dtype) one chunk of FiniteSpace.intervals and its caller's
-# temporaries may take; small chunks keep the interval scans' peak memory flat
+# temporaries, one piece of a BFS level or one chunk of the four-point scan
+# may take; small chunks keep the peak memory of these scans flat
 _CHUNK_CELLS = 1 << 15
 
 SetFamily = namedtuple("SetFamily", "sets flat starts diams")
@@ -217,18 +220,46 @@ class FiniteSpace:
 
 
 def _bfs_all_pairs(n, adj):
+    """Breadth-first distances from every source at once; -1 marks a pair
+    that no path joins. The frontier holds the flat cells s * n + x of dist
+    whose x was reached from s at the last level. Each level expands it over
+    CSR neighbour arrays into candidate cells, in pieces of at most about
+    _CHUNK_CELLS candidates (one frontier cell at the least), and keeps each
+    unreached cell once. The work is O(n * m), as for n separate searches."""
+    deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    first = np.cumsum(deg) - deg
+    nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg.sum()))
     dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            dx = row[x]
-            for y in adj[x]:
-                if row[y] < 0:
-                    row[y] = dx + 1
-                    q.append(y)
+    flat = dist.reshape(-1)
+    front = np.arange(n) * (n + 1)
+    flat[front] = 0
+    level = 0
+    while front.size:
+        level += 1
+        x = front % n
+        ends = np.cumsum(deg[x])
+        reached = []
+        lo = 0
+        while lo < len(front):
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK_CELLS, side="right")))
+            # frontier cell k expands into the cells of its row at the d[k]
+            # neighbours from nbr[first[x[k]]], at positions ends[k] - d[k]
+            # up to ends[k] of the level's candidates, counted here from done
+            xs = x[lo:hi]
+            d = deg[xs]
+            cand = np.repeat(front[lo:hi] - xs, d)
+            cand += nbr[np.repeat(first[xs] + d + done - ends[lo:hi], d)
+                        + np.arange(int(ends[hi - 1]) - done)]
+            cand = cand[flat[cand] < 0]
+            # a cell reached twice holds the tag of one copy only
+            tags = np.arange(-2, -2 - len(cand), -1)
+            flat[cand] = tags
+            cand = cand[flat[cand] == tags]
+            flat[cand] = level
+            reached.append(cand)
+            lo = hi
+        front = reached[0] if len(reached) == 1 else np.concatenate(reached)
     return dist
 
 
@@ -282,19 +313,24 @@ def cone_off(space, subsets, name=""):
 
 def four_point_delta(space):
     """Exact Gromov four-point hyperbolicity constant: the largest value of
-    (largest - second largest)/2 over the three pair-sums of every 4-tuple."""
-    D = space.dist.astype(np.float64)
+    (largest - second largest)/2 over the three pair-sums of every 4-tuple.
+    Scans the (pair i < j, x, y) cells in chunks of about _CHUNK_CELLS, in
+    the narrowest signed integer dtype that holds 6 * diam, as
+    top - mid = 2 * top + low - s1 - s2 - s3 stays within it."""
     n = len(space)
-    best = 0.0
-    for i in range(n):
-        di = D[i]
-        for j in range(i + 1, n):
-            s1 = D[i, j] + D
-            s2 = di[:, None] + D[j][None, :]
-            s3 = di[None, :] + D[j][:, None]
-            top = np.maximum(s1, np.maximum(s2, s3))
-            mid = s1 + s2 + s3 - top - np.minimum(s1, np.minimum(s2, s3))
-            best = max(best, float((top - mid).max()))
+    D = space.dist.astype(np.min_scalar_type(-6 * space.diam()))
+    I, J = np.triu_indices(n, 1)
+    step = max(1, _CHUNK_CELLS // (n * n))
+    best = 0
+    for p0 in range(0, len(I), step):
+        i, j = I[p0:p0 + step], J[p0:p0 + step]
+        Di, Dj = D[i][:, :, None], D[j][:, None, :]
+        s1 = D[i, j][:, None, None] + D
+        s2 = Di + Dj
+        s3 = Di.transpose(0, 2, 1) + Dj.transpose(0, 2, 1)
+        top = np.maximum(np.maximum(s1, s2), s3)
+        low = np.minimum(np.minimum(s1, s2), s3)
+        best = max(best, int((top + top + low - s1 - s2 - s3).max()))
     return best / 2.0
 
 

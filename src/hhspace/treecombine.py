@@ -102,6 +102,13 @@ class TreeOfHHS:
         row = self.space.dist[index[v]]
         return min(subtree, key=lambda w: (row[index[w]], index[w]))
 
+    def closest_vertices(self, subtree):
+        """closest_vertex(v, subtree) for every tree vertex v, as a dict: one
+        argmin over the subtree's columns in index order."""
+        cols = np.sort(self.space.idx(list(subtree)))
+        near = cols[self.space.dist[:, cols].argmin(axis=1)]
+        return dict(zip(self.vertices, (self.vertices[i] for i in near)))
+
     def entry_edge(self, v, subtree):
         """Last edge of the geodesic from v into the subtree: (outside, inside)."""
         w = self.closest_vertex(v, subtree)
@@ -631,8 +638,7 @@ class _CombinedBuilder:
         proj = {}
         proj[THAT] = CoarseMap.single(X, that_coned, lambda x: x[0], name="pi:That")
         for sid in sup_ids:
-            sup = self.supports[sid]
-            closest = {v: self.t.closest_vertex(v, sup) for v in t.vertices}
+            closest = t.closest_vertices(self.supports[sid])
             proj[sid] = CoarseMap.single(X, hyp[sid],
                                          lambda x, c=closest: c[x[0]],
                                          name="pi:%r" % (sid,))
@@ -702,9 +708,9 @@ class _CombinedBuilder:
     def _support_point_map(self, from_sid, to_set, to_space):
         """Closest-point projection between support trees, cone points going
         through the least vertex of their coned subtree."""
-        return CoarseMap.single(
-            self.coned[from_sid].space, to_space,
-            lambda p: self.t.closest_vertex(self._cone_base(p), to_set))
+        closest = self.t.closest_vertices(to_set)
+        return CoarseMap.single(self.coned[from_sid].space, to_space,
+                                lambda p: closest[self._cone_base(p)])
 
     def _rho_supports(self, lattice, hyp, rho_set, rho_map, sup_ids, proper):
         for s1 in sup_ids:

@@ -1,12 +1,17 @@
+import tracemalloc
+from collections import deque
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhspace.spaces import (CoarseMap, FiniteSpace, coarse_map_constants,
-                            cone_off, cycle_graph, four_point_delta,
-                            path_graph, product_graph, qi_constants,
-                            single_point)
+from hhspace import spaces
+from hhspace.spaces import (CoarseMap, FiniteSpace, _bfs_all_pairs,
+                            coarse_map_constants, cone_off, cycle_graph,
+                            four_point_delta, path_graph, product_graph,
+                            qi_constants, single_point)
 
 
 def test_path_metric():
@@ -296,3 +301,135 @@ def test_quasi_inverse_is_computed_once(case):
     assert f.quasi_inverse() is inv
     assert inv.domain is f.codomain and inv.codomain is f.domain
     assert inv.images == _quasi_inverse_reference(f)
+
+
+def _bfs_reference(n, adj):
+    """One breadth-first search per source, a deque each."""
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        row = dist[s]
+        row[s] = 0
+        q = deque([s])
+        while q:
+            x = q.popleft()
+            dx = row[x]
+            for y in adj[x]:
+                if row[y] < 0:
+                    row[y] = dx + 1
+                    q.append(y)
+    return dist
+
+
+@st.composite
+def adjacency_lists(draw, max_n=40):
+    """Neighbour lists of any graph on up to max_n vertices, connected or
+    not, with self-loops, repeated edges and shuffled lists."""
+    n = draw(st.integers(1, max_n))
+    ends = st.integers(0, n - 1)
+    adj = [[] for _ in range(n)]
+    for a, b in draw(st.lists(st.tuples(ends, ends), max_size=3 * n)):
+        adj[a].append(b)
+        adj[b].append(a)
+    return n, [draw(st.permutations(nb)) for nb in adj]
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjacency_lists())
+def test_bfs_matches_reference(case):
+    n, adj = case
+    ref = _bfs_reference(n, adj)
+    # 7 cells split nearly every level into pieces
+    for cells in (spaces._CHUNK_CELLS, 7):
+        with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
+            dist = _bfs_all_pairs(n, adj)
+        assert dist.dtype == ref.dtype and (dist == ref).all()
+    if (ref < 0).any():
+        with pytest.raises(ValueError):
+            FiniteSpace(range(n), [(a, b) for a in range(n) for b in adj[a]])
+
+
+def test_bfs_named_graphs(monkeypatch):
+    assert _bfs_all_pairs(1, [[]]).tolist() == [[0]]
+    n = 257
+    path = [[y for y in (x - 1, x + 1) if 0 <= y < n] for x in range(n)]
+    ends = np.arange(n)
+    assert (_bfs_all_pairs(n, path) == abs(ends[:, None] - ends[None, :])).all()
+    star = [list(range(1, 30))] + [[0]] * 29
+    assert (_bfs_all_pairs(30, star) == _bfs_reference(30, star)).all()
+    # one candidate per piece: every level of K_12 splits, the first into
+    # one piece per source
+    monkeypatch.setattr(spaces, "_CHUNK_CELLS", 1)
+    complete = [[y for y in range(12) if y != x] for x in range(12)]
+    assert (_bfs_all_pairs(12, complete) == 1 - np.eye(12, dtype=np.int64)).all()
+
+
+def _four_point_reference(space):
+    """The pair loop over n x n float tables."""
+    D = space.dist.astype(np.float64)
+    n = len(space)
+    best = 0.0
+    for i in range(n):
+        di = D[i]
+        for j in range(i + 1, n):
+            s1 = D[i, j] + D
+            s2 = di[:, None] + D[j][None, :]
+            s3 = di[None, :] + D[j][:, None]
+            top = np.maximum(s1, np.maximum(s2, s3))
+            mid = s1 + s2 + s3 - top - np.minimum(s1, np.minimum(s2, s3))
+            best = max(best, float((top - mid).max()))
+    return best / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=16))
+def test_four_point_matches_reference(g):
+    assert four_point_delta(g) == _four_point_reference(g)
+
+
+def test_four_point_named_graphs(monkeypatch):
+    small = [single_point(), path_graph(2), path_graph(3), cycle_graph(3)]
+    # cycle_graph(47) has diameter 23, so 6 * 23 needs int16; on an 8-cycle
+    # at the end of a 64-edge path (diameter 68) the pair sums pass int8
+    lollipop = FiniteSpace(range(72), [(i, i + 1) for i in range(71)] + [(71, 64)])
+    for g in small + [path_graph(50), cycle_graph(47), lollipop]:
+        assert four_point_delta(g) == _four_point_reference(g)
+    # a path 0..11 hanging off vertex 18 of a block on 12..19 whose widest
+    # four-tuples all lie in 12..19; at 81 pairs per chunk of 20 x 20 cells
+    # the last of the three chunks is exactly the 28 pairs inside 12..19
+    monkeypatch.setattr(spaces, "_CHUNK_CELLS", 81 * 20 * 20)
+    edges = [(i, i + 1) for i in range(11)] + [(11, 18), (12, 13), (12, 17),
+             (13, 14), (14, 15), (14, 16), (15, 16), (15, 17), (15, 19),
+             (16, 17), (17, 18), (17, 19), (18, 19)]
+    g = FiniteSpace(range(20), edges)
+    assert four_point_delta(g) == _four_point_reference(g) == 1.0
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_allocate_chunks_not_cubes():
+    # a level of K_300 expands to 300 * 299 * 299 candidate cells: 214 MB
+    # of int64 unless it is split into _CHUNK_CELLS pieces
+    n = 300
+    complete = [[y for y in range(n) if y != x] for x in range(n)]
+    assert _traced_peak(_bfs_all_pairs, n, complete) - 8 * n * n < 6e6
+    # a chain of 18 diamonds has 2^18 geodesics end to end: a frontier that
+    # kept a cell once per geodesic reaching it would hold millions of cells
+    n = 3 * 18 + 1
+    diamonds = [[] for _ in range(n)]
+    for hub in range(0, n - 1, 3):
+        for mid in (hub + 1, hub + 2):
+            for end in (hub, hub + 3):
+                diamonds[mid].append(end)
+                diamonds[end].append(mid)
+    assert _traced_peak(_bfs_all_pairs, n, diamonds) - 8 * n * n < 1e6
+    # diameter 10, so int8 cells: 1770 pairs x 3600 cells would be 6 MB a
+    # temporary, a chunk is 32 kB
+    g = product_graph(path_graph(6), cycle_graph(10))
+    assert _traced_peak(four_point_delta, g) < 1e6

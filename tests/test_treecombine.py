@@ -378,6 +378,9 @@ def test_tree_lookups_match_searches(case):
         for sub in (sub1, sub2):
             if v not in sub:
                 assert t.entry_edge(v, sub) == _entry_edge_reference(t, v, sub)
+    # vertex subsets have ties, which go to the least vertex
+    for S in (subset, other, sub1, sub2):
+        assert t.closest_vertices(S) == {v: t.closest_vertex(v, S) for v in t.vertices}
     for S in (subset, sub1, sub2, sub1 | sub2):
         try:
             _check_connected(t, S)
