@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import ValidationReport
-from .spaces import CoarseMap, coarse_map_constants, four_point_delta, vkey
+from .spaces import CoarseMap, coarse_map_constants, four_point_delta, groups, vkey
 
 
 class NoConsistentTuple(Exception):
@@ -132,7 +132,6 @@ class HHSModel:
         self.rho_map = dict(rho_map or {})
         self.name = name
         self._pair = {}
-        self._realize_defect = None
         self._basics = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -151,13 +150,30 @@ class HHSModel:
             self._pair[U] = self.proj[U].pair_distance_matrix()
         return self._pair[U]
 
-    def max_pair_matrix(self):
-        """Elementwise max over U of pair_matrix(U), as a running maximum."""
-        out = None
-        for U in self.elements:
-            T = self.pair_matrix(U)
-            out = T.copy() if out is None else np.maximum(out, T, out=out)
-        return out
+    def coordinate_classes(self, elements):
+        """(ids, reps): vertices with equal image-set ids under every given
+        element share a class; ids is each vertex's class, classes numbered
+        by their first vertex, and reps holds that first vertex per class.
+        Each d_U of these elements is constant on every pair of classes, so
+        a pair scan reads class_table(U, reps) once per class pair, and a
+        row-major first maximum there is the row-major first vertex pair.
+        The class key folds in one element at a time and is made dense
+        again after each, so it never exceeds n * k_U."""
+        key = np.zeros(len(self.space), dtype=np.int64)
+        for U in elements:
+            rec = self.proj[U].image_sets()
+            key = np.unique(key * len(rec.sets) + rec.sids, return_inverse=True)[1]
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(by_first))
+        return rank[key], first[by_first]
+
+    def class_table(self, U, reps):
+        """K x K table of d_U between the class representatives reps."""
+        sids, _, M = self.proj[U].set_table()
+        s = sids[reps]
+        return M[np.ix_(s, s)]
 
     def dist_to_set_array(self, U, S):
         """array over base vertices: sup-distance from the projection to S."""
@@ -188,11 +204,12 @@ class HHSModel:
         return self._basics
 
     def realization_defect(self):
-        """Max over points of the minimax defect of re-realizing the point's
-        own coordinate tuple; zero on exact models."""
-        if self._realize_defect is None:
-            self._realize_defect = int(self.max_pair_matrix().min(axis=0).max())
-        return self._realize_defect
+        """Max over points y of the minimax defect min_x max_U d_U(x, y) of
+        re-realizing y's own coordinate tuple; zero on exact models. In
+        closed form it is max_U diam pi_U(y), so the largest projection-image
+        diameter over all U: d_U(x, y) = diam(pi_U x | pi_U y) is at least
+        diam pi_U(y), with equality at x = y."""
+        return max(self.proj[U].diam_bound for U in self.elements)
 
     # -- structure ---------------------------------------------------------
 
@@ -709,26 +726,34 @@ def _innermost_big(lat, family, big_of):
 
 
 def _audit_large_links(model, E):
+    """Least lambda >= 1 such that, for every W and vertex pair (x, y), the
+    number of elements T below W with d_T(x, y) >= E and no such element
+    above them, and the largest d_W from x to their rho markers, are both
+    at most lambda * (d_W(x, y) + 1). Scanned over the coordinate classes
+    of W and the elements below it; the witness is the first maximal pair
+    in row-major vertex order."""
     lat = model.lattice
     lam, witness = 1.0, None
-    n = len(model.space)
     for W in lat.elements:
         nested = [T for T in lat.below(W) if T != W]
         if not nested:
             continue
-        dW = model.pair_matrix(W).astype(np.float64)
-        fam = np.zeros((n, n), dtype=np.int64)
-        rho_req = np.zeros((n, n), dtype=np.int64)
-        for T, mask in _innermost_big(lat, nested, lambda T: model.pair_matrix(T) >= E):
+        _, reps = model.coordinate_classes([W] + nested)
+        dW = model.class_table(W, reps).astype(np.float64)
+        fam = np.zeros((len(reps),) * 2, dtype=np.int64)
+        rho_req = np.zeros_like(fam)
+        for T, mask in _innermost_big(lat, nested,
+                                      lambda T: model.class_table(T, reps) >= E):
             fam += mask
-            arr = model.dist_to_set_array(W, model.rho_set[(T, W)])
+            arr = model.dist_to_set_array(W, model.rho_set[(T, W)])[reps]
             np.maximum(rho_req, np.where(mask, arr[:, None], 0), out=rho_req)
         need = np.maximum(fam, rho_req).astype(np.float64) / (dW + 1.0)
         m = float(need.max())
         if m > lam:
             i, j = np.unravel_index(int(need.argmax()), need.shape)
             lam = m
-            witness = (W, model.space.vertices[i], model.space.vertices[j])
+            x, y = (model.space.vertices[r] for r in reps[[i, j]])
+            witness = (W, x, y)
     return lam, witness
 
 
@@ -764,8 +789,16 @@ def _audit_bgi(model):
 
 
 def _theta_table(model):
-    m = model.max_pair_matrix()
-    D = model.space.dist
+    """kappa -> one more than the largest distance between two points whose
+    projections are all under kappa apart (0 when no pair is), for kappa up
+    to one past the largest projection distance; scanned over coordinate
+    classes, with the largest distance between each pair of classes."""
+    ids, reps = model.coordinate_classes(model.elements)
+    m = None
+    for U in model.elements:
+        T = model.class_table(U, reps)
+        m = T if m is None else np.maximum(m, T, out=m)
+    D = model.space.block_table(*groups(ids, len(reps)), np.maximum)
     table = {}
     for kappa in range(0, int(m.max()) + 2):
         small = m < kappa

@@ -195,6 +195,14 @@ class FiniteSpace:
         M = np.maximum.reduceat(far, fb.starts, axis=1)
         return np.maximum(M, np.maximum(fa.diams[:, None], fb.diams[None, :]))
 
+    def block_table(self, order, starts, reduce):
+        """len(starts) x len(starts) table: ``reduce`` (np.minimum or
+        np.maximum) of the distances from block s to block t, where block s
+        is the run of vertex indices order[starts[s]:starts[s + 1]] and no
+        block is empty (``groups`` gives order and starts)."""
+        rows = reduce.reduceat(self.dist[order], starts, axis=0)
+        return reduce.reduceat(rows[:, order], starts, axis=1)
+
     def subspace(self, keep, name=""):
         """Metric subspace (restricted ambient metric, not induced path metric)."""
         ks = sorted_vertices(keep)
@@ -261,6 +269,13 @@ def _bfs_all_pairs(n, adj):
             lo = hi
         front = reached[0] if len(reached) == 1 else np.concatenate(reached)
     return dist
+
+
+def groups(ids, k):
+    """(order, starts) for ids in 0..k-1: the indices grouped by id, in
+    index order within a group, and the offset of each group in order."""
+    order = np.argsort(ids, kind="stable")
+    return order, np.searchsorted(ids[order], np.arange(k))
 
 
 def path_graph(lo, hi=None, label=None):
@@ -455,8 +470,7 @@ class CoarseMap:
         """(order, starts): domain vertex indices grouped by image set id, in
         vertex order within a group, and the offset of each group in order."""
         rec = self.image_sets()
-        order = np.argsort(rec.sids, kind="stable")
-        return order, np.searchsorted(rec.sids[order], np.arange(len(rec.sets)))
+        return groups(rec.sids, len(rec.sets))
 
     def fiber_table(self, reduce):
         """k x k table: ``reduce`` (np.minimum or np.maximum) of the domain
@@ -466,9 +480,7 @@ class CoarseMap:
         M[s, t] / (lo[s, t] + 1), a largest d / (M + 1) is
         hi[s, t] / (M[s, t] + 1), and the map constants below need no n x n
         table."""
-        order, starts = self.fibers()
-        rows = reduce.reduceat(self.domain.dist[order], starts, axis=0)
-        return reduce.reduceat(rows[:, order], starts, axis=1)
+        return self.domain.block_table(*self.fibers(), reduce)
 
     def pair_distance_matrix(self):
         """T with T[x, y] = dset(f(x), f(y)) over domain vertex indices."""

@@ -102,20 +102,27 @@ class TreeOfHHS:
         row = self.space.dist[index[v]]
         return min(subtree, key=lambda w: (row[index[w]], index[w]))
 
-    def closest_vertices(self, subtree):
-        """closest_vertex(v, subtree) for every tree vertex v, as a dict: one
+    def _nearest(self, subtree):
+        """Index of closest_vertex(v, subtree) for every vertex index v: one
         argmin over the subtree's columns in index order."""
         cols = np.sort(self.space.idx(list(subtree)))
-        near = cols[self.space.dist[:, cols].argmin(axis=1)]
-        return dict(zip(self.vertices, (self.vertices[i] for i in near)))
+        return cols[self.space.dist[:, cols].argmin(axis=1)]
 
-    def entry_edge(self, v, subtree):
-        """Last edge of the geodesic from v into the subtree: (outside, inside)."""
-        w = self.closest_vertex(v, subtree)
-        if w == v:
-            raise NotInSupport(v)
-        p = self.path(v, w)
-        return (p[-2], p[-1])
+    def closest_vertices(self, subtree):
+        """closest_vertex(v, subtree) for every tree vertex v, as a dict."""
+        return dict(zip(self.vertices, (self.vertices[i] for i in self._nearest(subtree))))
+
+    def entry_edges(self, subtree):
+        """Last edge (outside, inside) of the geodesic into the subtree from
+        each vertex outside it, as a dict: the inside end is the closest
+        vertex w of the subtree, the outside end the neighbour of w one step
+        closer to v."""
+        D, V = self.space.dist, self.vertices
+        near = self._nearest(subtree)
+        out = np.flatnonzero(near != np.arange(len(V)))
+        w = near[out]
+        step = (D[w] == 1) & (D[out] == D[out, w][:, None] - 1)
+        return {V[v]: (V[u], V[x]) for v, u, x in zip(out, step.argmax(axis=1), w)}
 
     def bridge(self, sub1, sub2):
         """Closest pair of vertices between two disjoint subtrees; ties go to
@@ -488,6 +495,8 @@ class _CombinedBuilder:
         self.warnings = warnings
         self.coned = {}
         self.rels = {}   # (c1.id, c2.id) -> rel_classes(c1, c2), both orders
+        self.entries = {}   # class id -> t.entry_edges(support), filled on use
+        self.least = {sid: min(sup, key=vkey) for sid, sup in supports.items()}
 
     # ---- helpers
 
@@ -532,12 +541,15 @@ class _CombinedBuilder:
         # disjoint supports: the image of the edge space across the last
         # edge of the bridge, projected and compared into the favorite model
         a, _ = self.t.bridge(src.support, dst.support)
-        return self.entry_value(dst, self.t.entry_edge(a, dst.support))
+        return self.entry_value(dst, a)
 
-    def entry_value(self, cls, edge):
-        """Projection of the edge space into the class, through the inside
-        endpoint of the given (outside, inside) edge."""
-        w, v = edge
+    def entry_value(self, cls, u):
+        """pi_[cls] of any point over the tree vertex u outside the support:
+        the projection of the edge space of the last edge of the geodesic
+        from u into the support, through its inside endpoint."""
+        if cls.id not in self.entries:
+            self.entries[cls.id] = self.t.entry_edges(cls.support)
+        w, v = self.entries[cls.id][u]
         e = self.t.edge_key(w, v)
         emb = self.t.edge_maps[(e, v)]
         rep = cls.rep_at[v]
@@ -547,13 +559,6 @@ class _CombinedBuilder:
     def base_marker(self, cls):
         vm = self.t.vertex_models[cls.favorite_vertex]
         return vm.proj[cls.favorite_rep](vm.space.vertices[0])
-
-    def proj_value(self, cls, v):
-        """pi_[cls] of any point living over tree vertex v (outside the
-        support this is a single bounded set per entry edge)."""
-        if v in cls.support:
-            return None
-        return self.entry_value(cls, self.t.entry_edge(v, cls.support))
 
     # ---- the build
 
@@ -653,7 +658,7 @@ class _CombinedBuilder:
                         vm.proj[cls.rep_at[v]](x[1]))
                 else:
                     if v not in outside:
-                        outside[v] = self.proj_value(cls, v)
+                        outside[v] = self.entry_value(cls, v)
                     val = outside[v]
                 imgs[x] = val
             proj[cls.id] = CoarseMap(X, hyp[cls.id], imgs, name="pi:%r" % (cls.id,))
@@ -702,7 +707,7 @@ class _CombinedBuilder:
         """A tree vertex for a point of a coned tree: cone points (labelled
         by support ids) go to the least vertex of their support."""
         if isinstance(p, tuple) and len(p) == 2 and p[0] == "cone":
-            return min(self.supports[p[1]], key=vkey)
+            return self.least[p[1]]
         return p
 
     def _support_point_map(self, from_sid, to_set, to_space):
@@ -767,7 +772,7 @@ class _CombinedBuilder:
             p = self._cone_base(p)
             if p in cls.support:
                 return inside
-            return self.entry_value(cls, self.t.entry_edge(p, cls.support))
+            return self.entry_value(cls, p)
 
         src = self.coned[key].space
         return CoarseMap(src, self.t.vertex_models[cls.favorite_vertex]
@@ -972,25 +977,28 @@ def audit_combined(c, require_decorated=None):
 
 def _support_large_links(c, threshold):
     """|maximal support elements with big pair distance| must be bounded by
-    the pair's distance in the ambient support element; zero tolerance."""
+    the pair's distance in the ambient support element; zero tolerance.
+    Scanned over the coordinate classes of each support element and the
+    supports below it; a violation's witness is its first vertex pair in
+    row-major order."""
     lat = c.model.lattice
     sup_ids = sorted(c.supports, key=vkey)
     bad = []
-    n = len(c.model.space)
     for S in sup_ids + [THAT]:
         nested = [X for X in sup_ids if X != S and lat.properly_nested(X, S)]
-        dS = c.model.pair_matrix(S)
         if not nested:
             continue
-        count = np.zeros((n, n), dtype=np.int64)
+        _, reps = c.model.coordinate_classes([S] + nested)
+        dS = c.model.class_table(S, reps)
+        count = np.zeros_like(dS)
         for _, mask in _innermost_big(lat, nested,
-                                      lambda X: c.model.pair_matrix(X) > threshold):
+                                      lambda X: c.model.class_table(X, reps) > threshold):
             count += mask
         viol = count > dS
         if viol.any():
             i, j = np.unravel_index(int(viol.argmax()), viol.shape)
-            bad.append((S, c.model.space.vertices[i], c.model.space.vertices[j],
-                        int(count[i, j]), int(dS[i, j])))
+            x, y = (c.model.space.vertices[r] for r in reps[[i, j]])
+            bad.append((S, x, y, int(count[i, j]), int(dS[i, j])))
     return bad
 
 

@@ -374,10 +374,9 @@ def test_tree_lookups_match_searches(case):
     if subset - other:
         assert t.bridge(subset - other, other) == \
             _bridge_reference(t, subset - other, other)
-    for v in t.vertices:
-        for sub in (sub1, sub2):
-            if v not in sub:
-                assert t.entry_edge(v, sub) == _entry_edge_reference(t, v, sub)
+    for sub in (sub1, sub2):
+        assert t.entry_edges(sub) == {v: _entry_edge_reference(t, v, sub)
+                                      for v in t.vertices if v not in sub}
     # vertex subsets have ties, which go to the least vertex
     for S in (subset, other, sub1, sub2):
         assert t.closest_vertices(S) == {v: t.closest_vertex(v, S) for v in t.vertices}
