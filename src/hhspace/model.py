@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spaces
 from .lattice import ValidationReport
 from .spaces import CoarseMap, coarse_map_constants, four_point_delta, groups, vkey
 
@@ -758,34 +759,76 @@ def _audit_large_links(model, E):
 
 
 def _audit_bgi(model):
-    """Interval variant: for each properly nested pair and each endpoint pair
-    in the ambient model, E must exceed min(distance from the interval to the
-    rho set, diameter of the interval's image under the downward map). The
-    witness is the first maximal endpoint pair in row-major order."""
-    lat = model.lattice
-    e_bgi, witness = 0, None
-    for (v, w) in lat.nest_pairs():
+    """Interval variant: for each properly nested pair (v, w) and each
+    endpoint pair (a, b) in C_w, E must exceed min(distance from the
+    interval I(a, b) to the rho set, diameter of the interval's image under
+    the downward map).
+
+    One FiniteSpace.interval_reduce pass per w serves every v nested in it,
+    through the recursion I(a, b) = {b} | U I(a, c) over the steps (c, b)
+    on geodesics from a: it reduces each v's rho distances with np.minimum
+    and its one-hot image-set bits (uint64 words) with np.bitwise_or, and
+    the image diameter is read once per distinct mask from the set table.
+    Witness rule: each v keeps its largest value with the first (a, b) in
+    row-major order that reaches it; the pairs are then taken in
+    nest_pairs() order, and a pair replaces the witness only with a
+    strictly larger value."""
+    pairs = model.lattice.nest_pairs()
+    by_w = {}
+    for v, w in pairs:
+        by_w.setdefault(w, []).append(v)
+    best = {}
+    for w, vs in by_w.items():
         CW = model.hyp[w]
-        rho = sorted(model.rho_set[(v, w)], key=vkey)
-        to_rho = CW.dist[:, CW.idx(rho)].min(axis=1)
-        rmap = model.rho_map[(v, w)]
-        M2 = rmap.set_table()[2]
-        k = len(M2)
-        # columns grouped by image set, so present[..., s] says whether the
-        # interval meets a vertex whose downward image is set s
-        order, starts = rmap.fibers()
+        to_rho = np.stack([CW.dist[:, CW.idx(list(model.rho_set[(v, w)]))].min(axis=1)
+                           for v in vs], axis=1)
+        tables = [model.rho_map[(v, w)].set_table() for v in vs]
+        words = np.cumsum([0] + [(len(M) + 63) // 64 for _, _, M in tables])
+        bits = np.zeros((len(CW), words[-1]), dtype=np.uint64)
         ends = np.arange(len(CW))
-        for a0, on in CW.intervals(ends, ends, extra=k * k):
-            gapv = np.where(on, to_rho, np.iinfo(np.int64).max).min(axis=-1)
-            present = np.logical_or.reduceat(on[..., order], starts, axis=-1)
-            both = present[..., :, None] & present[..., None, :]
-            diam = np.where(both, M2, 0).max(axis=(-2, -1))
-            vals = np.minimum(gapv, diam)
-            i, b = np.unravel_index(int(vals.argmax()), vals.shape)
-            if vals[i, b] > e_bgi:
-                e_bgi = int(vals[i, b])
-                witness = (v, w, CW.vertices[a0 + i], CW.vertices[b])
+        for (sids, _, _), w0 in zip(tables, words):
+            bits[ends, w0 + sids // 64] = np.uint64(1) << (sids % 64).astype(np.uint64)
+        run = [(0, None)] * len(vs)
+        for a0, (gap, mask) in CW.interval_reduce(ends, [(to_rho, np.minimum),
+                                                         (bits, np.bitwise_or)]):
+            for j, (_, _, M) in enumerate(tables):
+                masks = mask[:, :, words[j]:words[j + 1]].reshape(-1, words[j + 1] - words[j])
+                vals = np.minimum(gap[:, :, j].reshape(-1), _mask_diams(masks, M))
+                p = int(vals.argmax())
+                if vals[p] > run[j][0]:
+                    run[j] = (int(vals[p]), (a0 + p // len(CW), p % len(CW)))
+        for v, r in zip(vs, run):
+            best[v, w] = r
+    e_bgi, witness = 0, None
+    for v, w in pairs:
+        val, ab = best[v, w]
+        if val > e_bgi:
+            e_bgi = val
+            witness = (v, w) + tuple(model.hyp[w].vertices[x] for x in ab)
     return e_bgi, witness
+
+
+def _mask_diams(masks, M):
+    """Per row of masks (uint64 words of one-hot image-set bits): the
+    largest M[s, t] over the sets s, t the row holds, that is the diameter
+    of their union. Rows are made distinct first, folding in one word at a
+    time as coordinate_classes does, and each distinct row is unpacked and
+    measured once, in pieces of about _CHUNK_CELLS cells."""
+    _, first, key = np.unique(masks[:, 0], return_index=True, return_inverse=True)
+    for col in masks.T[1:]:
+        inv = np.unique(col, return_inverse=True)[1]
+        _, first, key = np.unique(key * (int(inv.max()) + 1) + inv,
+                                  return_index=True, return_inverse=True)
+    k = len(M)
+    s = np.arange(k)
+    present = ((masks[first][:, s // 64] >> (s % 64).astype(np.uint64)) & np.uint64(1)) > 0
+    diams = np.empty(len(first), dtype=M.dtype)
+    step = max(1, spaces._CHUNK_CELLS // (k * k))
+    for u0 in range(0, len(first), step):
+        P = present[u0:u0 + step]
+        rowmax = np.where(P[:, None, :], M, 0).max(axis=2)
+        diams[u0:u0 + step] = np.where(P, rowmax, 0).max(axis=1)
+    return diams[key]
 
 
 def _theta_table(model):

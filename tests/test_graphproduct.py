@@ -5,7 +5,7 @@ from hhspace.graphproduct import (NoSplitNeeded, ProductSpec, WindowTooLarge,
                                   free_product_window, split)
 from hhspace.model import audit_axioms, trivial_model
 from hhspace.spaces import path_graph
-from hhspace.treecombine import HypothesisFailure, audit_combined
+from hhspace.treecombine import ComparisonNotUniform, HypothesisFailure, audit_combined
 
 
 def spec_of(vertices, edges, bases, radius=2, budget=6000):
@@ -161,6 +161,23 @@ def test_raag_path_combined_audit():
     rep = audit_combined(res.combined)
     assert rep.ok, rep.summary()
     assert res.combined.decorated
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: a certified window fails its combined audit")
+def test_certified_cyclic2_path_window_passes_its_audit():
+    # the path a - b - c with cyclic(2) bases at radius 4 (|X| = 360,
+    # |S| = 27) builds with cert.ok, and audit_combined fails wedge-table;
+    # a build must either raise a typed failure or pass its own audit
+    spec = spec_of("abc", [("a", "b"), ("b", "c")],
+                   {v: ("cyclic", 2) for v in "abc"}, radius=4)
+    try:
+        res = build(spec)
+    except (HypothesisFailure, ComparisonNotUniform):
+        return
+    assert res.cert.ok
+    rep = audit_combined(res.combined)
+    assert rep.ok, rep.summary()
 
 
 def test_include_factory():

@@ -23,8 +23,8 @@ from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceed
                            distance_formula_fit, epsilon_support, gate,
                            gate_map, hq_check, measure_alpha, normalize, product_region,
                            realize, trivial_model, tuple_consistency_defect)
-from hhspace.spaces import CoarseMap, path_graph, single_point, vkey
-from test_spaces import connected_graphs
+from hhspace.spaces import CoarseMap, cycle_graph, path_graph, product_graph, single_point, vkey
+from test_spaces import _traced_peak, connected_graphs, metric_spaces
 
 L1 = ("l", "S1")
 R2 = ("r", "S2")
@@ -357,6 +357,82 @@ def nested_pairs(draw):
 @given(nested_pairs())
 def test_audit_bgi_matches_reference_on_random_pairs(m):
     assert _audit_bgi(m) == _audit_bgi_reference(m)
+
+
+def _bgi_model(hyp, top, nested, rho_set, rho_map):
+    """A model over C_top for the BGI pass alone: the projections are the
+    identity on top and constant elsewhere."""
+    lat = IndexLattice(list(hyp), top, nested_pairs=nested)
+    proj = {e: CoarseMap.identity(C) if e == top else
+            CoarseMap.constant(hyp[top], C, [C.vertices[0]]) for e, C in hyp.items()}
+    return HHSModel(hyp[top], lat, hyp, proj, rho_set, rho_map, name="bgi")
+
+
+@st.composite
+def bgi_models(draw):
+    """One to three elements V0.. under W, and W under T when drawn:
+    graph or table metrics, random rho sets and downward maps into small
+    spaces, so that the largest values tie across pairs."""
+    vs = ["V%d" % j for j in range(draw(st.integers(1, 3)))]
+    tops = ["W", "T"][:draw(st.integers(1, 2))]
+    hyp = {e: draw(metric_spaces(max_n=16 if e in tops else 5)) for e in vs + tops}
+    nested = [(v, "W") for v in vs] + [("W", "T")] * (len(tops) - 1)
+    pairs = IndexLattice(list(hyp), tops[-1], nested_pairs=nested).nest_pairs()
+
+    def subsets(C, most):
+        return st.frozensets(st.sampled_from(C.vertices), min_size=1, max_size=most)
+    rho_set = {(v, w): draw(subsets(hyp[w], 3)) for v, w in pairs}
+    rho_map = {(v, w): CoarseMap(hyp[w], hyp[v], {p: draw(subsets(hyp[v], 2))
+                                                  for p in hyp[w].vertices})
+               for v, w in pairs}
+    return _bgi_model(hyp, tops[-1], nested, rho_set, rho_map)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bgi_models())
+def test_audit_bgi_matches_reference_on_random_models(m):
+    assert _audit_bgi(m) == _audit_bgi_reference(m)
+
+
+def test_audit_bgi_witness_follows_nest_pairs_order():
+    # nest_pairs() runs (V0, T), (V0, W), (V1, T), (V1, W), (W, T); every
+    # pair but (V0, T) reaches 1 first at (1, 1), so the witness is on
+    # (V0, W), not on (V1, T), which comes first among the pairs under T
+    P5, P2 = path_graph(5), path_graph(2)
+    hyp = {"V0": P2, "V1": P2, "W": P5, "T": P5}
+    nested = [("V0", "W"), ("V1", "W"), ("W", "T")]
+    pairs = IndexLattice(list(hyp), "T", nested_pairs=nested).nest_pairs()
+    assert pairs == [("V0", "T"), ("V0", "W"), ("V1", "T"), ("V1", "W"), ("W", "T")]
+    rho_map = {(v, w): CoarseMap.constant(hyp[w], hyp[v], [0] if (v, w) == ("V0", "T")
+                                          else [0, 1]) for v, w in pairs}
+    m = _bgi_model(hyp, "T", nested, {p: {0} for p in pairs}, rho_map)
+    assert _audit_bgi(m) == _audit_bgi_reference(m) == (1, ("V0", "W", 1, 1))
+
+
+def test_audit_bgi_long_path_with_two_mask_words():
+    # C_W is a path of diameter 65 and the downward map is one-to-one, so
+    # there are 66 image sets, two uint64 words of them; with the rho set at
+    # 0, the interval from a to b > a scores min(a, b - a)
+    P = path_graph(66)
+    m = _bgi_model({"V": P, "W": P}, "W", [("V", "W")], {("V", "W"): {0}},
+                   {("V", "W"): CoarseMap.identity(P)})
+    assert _audit_bgi(m) == _audit_bgi_reference(m) == (32, ("V", "W", 32, 64))
+
+
+def test_audit_bgi_allocates_chunks_not_squares():
+    # one interval_reduce chunk of all rows would hold every endpoint pair's
+    # rho distance and mask words for each element below W: 4 MB on
+    # hagen(12) (|C_W| = 104, 13 elements below it) and 18 MB on a
+    # 300-vertex C_W with three below it; a chunk is about 32 k cells
+    assert _traced_peak(_audit_bgi, fixtures.hagen(12).target) < 1.5e6
+    CW, CV = product_graph(path_graph(15), cycle_graph(20)), path_graph(6)
+    vs = ["V0", "V1", "V2"]
+    rho_map = {(v, "W"): CoarseMap(CW, CV, {p: {p[0] // 3, (p[1] + j) % 6}
+                                            for p in CW.vertices})
+               for j, v in enumerate(vs)}
+    m = _bgi_model(dict.fromkeys(vs, CV) | {"W": CW}, "W", [(v, "W") for v in vs],
+                   {(v, "W"): {CW.vertices[7 * j]} for j, v in enumerate(vs)}, rho_map)
+    assert _traced_peak(_audit_bgi, m) < 1.5e6
 
 
 def _nested_consistency_reference(model, v, w):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from collections import deque
 from unittest import mock
@@ -192,6 +193,89 @@ def test_interval_kernel_matches_pairwise(case):
                     got = tuple(g.vertices[x] for x in on[i, j].nonzero()[0])
                     assert got == g.interval(g.vertices[r], v)
         assert seen == len(rows)
+
+
+@st.composite
+def metric_spaces(draw, max_n=30):
+    """A graph metric, or the table metric a vertex subset of a graph
+    inherits, whose step pairs may lie more than 1 apart."""
+    g = draw(connected_graphs(max_n=max_n))
+    if draw(st.booleans()):
+        return g.subspace(draw(st.frozensets(st.sampled_from(g.vertices), min_size=1)))
+    return g
+
+
+def _steps_reference(space):
+    """The definition: the ordered pairs (c, b) at positive distance with no
+    third vertex x on a geodesic between them, sorted by b and then by c."""
+    n, D = len(space), space.dist
+    return [(c, b) for b in range(n) for c in range(n)
+            if D[c, b] > 0 and not any(D[c, x] + D[x, b] == D[c, b]
+                                       for x in range(n) if x not in (c, b))]
+
+
+def _interval_reduce_reference(space, rows, values, reduce):
+    """One FiniteSpace.interval per (row, vertex) pair and a Python reduce."""
+    out = np.empty((len(rows), len(space)) + values.shape[1:], dtype=values.dtype)
+    for i, r in enumerate(rows):
+        for b, v in enumerate(space.vertices):
+            on = space.idx(space.interval(space.vertices[r], v))
+            out[i, b] = functools.reduce(reduce, values[on])
+    return out
+
+
+def _assert_interval_reduce_matches(g, rows, columns):
+    """Every budget: the default and one cell, which leaves one row per
+    chunk and splits the step scan into one middle vertex per chunk."""
+    refs = [_interval_reduce_reference(g, rows, v, reduce) for v, reduce in columns]
+    for cells in (spaces._CHUNK_CELLS, 1):
+        fresh = FiniteSpace(g.vertices, dist=g.dist)
+        with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
+            assert list(zip(*fresh.steps())) == _steps_reference(g)
+            seen = 0
+            for r0, outs in fresh.interval_reduce(rows, columns):
+                assert r0 == seen
+                for out, ref, (values, _) in zip(outs, refs, columns):
+                    part = ref[r0:r0 + len(out)]
+                    assert out.dtype == values.dtype and out.shape == part.shape
+                    assert (out == part).all()
+                seen += len(outs[0])
+            assert seen == len(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(metric_spaces(), st.data())
+def test_interval_reduce_matches_intervals(g, data):
+    n = len(g)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    small = st.integers(0, 60)
+
+    def table(elements, dtype, *shape):
+        cells = int(np.prod((n,) + shape))
+        drawn = data.draw(st.lists(elements, min_size=cells, max_size=cells))
+        return np.array(drawn, dtype=dtype).reshape((n,) + shape)
+    bits = st.integers(0, (1 << 64) - 1)
+    columns = [(table(small, np.int64), np.minimum),
+               (table(small, np.int64, 3), np.minimum),
+               (table(small, np.int64), np.maximum),
+               (table(small, np.int64, 2), np.maximum),
+               (table(bits, np.uint64), np.bitwise_or),
+               (table(bits, np.uint64, 2), np.bitwise_or)]
+    _assert_interval_reduce_matches(g, rows, columns)
+    if g.edges is not None:
+        assert sorted(zip(*g.steps())) == sorted(g.edges + tuple((b, c) for c, b in g.edges))
+
+
+def test_steps_of_a_table_metric_skip_vertices_left_out():
+    # 0, 3, 4, 9 of a path: steps 3, 1 and 5 long, and only 3 - 4 is 1 long
+    g = path_graph(10).subspace([0, 3, 4, 9])
+    assert list(zip(*g.steps())) == [(1, 0), (0, 1), (2, 1), (1, 2), (3, 2), (2, 3)]
+    ends = np.arange(4)
+    one_hot = np.left_shift(1, ends).astype(np.uint64)
+    _assert_interval_reduce_matches(g, ends, [(one_hot, np.bitwise_or),
+                                              (g.dist[:, :1], np.maximum)])
+    (_, (seen,)), = g.interval_reduce(ends, [(one_hot, np.bitwise_or)])
+    assert seen[0].tolist() == [1, 3, 7, 15]
 
 
 @st.composite
