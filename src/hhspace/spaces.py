@@ -5,8 +5,9 @@ A FiniteSpace is either a connected graph with the shortest-path metric
 carry the restricted ambient metric rather than the induced path metric).
 All distance conventions used by the auditors live here:
 
-- point distances are integers from the BFS table, which one
-  level-synchronous search from all sources at once fills (int64, n x n),
+- point distances are exact shortest-path integers (int64, n x n): a tree
+  takes a closed form over its DFS preorder, any other graph one
+  breadth-first search from all sources at once over bitsets,
 - the distance between two point-sets A, B is diam(A | B), the diameter of
   their union (the usual convention for projection distances),
 - ``gap`` is the minimal distance between sets, used for neighborhoods,
@@ -20,7 +21,8 @@ import numpy as np
 
 # cells (of any dtype) one chunk of FiniteSpace.intervals, one row chunk of
 # FiniteSpace.interval_reduce, one middle-vertex chunk of FiniteSpace.steps,
-# one piece of a BFS level or one chunk of the four-point scan may take;
+# one row chunk of the tree or bitset distance kernel, one neighbour gather
+# of a bitset BFS level or one chunk of the four-point scan may take;
 # small chunks keep the peak memory of these scans flat
 _CHUNK_CELLS = 1 << 15
 
@@ -65,16 +67,16 @@ class FiniteSpace:
             if self.dist.shape != (n, n):
                 raise ValueError("distance table shape mismatch")
         else:
-            es = []
-            adj = [[] for _ in range(n)]
+            es = set()
             for a, b in edges or ():
                 ia, ib = self.index[a], self.index[b]
-                if ia == ib:
-                    continue
-                es.append((min(ia, ib), max(ia, ib)))
+                if ia != ib:
+                    es.add((min(ia, ib), max(ia, ib)))
+            self.edges = tuple(sorted(es))
+            adj = [[] for _ in range(n)]
+            for ia, ib in self.edges:
                 adj[ia].append(ib)
                 adj[ib].append(ia)
-            self.edges = tuple(sorted(set(es)))
             self.dist = _bfs_all_pairs(n, adj)
             if (self.dist < 0).any():
                 raise ValueError("graph is not connected")
@@ -298,47 +300,145 @@ class FiniteSpace:
 
 
 def _bfs_all_pairs(n, adj):
-    """Breadth-first distances from every source at once; -1 marks a pair
-    that no path joins. The frontier holds the flat cells s * n + x of dist
-    whose x was reached from s at the last level. Each level expands it over
-    CSR neighbour arrays into candidate cells, in pieces of at most about
-    _CHUNK_CELLS candidates (one frontier cell at the least), and keeps each
-    unreached cell once. The work is O(n * m), as for n separate searches."""
-    deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-    first = np.cumsum(deg) - deg
-    nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg.sum()))
-    dist = np.full((n, n), -1, dtype=np.int64)
-    flat = dist.reshape(-1)
-    front = np.arange(n) * (n + 1)
-    flat[front] = 0
-    level = 0
-    while front.size:
-        level += 1
-        x = front % n
-        ends = np.cumsum(deg[x])
-        reached = []
-        lo = 0
-        while lo < len(front):
-            done = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK_CELLS, side="right")))
-            # frontier cell k expands into the cells of its row at the d[k]
-            # neighbours from nbr[first[x[k]]], at positions ends[k] - d[k]
-            # up to ends[k] of the level's candidates, counted here from done
-            xs = x[lo:hi]
-            d = deg[xs]
-            cand = np.repeat(front[lo:hi] - xs, d)
-            cand += nbr[np.repeat(first[xs] + d + done - ends[lo:hi], d)
-                        + np.arange(int(ends[hi - 1]) - done)]
-            cand = cand[flat[cand] < 0]
-            # a cell reached twice holds the tag of one copy only
-            tags = np.arange(-2, -2 - len(cand), -1)
-            flat[cand] = tags
-            cand = cand[flat[cand] == tags]
-            flat[cand] = level
-            reached.append(cand)
-            lo = hi
-        front = reached[0] if len(reached) == 1 else np.concatenate(reached)
+    """Shortest-path distances between all pairs of an undirected graph
+    given by symmetric neighbour lists; -1 marks a pair that no path joins.
+    Two exact kernels, chosen by the graph:
+
+    - A tree takes a closed form. The test: the lists hold 2 (n - 1)
+      entries, and one stack DFS from vertex 0 reaches all n vertices. A
+      connected graph needs n - 1 distinct edges that are not self-loops,
+      so with no more than n - 1 edges a cycle, a self-loop or a repeated
+      edge leaves the DFS short, and a graph that passes is a tree. The DFS
+      gives the preorder o and the depths q = dep[o]. For preorder
+      positions i < j, dep(lca(o[i], o[j])) = min(q[i+1..j]) - 1. Proof:
+      the subtree of the lca is contiguous in preorder and holds positions
+      i and j, so every vertex at i+1..j lies strictly below the lca; the
+      lca's child on the path to o[j] lies there too, as it comes after
+      o[i] and not after o[j]. So d = q[i] + q[j] - 2 dep(lca). A row is a
+      running minimum of q, forward for j > i and backward for j < i, so
+      the NumPy calls do not grow with the diameter.
+    - Any other graph takes a breadth-first search from all sources at once
+      over bitsets, as "<u8" words with bit s for source s: row x of nV
+      holds the sources that have not reached x yet, row x of F those that
+      reached x at the last level. A level ORs F over each vertex's
+      neighbours and keeps the bits still in nV. Bit-plane b ORs in the
+      level's new bits when bit b of the level is set, so
+      ceil(log2(diam + 1)) planes of n^2 / 8 bytes encode every distance in
+      binary; a pair still in nV at the end is unreached. Only vertices of
+      positive degree take part, as reduceat does not give the identity on
+      an empty segment. As the graph is undirected, the row of x decoded
+      from the planes is also the row of distances from x.
+
+    Both kernels fill dist in row chunks of about _CHUNK_CELLS cells, and
+    the bitset search gathers neighbour words in pieces of that size, so
+    they make no n x n temporary besides dist."""
+    dist = _tree_all_pairs(n, adj)
+    return _bitset_all_pairs(n, adj) if dist is None else dist
+
+
+def _tree_all_pairs(n, adj):
+    """The closed form of _bfs_all_pairs, or None if the graph is no tree."""
+    if sum(map(len, adj)) != 2 * (n - 1):
+        return None
+    order, depth = [], [-1] * n
+    depth[0] = 0
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in adj[x]:
+            if depth[y] < 0:
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    if len(order) < n:
+        return None
+    o = np.array(order, dtype=np.int64)
+    q = np.array(depth, dtype=np.int64)[o]
+    pos = np.empty(n, dtype=np.int64)
+    pos[o] = np.arange(n)
+    dist = np.empty((n, n), dtype=np.int64)
+    after = np.append(q[1:], n)
+    cols = np.arange(n)
+    step = max(1, _CHUNK_CELLS // n)
+    for i0 in range(0, n, step):
+        i = cols[i0:i0 + step, None]
+        # ahead[k, j] = min(q[i+1..j]) for j > i, behind[k, j] = min(q[j+1..i])
+        # for j < i; the other cells hold n, above every depth
+        ahead = np.where(cols > i, q, n)
+        np.minimum.accumulate(ahead, axis=1, out=ahead)
+        behind = np.where(cols < i, after, n)
+        np.minimum.accumulate(behind[:, ::-1], axis=1, out=behind[:, ::-1])
+        np.minimum(ahead, behind, out=ahead)
+        # d = q[i] + q[j] - 2 (min - 1), and 0 on the diagonal, where min = n
+        ahead *= -2
+        ahead += q
+        ahead += q[i] + 2
+        ahead[cols[:len(ahead)], i[:, 0]] = 0
+        dist[o[i0:i0 + step]] = ahead[:, pos]
     return dist
+
+
+def _bitset_all_pairs(n, adj):
+    """The bitset search of _bfs_all_pairs, for any graph."""
+    deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    dist = np.empty((n, n), dtype=np.int64)
+    # only vertices of positive degree take part: reduceat over an empty
+    # segment would return the next element, not the identity
+    live = np.flatnonzero(deg)
+    lone = np.flatnonzero(deg == 0)
+    dist[lone] = -1
+    dist[lone, lone] = 0
+    if not len(live):
+        return dist
+    words = (n + 63) // 64
+    slot = np.cumsum(deg > 0) - 1
+    nbr = slot[np.fromiter(chain.from_iterable(adj), dtype=np.int64,
+                           count=int(deg.sum()))]
+    ends = np.cumsum(deg[live])
+    starts = ends - deg[live]
+    # vertex ranges whose neighbour words fill about _CHUNK_CELLS cells
+    cut = [0]
+    while cut[-1] < len(live):
+        lo = cut[-1]
+        room = int(starts[lo]) + max(1, _CHUNK_CELLS // words)
+        cut.append(max(lo + 1, int(np.searchsorted(ends, room, side="right"))))
+    pieces = [(lo, hi, int(starts[lo]), int(ends[hi - 1]), starts[lo:hi] - starts[lo])
+              for lo, hi in zip(cut[:-1], cut[1:])]
+    F = np.zeros((len(live), words), dtype="<u8")
+    F[np.arange(len(live)), live >> 6] = np.left_shift(
+        np.uint64(1), (live & 63).astype(np.uint64))
+    nV = ~F
+    planes = []
+    level = 0
+    while True:
+        level += 1
+        G = np.empty_like(F)
+        for lo, hi, a, b, heads in pieces:
+            np.bitwise_or.reduceat(F[nbr[a:b]], heads, axis=0, out=G[lo:hi])
+        G &= nV
+        if not G.any():
+            break
+        nV ^= G
+        F = G
+        if level >> len(planes):
+            planes.append(np.zeros_like(G))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= G
+    step = max(1, _CHUNK_CELLS // n)
+    for r0 in range(0, len(live), step):
+        rows = slice(r0, r0 + step)
+        # unreached cells are 0 in every plane and 1 in nV
+        d = np.negative(_bits(nV[rows], n), dtype=np.int64)
+        for b, plane in enumerate(planes):
+            d |= np.left_shift(_bits(plane[rows], n), b, dtype=np.int64)
+        dist[live[rows]] = d
+    return dist
+
+
+def _bits(words, n):
+    """The first n bits of each row of "<u8" words, one uint8 0 / 1 each."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def groups(ids, k):

@@ -485,6 +485,28 @@ def build_combined(t):
         decorated=decorated, warnings=warnings)
 
 
+def _torn_vertex(t, edges):
+    """The first tree vertex whose points the glue edges of X leave in more
+    than one piece. A metric table contributes no edges to X, so its points
+    are joined only through the edge spaces (as a decoration's leaf is
+    joined whole to its base). Vertex graphs are connected and every tree
+    edge glues its two ends, so when X is not connected such a vertex
+    exists and its space is a table."""
+    root = {}
+
+    def find(p):
+        while root.get(p, p) != p:
+            p = root[p]
+        return p
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+    return next(v for v in t.vertices
+                if len({find((v, p)) for p in t.vertex_models[v].space.vertices}) > 1)
+
+
 class _CombinedBuilder:
     def __init__(self, t, classes, supports, owners, comp_maps, warnings):
         self.t = t
@@ -578,7 +600,11 @@ class _CombinedBuilder:
                 pa = sorted(ma.space_map(x), key=vkey)[0]
                 pb = sorted(mb.space_map(x), key=vkey)[0]
                 edges.append(((e[0], pa), (e[1], pb)))
-        X = FiniteSpace(verts, edges, name=t.name + "|X")
+        try:
+            X = FiniteSpace(verts, edges, name=t.name + "|X")
+        except ValueError:
+            raise HypothesisFailure("vertex space is a metric table, not a graph",
+                                    (_torn_vertex(t, edges),)) from None
 
         cls_ids = [c.id for c in self.classes]
         sup_ids = sorted(self.supports, key=vkey)

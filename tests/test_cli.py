@@ -8,7 +8,9 @@ import pytest
 import hhspace
 from hhspace import cli, serialize
 from hhspace.cli import main
-from hhspace.fixtures import bs_window, factor_inclusion, fixture_b_product, grid_product
+from hhspace.fixtures import (bs_window, factor_inclusion, fixture_b_product,
+                              free_product_z2_z3, grid_product)
+from hhspace.spaces import FiniteSpace
 from hhspace.graphproduct import ProductSpec
 
 
@@ -65,6 +67,21 @@ def test_combine_command_succeeds_on_small_window(tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(serialize.dumps(serialize.tree_to_json(tree)))
     assert run(["--out", tmp_path, "combine", path]) == 0
+
+
+def test_combine_command_rejects_table_vertex_spaces(tmp_path):
+    doc = serialize.tree_to_json(free_product_z2_z3(2).combined.tree)
+    for _, model in doc["vertex_models"]:
+        space = serialize.space_from_json(model["space"])
+        model["space"] = serialize.space_to_json(
+            FiniteSpace(space.vertices, dist=space.dist))
+    path = tmp_path / "tree.json"
+    path.write_text(serialize.dumps(doc))
+    assert run(["--out", tmp_path, "combine", path]) == 1
+    failure = json.loads((tmp_path / "failure.json").read_text())
+    assert failure["error"] == "HypothesisFailure"
+    assert failure["reason"] == "vertex space is a metric table, not a graph"
+    assert failure["witness"] == repr((("gp", 0, ()),))
 
 
 def test_product_command(tmp_path):

@@ -422,7 +422,7 @@ def adjacency_lists(draw, max_n=40):
 def test_bfs_matches_reference(case):
     n, adj = case
     ref = _bfs_reference(n, adj)
-    # 7 cells split nearly every level into pieces
+    # 7 cells split nearly every gather and fill into one-vertex pieces
     for cells in (spaces._CHUNK_CELLS, 7):
         with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
             dist = _bfs_all_pairs(n, adj)
@@ -440,11 +440,97 @@ def test_bfs_named_graphs(monkeypatch):
     assert (_bfs_all_pairs(n, path) == abs(ends[:, None] - ends[None, :])).all()
     star = [list(range(1, 30))] + [[0]] * 29
     assert (_bfs_all_pairs(30, star) == _bfs_reference(30, star)).all()
-    # one candidate per piece: every level of K_12 splits, the first into
-    # one piece per source
+    # one cell per chunk: every level of K_12 gathers one vertex at a time
+    # and every fill takes one row
     monkeypatch.setattr(spaces, "_CHUNK_CELLS", 1)
     complete = [[y for y in range(12) if y != x] for x in range(12)]
     assert (_bfs_all_pairs(12, complete) == 1 - np.eye(12, dtype=np.int64)).all()
+
+
+def _both_budgets(n, adj):
+    """_bfs_all_pairs at the default chunk budget and at one cell a chunk,
+    checked equal to the reference."""
+    ref = _bfs_reference(n, adj)
+    for cells in (spaces._CHUNK_CELLS, 1):
+        with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
+            dist = _bfs_all_pairs(n, adj)
+        assert dist.dtype == np.int64 and (dist == ref).all()
+    return ref
+
+
+@st.composite
+def labelled_trees(draw, max_n=70):
+    """Neighbour lists of a random tree on up to max_n vertices: each vertex
+    hangs off an earlier one, the labels are permuted and the lists
+    shuffled, so vertex 0 is any vertex and the DFS order is not the BFS
+    order."""
+    n = draw(st.integers(1, max_n))
+    label = draw(st.permutations(range(n)))
+    adj = [[] for _ in range(n)]
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        adj[label[u]].append(label[v])
+        adj[label[v]].append(label[u])
+    return n, [draw(st.permutations(nb)) for nb in adj]
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_trees())
+def test_tree_kernel_matches_reference(case):
+    n, adj = case
+    assert spaces._tree_all_pairs(n, adj) is not None
+    _both_budgets(n, adj)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+def test_bfs_at_word_boundaries(n):
+    # 64 sources fill one "<u8" word of the bitset search
+    path = [[y for y in (x - 1, x + 1) if 0 <= y < n] for x in range(n)]
+    cycle = [sorted({(x - 1) % n, (x + 1) % n} - {x}) for x in range(n)]
+    star = [list(range(1, n))] + [[0]] * (n - 1)
+    complete = [[y for y in range(n) if y != x] for x in range(n)]
+    for adj in (path, cycle, star, complete):
+        assert (_both_budgets(n, adj) >= 0).all()
+
+
+def _adjacency(n, edges):
+    """Neighbour lists of the graph on 0..n-1 with these edges."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+@pytest.mark.parametrize("n, edges, parts", [
+    # 2 (n - 1) list entries, yet no tree: the tree test must fall back
+    (6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 2)], [range(3), range(3, 6)]),
+    (6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 5)], [range(3), range(3, 6)]),
+    (6, [(0, 1), (1, 2), (1, 2), (3, 4), (4, 5)], [range(3), range(3, 6)]),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 0)], [range(4), [4]]),
+    (5, [(1, 2), (2, 3), (3, 4), (4, 1)], [[0], range(1, 5)]),
+    # isolated vertices first, inside and last, and a forest of three trees
+    (7, [(1, 2), (2, 4), (4, 5)], [[0], [1, 2, 4, 5], [3], [6]]),
+    (9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (6, 8)],
+     [range(3), range(3, 5), range(5, 9)]),
+])
+def test_non_trees_fall_back_with_unreached_pairs(n, edges, parts):
+    adj = _adjacency(n, edges)
+    assert spaces._tree_all_pairs(n, adj) is None
+    ref = _both_budgets(n, adj)
+    comp = np.empty(n, dtype=np.int64)
+    for k, part in enumerate(parts):
+        comp[list(part)] = k
+    assert ((ref < 0) == (comp[:, None] != comp[None, :])).all()
+
+
+def test_repeated_edges_still_take_the_tree_kernel():
+    edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
+    with mock.patch.object(spaces, "_bitset_all_pairs",
+                           side_effect=AssertionError("tree fell back")):
+        g = FiniteSpace(range(5), edges + [(b, a) for a, b in edges] + [(2, 2)])
+    assert g.edges == tuple(edges)
+    assert (g.dist == _bfs_reference(5, _adjacency(5, edges))).all()
 
 
 def _four_point_reference(space):
@@ -498,8 +584,8 @@ def _traced_peak(fn, *args):
 
 
 def test_kernels_allocate_chunks_not_cubes():
-    # a level of K_300 expands to 300 * 299 * 299 candidate cells: 214 MB
-    # of int64 unless it is split into _CHUNK_CELLS pieces
+    # a level of K_300 gathers 300 * 299 rows of 5 words: 3.6 MB unless it
+    # is split into _CHUNK_CELLS pieces
     n = 300
     complete = [[y for y in range(n) if y != x] for x in range(n)]
     assert _traced_peak(_bfs_all_pairs, n, complete) - 8 * n * n < 6e6
@@ -513,6 +599,21 @@ def test_kernels_allocate_chunks_not_cubes():
                 diamonds[mid].append(end)
                 diamonds[end].append(mid)
     assert _traced_peak(_bfs_all_pairs, n, diamonds) - 8 * n * n < 1e6
+    # an unchunked fill would hold several n x n int64 temporaries: 8 MB
+    # each for the path (tree kernel), 11.5 MB for the product (bitset)
+    n = 1000
+    path = [[y for y in (x - 1, x + 1) if 0 <= y < n] for x in range(n)]
+    assert _traced_peak(_bfs_all_pairs, n, path) - 8 * n * n < 3e6
+    g = product_graph(path_graph(40), cycle_graph(30))
+    n = len(g)
+    grid = _adjacency(n, g.edges)
+    assert spaces._tree_all_pairs(n, grid) is None
+    assert _traced_peak(_bfs_all_pairs, n, grid) - 8 * n * n < 3e6
+    # one unsplit gather of K_600's neighbour words would take 29 MB; its
+    # neighbour array and the renumbered copy take 2.9 MB each
+    n = 600
+    complete = [[y for y in range(n) if y != x] for x in range(n)]
+    assert _traced_peak(_bfs_all_pairs, n, complete) - 8 * n * n < 8e6
     # diameter 10, so int8 cells: 1770 pairs x 3600 cells would be 6 MB a
     # temporary, a chunk is 32 kB
     g = product_graph(path_graph(6), cycle_graph(10))

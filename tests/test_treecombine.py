@@ -441,3 +441,14 @@ def test_class_index_matches_scans(window):
     for sid in c.supports:
         assert [o.id for o in c.owners[sid]] == \
             [o.id for o in _owners_reference(c, sid)]
+
+
+def test_table_backed_vertex_space_is_a_hypothesis_failure():
+    # X is glued from the vertex graphs, so a vertex space given only as its
+    # metric table would leave its points unjoined
+    table = FiniteSpace.from_matrix(range(3), path_graph(3).dist)
+    t = point_edge_tree([path_graph(3), table, path_graph(2)])
+    with pytest.raises(HypothesisFailure) as exc:
+        build_combined(t)
+    assert exc.value.reason == "vertex space is a metric table, not a graph"
+    assert exc.value.witness == ("v1",)
