@@ -18,7 +18,7 @@ from .graphproduct import build
 from .lattice import MissingRelation
 from .model import audit_axioms, distance_formula_fit
 from .treecombine import (ComparisonNotUniform, HypothesisFailure,
-                          audit_combined, build_combined)
+                          audit_combined, build_combined, decorate)
 
 OK, HYPOTHESIS_FAILURE, SCHEMA_ERROR = 0, 1, 2
 
@@ -140,7 +140,6 @@ def cmd_audit(args):
 def cmd_combine(args):
     tree = _load(args.file, serialize.tree_from_json, "tree")
     if not args.no_decorate:
-        from .treecombine import decorate
         tree = decorate(tree, copy_cap=args.copy_cap)
     combined = build_combined(tree)
     rep = audit_combined(combined)

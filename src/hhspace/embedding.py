@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexmaps import verify_fullness, verify_index_map
+from .indexmaps import IndexMap, verify_fullness, verify_index_map
 from .lattice import ValidationReport
 from .model import (HHSModel, _audit_bgi, _least_grid_fit, _linear_need,
                     audit_axioms, gate_map, hq_check, product_region)
-from .spaces import CoarseMap, coarse_map_constants, qi_constants, vkey
+from .spaces import CoarseMap, coarse_map_constants, qi_constants
 
 
 class NotFull(Exception):
@@ -49,7 +49,6 @@ class Embedding:
 
     @classmethod
     def identity(cls, model, name="id"):
-        from .indexmaps import IndexMap
         return cls(model, model, CoarseMap.identity(model.space),
                    IndexMap.identity(model.lattice),
                    {U: CoarseMap.identity(model.hyp[U]) for U in model.elements},
@@ -104,9 +103,9 @@ def clipped_sum_compare(e, s, s2):
     for U in e.source.elements:
         T = e.source.pair_matrix(U)
         src = src + np.where(T >= s, T, 0)
-    # image side, evaluated at image points of the source vertices
-    reps = [sorted(e.space_map(x), key=vkey)[0] for x in e.source.space.vertices]
-    idx = e.target.space.idx(reps)
+    # image side, evaluated at the least image point of each source vertex
+    index = e.target.space.index
+    idx = [min(index[p] for p in e.space_map(x)) for x in e.source.space.vertices]
     img = np.zeros_like(src)
     for U in e.source.elements:
         T = e.target.pair_matrix(e.index_map(U))[np.ix_(idx, idx)]
@@ -201,13 +200,14 @@ def probe_embedding(e):
     kappa = max(1.0, xi, k0)
     region = product_region(tgt, s_img, kappa).F
     if not region:
-        region = frozenset([min(image, key=vkey)])
+        region = frozenset([min(image, key=tgt.space.index.__getitem__)])
 
     # the gates are measured whether or not their targets pass hq_check
     g_img = gate_map(tgt, image)
     g_reg = gate_map(tgt, region)
-    d1 = max(tgt.space.gap(g_reg.compose(g_img)(z), [z]) for z in region)
-    d2 = max(tgt.space.gap(g_img.compose(g_reg)(y), [y]) for y in image)
+    reg_img, img_reg = g_reg.compose(g_img), g_img.compose(g_reg)
+    d1 = max(tgt.space.gap(reg_img(z), [z]) for z in region)
+    d2 = max(tgt.space.gap(img_reg(y), [y]) for y in image)
 
     pullback = pullback_model(e)
     pb_audit = audit_axioms(pullback)
@@ -247,7 +247,7 @@ def pullback_model(e):
     the subspace metric on the image, the source lattice, and the target's
     hyperbolic models and data over the image of the index map."""
     tgt = e.target
-    image = sorted(e.image(), key=vkey)
+    image = tgt.space.ordered(e.image())
     sub = tgt.space.subspace(image, name=e.name + "|image")
     lat = e.source.lattice
     hyp, proj = {}, {}

@@ -19,15 +19,19 @@ test suite, the demos and the command line front end:
   element whose model cones all of them off.
 """
 
+import random
+
 from .embedding import Embedding
+from .graphproduct import (ProductSpec, build, direct_product_structure,
+                           factor_embedding)
 from .indexmaps import IndexMap
 from .lattice import IndexLattice
 from .model import HHSModel, trivial_model
-from .spaces import CoarseMap, FiniteSpace, cone_off, path_graph, single_point, vkey
+from .spaces import CoarseMap, FiniteSpace, cone_off, path_graph, single_point
+from .treecombine import TreeOfHHS
 
 
 def fixture_b_product():
-    from .graphproduct import direct_product_structure
     a = trivial_model(path_graph(0, 1), elt="S1", name="A")
     b = trivial_model(cycle_len3(), elt="S2", name="B")
     return direct_product_structure(a, b, name="fixtureB")
@@ -38,14 +42,12 @@ def cycle_len3():
 
 
 def grid_product(n1=5, n2=7):
-    from .graphproduct import direct_product_structure
     a = trivial_model(path_graph(0, n1 - 1), elt="S1", name="P%d" % n1)
     b = trivial_model(path_graph(0, n2 - 1), elt="S2", name="P%d" % n2)
     return direct_product_structure(a, b, name="grid%dx%d" % (n1, n2))
 
 
 def bounded_factor_product(n=7):
-    from .graphproduct import direct_product_structure
     a = trivial_model(path_graph(0, n - 1), elt="S1", name="P%d" % n)
     b = trivial_model(single_point("o"), elt="S2", name="pt")
     return direct_product_structure(a, b, name="bounded-factor")
@@ -54,7 +56,6 @@ def bounded_factor_product(n=7):
 def factor_inclusion(radius=3):
     """Left-factor inclusion into the product of two paths of the given
     radius (2*radius+1 vertices each)."""
-    from .graphproduct import direct_product_structure, factor_embedding
     a = trivial_model(path_graph(-radius, radius), elt="S1", name="F")
     b = trivial_model(path_graph(-radius, radius), elt="S2", name="G")
     prod = direct_product_structure(a, b, name="prod-r%d" % radius)
@@ -78,22 +79,20 @@ def hagen_target(r):
     axes = {"A": tuple((n, 0) for n in range(r + 1))}
     for n in range(1, r + 1):
         axes[("B", n)] = tuple((n, j) for j in range(n + 1))
-    elements = sorted(axes, key=vkey) + ["M"]
-
     nested = [(w, "M") for w in axes]
-    lattice = IndexLattice(elements, "M", nested, name=X.name)
+    lattice = IndexLattice(list(axes) + ["M"], "M", nested, name=X.name)
 
     hyp = {w: X.subspace(axes[w], name=str(w)) for w in axes}
     CM = cone_off(X, axes, name="coned-hull")
     hyp["M"] = CM
 
-    def tree_proj(axis):
-        pts = axes[axis]
-        def closest(x):
-            return min(pts, key=lambda p: (X.d(x, p), vkey(p)))
-        return CoarseMap.single(X, hyp[axis], closest, name="pi:%s" % (axis,))
-
-    proj = {w: tree_proj(w) for w in axes}
+    proj = {}
+    for w, pts in axes.items():
+        # each point goes to its nearest point of the axis
+        near = (X.vertices[i] for i in X.nearest(pts))
+        proj[w] = CoarseMap(X, hyp[w],
+                            {x: frozenset([p]) for x, p in zip(X.vertices, near)},
+                            name="pi:%s" % (w,))
     proj["M"] = CoarseMap.single(X, CM, lambda x: x, name="pi:M")
 
     rho_set, rho_map = {}, {}
@@ -104,7 +103,7 @@ def hagen_target(r):
             q = p if p in X.index else axes[p[1]][0]
             imgs[p] = proj[w](q)
         rho_map[(w, "M")] = CoarseMap(CM, hyp[w], imgs, name="rho:%s<-M" % (w,))
-    keys = sorted(axes, key=vkey)
+    keys = [w for w in lattice.elements if w != "M"]
     for i, w in enumerate(keys):
         for v in keys[i + 1:]:
             rho_set[(w, v)] = proj[v].image_of_set(axes[w])
@@ -140,9 +139,6 @@ def bs_window(k=2, radius=4):
     comparison maps of the single identification class stretch by k per
     step, so the combination's uniformity hypothesis fails with the window.
     """
-    from .embedding import Embedding
-    from .treecombine import TreeOfHHS
-
     def zball(n, name):
         return trivial_model(path_graph(-n, n), elt="Z", name=name)
 
@@ -176,7 +172,6 @@ def bs_window(k=2, radius=4):
 def free_product_z2_z3(radius=2):
     """Bass-Serre window of the free product of the cyclic groups of order
     two and three, built through the graph-product recursion."""
-    from .graphproduct import ProductSpec, build
     spec = ProductSpec(("a", "b"), frozenset(),
                        {"a": ("cyclic", 2), "b": ("cyclic", 3)},
                        window_radius=radius)
@@ -187,7 +182,6 @@ def raag_path(radius=2, ball=1):
     """The path on three vertices with integer-ball bases: the recursion
     splits at the middle vertex into the free product of the ends,
     amalgamated with its product with the middle."""
-    from .graphproduct import ProductSpec, build
     spec = ProductSpec(
         ("a", "b", "c"),
         frozenset([frozenset(("a", "b")), frozenset(("b", "c"))]),
@@ -201,10 +195,6 @@ def random_valid_lattice(seed, n=6):
     poset under a top element, orthogonality seeded on incomparable pairs
     and closed under inheritance (discarding seeds that would break
     exclusivity)."""
-    import random
-
-    from .lattice import IndexLattice
-
     rng = random.Random(seed)
     elems = list(range(n)) + ["S"]
     nested = {(i, "S") for i in range(n)}
@@ -212,14 +202,9 @@ def random_valid_lattice(seed, n=6):
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 nested.add((i, j))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(nested):
-            for (c, d) in list(nested):
-                if b == c and a != d and (a, d) not in nested:
-                    nested.add((a, d))
-                    changed = True
+    # the transitive closure, in element order: a walk over a set holding
+    # "S" would follow the string hash
+    nested = IndexLattice(elems, "S", nested).nest_pairs()
     comparable = {frozenset(p) for p in nested}
     seeds = set()
     for i in range(n):

@@ -12,14 +12,16 @@ fold into direct products, disconnected graphs into amalgams over the
 trivial group, everything else splits along the link of a pivot vertex.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
-from .embedding import Embedding
+from .embedding import Embedding, verify_embedding
+from .groups import FreeProductBases
 from .indexmaps import IndexMap
 from .lattice import IndexLattice
-from .model import HHSModel, trivial_model
-from .spaces import CoarseMap, product_graph, single_point, vkey
-from .treecombine import HypothesisFailure
+from .model import HHSModel, hq_check, trivial_model
+from .spaces import CoarseMap, product_graph, single_point
+from .treecombine import HypothesisFailure, TreeOfHHS, build_combined, decorate
 
 
 def _l(u):
@@ -49,7 +51,7 @@ def direct_product_structure(a, b, name=""):
         sides[_l(U)] = ("a", U)
     for U in b.elements:
         sides[_r(U)] = ("b", U)
-    tagged = sorted(sides, key=vkey)
+    tagged = list(sides)    # ("l", U) before ("r", U), each side in lattice order
     elements = list(tagged) + [("V", e) for e in tagged] + [TOP]
 
     def factor(e):
@@ -141,7 +143,8 @@ def direct_product_structure(a, b, name=""):
             if e != f and lattice.properly_nested(ve, ("V", e)):
                 rho_set[(ve, ("V", e))] = frozenset([point_of[e]])
                 rho_map[(ve, ("V", e))] = const_map(("V", e), ve, [point_of[f]])
-            if e != f and lattice.transverse(("V", e), ve) and vkey(e) < vkey(f):
+            if (e != f and lattice.transverse(("V", e), ve)
+                    and lattice.pos[e] < lattice.pos[f]):
                 rho_set[(("V", e), ve)] = frozenset([point_of[f]])
                 rho_set[(ve, ("V", e))] = frozenset([point_of[e]])
     return HHSModel(space, lattice, hyp, proj, rho_set, rho_map, name=name)
@@ -284,10 +287,7 @@ def split(spec):
         raise NoSplitNeeded("complete graph: direct product")
     if len(spec.components()) > 1:
         raise NoSplitNeeded("disconnected graph: free product")
-    pivot = max(spec.vertices, key=lambda v: (spec.degree(v),
-                                              [-ord(c) for c in str(v)]))
-    pivot = sorted([v for v in spec.vertices
-                    if spec.degree(v) == spec.degree(pivot)])[0]
+    pivot = max(spec.vertices, key=spec.degree)   # the first, so the least, at a tie
     rest = tuple(v for v in spec.vertices if v != pivot)
     return SplitData(pivot, spec.induced(rest), spec.link(pivot), spec)
 
@@ -295,7 +295,6 @@ def split(spec):
 def base_group_model(kind, label):
     """Cayley model of one vertex group: a cycle for cyclic groups, an
     integer ball for the infinite cyclic group."""
-    from .groups import FreeProductBases
     fp = FreeProductBases([kind])
     space = fp.base_cayley(0, label=lambda e, fp=fp: fp.normalize(((0, e),)))
     return trivial_model(space, elt="S", name="base:%s" % (label,))
@@ -318,11 +317,6 @@ def free_product_window(bases, labels, radius, budget, name=""):
     edge groups. For three or more factors the tree takes the star-of-groups
     form, with a point vertex per glued group element adjacent to its
     cosets (coset-to-coset hops then cost two)."""
-    from collections import deque
-
-    from .groups import FreeProductBases
-    from .treecombine import TreeOfHHS
-
     fp = FreeProductBases(bases)
     k = len(bases)
     if k < 2:
@@ -365,7 +359,9 @@ def free_product_window(bases, labels, radius, budget, name=""):
                         raise WindowTooLarge("window exceeds budget %d" % budget)
                     queue.append((u, j, g))
                 if k == 2:
-                    e = tuple(sorted((v, u), key=vkey))
+                    # the factor-0 coset first, so an edge found from either
+                    # end has one key
+                    e = (v, u) if i < j else (u, v)
                     if e not in edge_models:
                         pm = trivial_model(single_point(("e", g)), elt="SE",
                                            name="edge|%r" % (g,))
@@ -380,7 +376,7 @@ def free_product_window(bases, labels, radius, budget, name=""):
                             single_point(g), elt="S", name="el|%r" % (g,))
                         total += 1
                     for endpoint in (v, u):
-                        e = tuple(sorted((ev, endpoint), key=vkey))
+                        e = (ev, endpoint)
                         if e not in edge_models:
                             pm = trivial_model(single_point(("e", g, endpoint)),
                                                elt="SE")
@@ -402,8 +398,6 @@ def amalgam_star_window(side_model, pivot_model, name=""):
     product of the link model and the pivot base, and one leaf per pivot
     ball element carrying a copy of the link model, glued along link copies
     through the corresponding product slice."""
-    from .treecombine import TreeOfHHS
-
     center = ("Q",)
     Q = direct_product_structure(side_model, pivot_model, name="center")
     verts = {center: Q}
@@ -411,7 +405,7 @@ def amalgam_star_window(side_model, pivot_model, name=""):
     for anchor in pivot_model.space.vertices:
         leaf = ("P", anchor)
         verts[leaf] = side_model
-        e = tuple(sorted((center, leaf), key=vkey))
+        e = (center, leaf)
         edges.append(e)
         edge_models[e] = side_model
         edge_maps[(e, leaf)] = Embedding.identity(side_model)
@@ -487,9 +481,6 @@ def _certify_inclusion(name, emb):
     BOUNDED_DIAM (the free-product windows) are quasi-isometries with constants within the
     model diameter; those count as isometric-up-to-bounded and the branch
     taken is recorded."""
-    from .embedding import verify_embedding
-    from .model import hq_check
-
     rep = verify_embedding(emb)
     hq = hq_check(emb.target, emb.image())
     worst = rep.measured["hyp_qi"]
@@ -570,8 +561,6 @@ def _build_complete(spec, levels):
 
 
 def _build_free(spec, comps, levels):
-    from .treecombine import build_combined, decorate
-
     sub_results = []
     for comp in comps:
         if len(comp) > 1:
@@ -587,7 +576,6 @@ def _build_free(spec, comps, levels):
     model = combined.model
 
     def component_embedding(idx):
-        from .groups import FreeProductBases
         fp = FreeProductBases(bases)
         sub_model = sub_results[idx][0]
         root = ("gp", idx, ())
@@ -641,8 +629,6 @@ def _class_of(combined, vertex, elt):
 
 
 def _build_split(spec, levels):
-    from .treecombine import build_combined, decorate
-
     data = split(spec)
     v = data.pivot
     link = data.link
@@ -650,7 +636,10 @@ def _build_split(spec, levels):
     if tuple(sorted(link)) != left.vertices:
         # the general amalgam needs coset windows over a proper subgroup of
         # the complement; see the decisions on scope
-        raise_unimplemented_amalgam(spec, data)
+        raise HypothesisFailure(
+            "splitting whose link differs from the pivot complement needs "
+            "coset windows over a proper subgroup; not implemented for %r"
+            % (spec.vertices,), data.pivot)
     p_model, _, p_include = _build_sub(left, levels)
     pivot_model = base_group_model(spec.bases[v], v)
     window = decorate(amalgam_star_window(p_model, pivot_model,
@@ -658,8 +647,8 @@ def _build_split(spec, levels):
     combined = build_combined(window)
     model = combined.model
     center = ("Q",)
-    leaves = sorted((w for w in combined.tree.vertices
-                     if isinstance(w, tuple) and w and w[0] == "P"), key=vkey)
+    leaves = [w for w in combined.tree.vertices
+              if isinstance(w, tuple) and w and w[0] == "P"]
 
     def side_embedding(leaf):
         sub = window.vertex_models[leaf]
@@ -687,10 +676,3 @@ def _build_split(spec, levels):
         raise HypothesisFailure(
             "inclusion through the pivot side is not implemented", theta)
     return model, combined, include
-
-
-def raise_unimplemented_amalgam(spec, data):
-    raise HypothesisFailure(
-        "splitting whose link differs from the pivot complement needs "
-        "coset windows over a proper subgroup; not implemented for %r"
-        % (spec.vertices,), data.pivot)

@@ -8,7 +8,6 @@ element; full maps commute with wedges and joins.
 """
 
 from .lattice import EMPTY, NotALattice, ValidationReport
-from .spaces import vkey
 
 
 class DomainMismatch(Exception):
@@ -23,7 +22,7 @@ class IndexMap:
         self.mapping = dict(mapping)
         missing = [e for e in source.elements if e not in self.mapping]
         if missing:
-            raise ValueError("index map undefined on %s" % sorted(missing, key=vkey))
+            raise ValueError("index map undefined on %s" % missing)
 
     def __call__(self, e):
         if e is EMPTY:
@@ -84,9 +83,9 @@ def verify_fullness(m):
     for u in m.target.below(top_image):
         if u not in image:
             rep.add("missing-preimage", (u,), "nested in %r but not hit" % (top_image,))
-    for e, img in sorted(m.mapping.items(), key=lambda kv: vkey(kv[0])):
-        if not m.target.nested(img, top_image):
-            rep.add("image-escapes", (e, img))
+    for e in m.source.elements:
+        if not m.target.nested(m.mapping[e], top_image):
+            rep.add("image-escapes", (e, m.mapping[e]))
     return rep
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .lattice import ValidationReport
-from .spaces import CoarseMap, coarse_map_constants, four_point_delta, groups, vkey
+from .lattice import ValidationReport, singleton_lattice
+from .spaces import CoarseMap, coarse_map_constants, four_point_delta, groups
 
 
 class NoConsistentTuple(Exception):
@@ -223,11 +223,11 @@ class HHSModel:
             if U not in self.proj:
                 rep.add("missing-projection", (U,))
         for i, a in enumerate(lat.elements):
-            for b in lat.elements:
+            for j, b in enumerate(lat.elements):
                 if a == b:
                     continue
                 r = lat.rel(a, b)
-                if r == "trans" and vkey(a) < vkey(b):
+                if r == "trans" and i < j:
                     for (p, q) in ((a, b), (b, a)):
                         if (p, q) not in self.rho_set:
                             rep.add("missing-rho-set", (p, q), "transverse pair")
@@ -245,7 +245,6 @@ class HHSModel:
 
 def trivial_model(space, elt="S", name=""):
     """One-element structure: the space is its own hyperbolic model."""
-    from .lattice import singleton_lattice
     lat = singleton_lattice(elt, name=name)
     return HHSModel(space, lat, {elt: space}, {elt: CoarseMap.identity(space)},
                     name=name or "trivial")
@@ -306,7 +305,7 @@ def tuple_consistency_defect(model, coords):
     largest coordinate diameter."""
     lat = model.lattice
     worst = 0
-    keys = sorted(coords, key=vkey)
+    keys = sorted(coords, key=lat.pos.__getitem__)
     diam = max(model.hyp[U].diam_set(coords[U]) for U in keys)
     for i, V in enumerate(keys):
         for W in keys[i + 1:]:
@@ -338,8 +337,7 @@ def realize(model, coords, kappa=None):
         if worst > kappa or diam > kappa:
             raise NoConsistentTuple("defect %s, coordinate diameter %s exceed kappa=%s"
                                     % (worst, diam, kappa))
-    keys = sorted(coords, key=vkey)
-    stack = np.stack([model.dist_to_set_array(U, coords[U]) for U in keys])
+    stack = np.stack([model.dist_to_set_array(U, S) for U, S in coords.items()])
     mins = stack.max(axis=0)
     i = int(mins.argmin())
     return model.space.vertices[i], int(mins[i])
@@ -373,7 +371,7 @@ def product_region(model, U, kappa):
     P = frozenset(model.space.vertices[i] for i in P_idx)
     if not P:
         return ProductRegion(U, kappa, frozenset(), frozenset(), P, [])
-    x0 = min(P, key=vkey)
+    x0 = model.space.vertices[P_idx[0]]
     orth = [V for V in lat.elements if lat.orthogonal(U, V)]
     nested = [V for V in lat.elements if lat.nested(V, U)]
 
@@ -386,7 +384,7 @@ def product_region(model, U, kappa):
     F = _match(x0, orth)
     E = _match(x0, nested)
     copies, seen = [], set()
-    for e in sorted(E, key=vkey):
+    for e in model.space.ordered(E):
         copy = _match(e, orth)
         if copy not in seen:
             seen.add(copy)
@@ -431,8 +429,7 @@ def hq_check(model, subset):
         k0 = max(k0, model.hyp[U].qc_constant(img))
     gaps = np.stack([model.gap_to_set_array(U, model.proj[U].image_of_set(subset))
                      for U in model.elements]).max(axis=0)
-    sub_idx = model.space.idx(sorted(subset, key=vkey))
-    to_sub = model.space.dist[:, sub_idx].min(axis=1)
+    to_sub = model.space.dist[:, model.space.idx(list(subset))].min(axis=1)
     table = {}
     for kappa in sorted(set(int(g) for g in gaps)):
         table[kappa] = int(to_sub[gaps <= kappa].max())
@@ -457,27 +454,26 @@ def gate_map(model, target):
     projections of the projections of x; ties break to the least vertex.
     The target is not checked for hierarchical quasiconvexity here."""
     target = frozenset(target)
-    t_sorted = sorted(target, key=vkey)
-    t_idx = model.space.idx(t_sorted)
+    t_idx = np.sort(model.space.idx(list(target)))
     # worst[t, x]: max over U of the distance from pi_U(t) to the points of
     # pi_U(target) closest to pi_U(x); x gates to the t minimizing it
-    worst = np.zeros((len(t_sorted), len(model.space)), dtype=np.int64)
+    worst = np.zeros((len(t_idx), len(model.space)), dtype=np.int64)
     for U in model.elements:
         m = model.proj[U]
         rec = m.image_sets()
-        A = sorted(m.image_of_set(target), key=vkey)
+        A = m.codomain.ordered(m.image_of_set(target))
         A_idx = m.codomain.idx(A)
         gaps = m.per_set(A, np.minimum)
         closest = gaps == gaps.min(axis=1, keepdims=True)
         # far[t, p] = dset(pi_U(t), {p}) for target points t and p in A
         far = m.dset_points(A)[rec.sids[t_idx]]
-        col = np.empty((len(t_sorted), len(rec.sets)), dtype=np.int64)
+        col = np.empty((len(t_idx), len(rec.sets)), dtype=np.int64)
         for a, near in enumerate(closest):
             diam = m.codomain.dist[np.ix_(A_idx[near], A_idx[near])].max()
             col[:, a] = np.maximum(far[:, near].max(axis=1), diam)
         np.maximum(worst, col[:, rec.sids], out=worst)
-    best = worst.argmin(axis=0)
-    out = {x: frozenset([t_sorted[i]]) for x, i in zip(model.space.vertices, best)}
+    V = model.space.vertices
+    out = {x: frozenset([V[i]]) for x, i in zip(V, t_idx[worst.argmin(axis=0)])}
     return CoarseMap(model.space, model.space, out, name="gate")
 
 
@@ -522,8 +518,7 @@ def concretize(model, eps=None):
     xi, k0 = model.basics()
     region = product_region(model, s_eps, max(xi, k0))
     core = region.F if region.F else frozenset([model.basepoint])
-    ii = model.space.idx(sorted(core, key=vkey))
-    dist_to_core = int(model.space.dist[:, ii].min(axis=1).max())
+    dist_to_core = int(model.space.dist[:, model.space.idx(list(core))].min(axis=1).max())
     sub = submodel(model, keep, s_eps)
     return ConcretizeResult(sub, True, s_eps, removed, eps, dist_to_core)
 
@@ -638,7 +633,7 @@ def measure_alpha(model, budget=500000):
                 pin = np.maximum(pin, model.dist_to_set_array(W, model.rho_set[(V, W)]))
         pin_row[V] = pin
         m = model.proj[V]
-        pts = sorted(m.image(), key=vkey)
+        pts = m.codomain.ordered(m.image())
         point_rows[V] = m.dset_points(pts).T[:, m.image_sets().sids]
     for Vs in _orthogonal_families(lat):
         pin = np.maximum.reduce([pin_row[Vj] for Vj in Vs])
@@ -869,14 +864,14 @@ def normalize(model, radius=1):
         new_rset[(a, b)] = frozenset(S)
     for (v, w), rmap in model.rho_map.items():
         CW, CV = new_hyp[w], new_hyp[v]
+        # an image that misses CV goes to its nearest point of CV, the least
+        # at a tie: one argmin per distinct image set
+        sids = rmap.image_sets().sids
+        near = rmap.per_set(CV.vertices, np.minimum).argmin(axis=1)
         imgs = {}
         for p in CW.vertices:
-            img = set(rmap(p)) & set(CV.vertices)
-            if not img:
-                old = sorted(rmap(p), key=vkey)
-                img = {min(CV.vertices,
-                           key=lambda q: (model.hyp[v].gap([q], old), vkey(q)))}
-            imgs[p] = frozenset(img)
+            img = frozenset(q for q in rmap(p) if q in CV)
+            imgs[p] = img or frozenset([CV.vertices[near[sids[rmap.domain.index[p]]]]])
         new_rmap[(v, w)] = CoarseMap(CW, CV, imgs, name=rmap.name)
     return HHSModel(model.space, model.lattice, new_hyp, new_proj,
                     new_rset, new_rmap, name=model.name + "|norm")

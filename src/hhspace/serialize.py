@@ -10,10 +10,12 @@ unlisted pairs are rejected.
 import json
 
 from .embedding import Embedding
+from .graphproduct import ProductSpec
 from .indexmaps import IndexMap
 from .lattice import IndexLattice
 from .model import HHSModel
 from .spaces import CoarseMap, FiniteSpace, vkey
+from .treecombine import TreeOfHHS
 
 
 def _freeze(x):
@@ -194,8 +196,6 @@ def tree_to_json(t):
 
 
 def tree_from_json(doc):
-    from .treecombine import TreeOfHHS
-
     verts = [_freeze(v) for v in doc["vertices"]]
     edges = [tuple(sorted((_freeze(a), _freeze(b)), key=vkey))
              for a, b in doc["edges"]]
@@ -226,8 +226,6 @@ def spec_to_json(spec):
 
 
 def spec_from_json(doc):
-    from .graphproduct import ProductSpec
-
     graph = doc["graph"]
     verts = [_freeze(v) for v in graph["vertices"]]
     edges = frozenset(frozenset((_freeze(a), _freeze(b)))

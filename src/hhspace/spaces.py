@@ -11,7 +11,12 @@ All distance conventions used by the auditors live here:
 - the distance between two point-sets A, B is diam(A | B), the diameter of
   their union (the usual convention for projection distances),
 - ``gap`` is the minimal distance between sets, used for neighborhoods,
-  gates and Hausdorff distances.
+  gates and Hausdorff distances,
+- ``nearest`` answers every closest-point question: for each vertex, the
+  index of its nearest vertex of a subset, ties going to the least index.
+
+Labels are ordered here once, by ``vkey``: ``vertices`` is sorted by it and
+``index`` holds that order, so other modules compare indices, not labels.
 """
 
 from collections import namedtuple
@@ -115,6 +120,10 @@ class FiniteSpace:
     def idx(self, vs):
         return np.fromiter((self.index[v] for v in vs), dtype=np.int64, count=len(vs))
 
+    def ordered(self, vs):
+        """The labels vs in index order."""
+        return sorted(vs, key=self.index.__getitem__)
+
     def d(self, u, v):
         return int(self.dist[self.index[u], self.index[v]])
 
@@ -140,6 +149,13 @@ class FiniteSpace:
         ia, ib = self.idx(list(A)), self.idx(list(B))
         m = self.dist[np.ix_(ia, ib)]
         return int(max(m.min(axis=1).max(), m.min(axis=0).max()))
+
+    def nearest(self, subset):
+        """For every vertex index, the index of the nearest vertex of the
+        subset: one argmin over the subset's columns in index order, so ties
+        go to the least index, which is also the least label."""
+        cols = np.sort(self.idx(list(subset)))
+        return cols[self.dist[:, cols].argmin(axis=1)]
 
     def neighborhood(self, A, r):
         ia = self.idx(list(A))

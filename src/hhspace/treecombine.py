@@ -25,16 +25,20 @@ what detects the exponential-distortion counterexample windows).
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .embedding import Embedding, verify_embedding
 from .indexmaps import IndexMap
-from .lattice import IndexLattice, ValidationReport
+from .lattice import EMPTY, IndexLattice, NotALattice, ValidationReport
 from .model import (AxiomEntry, HHSModel, _innermost_big, audit_axioms,
-                    hq_check, product_region)
+                    concretize, hq_check, measure_alpha, product_region)
 from .spaces import (CoarseMap, FiniteSpace, cone_off, coarse_map_constants,
-                     qi_constants, sorted_vertices, vkey)
+                     qi_constants)
+
+# support ids ("T", rank) in rank order
+_rank = itemgetter(1)
 
 
 class HypothesisFailure(Exception):
@@ -65,24 +69,29 @@ class NotInSupport(Exception):
 class TreeOfHHS:
     """tree vertices/edges with models and edge embeddings.
 
-    edge_maps is keyed by (edge, endpoint) where edge is a sorted vertex
-    pair; each value embeds the edge model into the endpoint vertex model.
-    Every tree question below is a lookup in the distance table of space.
+    edge_maps is keyed by (edge, endpoint); each value embeds the edge model
+    into the endpoint vertex model. Edges may be given either way round:
+    edges and the keys of edge_models and edge_maps are stored as edge_key
+    gives them, the vertex of lesser index first. Every tree question below
+    is a lookup in the distance table of space, whose index orders the
+    vertices.
     """
 
     def __init__(self, vertices, edges, vertex_models, edge_models, edge_maps,
                  name=""):
         self.name = name
-        self.vertices = sorted_vertices(vertices)
-        self.edges = tuple(sorted((tuple(sorted(e, key=vkey)) for e in edges),
-                                  key=lambda e: (vkey(e[0]), vkey(e[1]))))
-        if len(self.edges) != len(self.vertices) - 1:
+        vertices, edges = list(vertices), list(edges)
+        if len(edges) != len(set(vertices)) - 1:
             raise ValueError("not a tree: %d vertices, %d edges"
-                             % (len(self.vertices), len(self.edges)))
+                             % (len(set(vertices)), len(edges)))
+        # a connected graph on n vertices with n - 1 edges has them distinct
+        self.space = FiniteSpace(vertices, edges, name=name + "|T")
+        self.vertices = V = self.space.vertices
+        self.edges = tuple((V[a], V[b]) for a, b in self.space.edges)
         self.vertex_models = dict(vertex_models)
-        self.edge_models = dict(edge_models)
-        self.edge_maps = dict(edge_maps)
-        self.space = FiniteSpace(self.vertices, self.edges, name=name + "|T")
+        self.edge_models = {self.edge_key(*e): m for e, m in edge_models.items()}
+        self.edge_maps = {(self.edge_key(*e), v): m
+                          for (e, v), m in edge_maps.items()}
 
     def path(self, u, v):
         """The unique geodesic vertex sequence from u to v: the interval
@@ -93,24 +102,20 @@ class TreeOfHHS:
         return tuple(self.space.vertices[w] for w in on[np.argsort(D[i, on])])
 
     def edge_key(self, a, b):
-        return tuple(sorted((a, b), key=vkey))
+        index = self.space.index
+        return (a, b) if index[a] < index[b] else (b, a)
 
     def closest_vertex(self, v, subtree):
-        """The nearest vertex of the subtree; ties break to the least vertex
-        (space indices follow vkey order)."""
+        """The nearest vertex of the subtree; ties break to the least index.
+        A reference for FiniteSpace.nearest, one vertex at a time."""
         index = self.space.index
         row = self.space.dist[index[v]]
         return min(subtree, key=lambda w: (row[index[w]], index[w]))
 
-    def _nearest(self, subtree):
-        """Index of closest_vertex(v, subtree) for every vertex index v: one
-        argmin over the subtree's columns in index order."""
-        cols = np.sort(self.space.idx(list(subtree)))
-        return cols[self.space.dist[:, cols].argmin(axis=1)]
-
     def closest_vertices(self, subtree):
         """closest_vertex(v, subtree) for every tree vertex v, as a dict."""
-        return dict(zip(self.vertices, (self.vertices[i] for i in self._nearest(subtree))))
+        V = self.vertices
+        return dict(zip(V, (V[i] for i in self.space.nearest(subtree))))
 
     def entry_edges(self, subtree):
         """Last edge (outside, inside) of the geodesic into the subtree from
@@ -118,7 +123,7 @@ class TreeOfHHS:
         vertex w of the subtree, the outside end the neighbour of w one step
         closer to v."""
         D, V = self.space.dist, self.vertices
-        near = self._nearest(subtree)
+        near = self.space.nearest(subtree)
         out = np.flatnonzero(near != np.arange(len(V)))
         w = near[out]
         step = (D[w] == 1) & (D[out] == D[out, w][:, None] - 1)
@@ -126,11 +131,12 @@ class TreeOfHHS:
 
     def bridge(self, sub1, sub2):
         """Closest pair of vertices between two disjoint subtrees; ties go to
-        the least vertex of sub1, then of sub2."""
+        the least vertex of sub1, then of sub2: the nearest vertex of sub2
+        from each row of sub1, then the first row at the minimum."""
         rows = np.sort(self.space.idx(list(sub1)))
-        cols = np.sort(self.space.idx(list(sub2)))
-        i, j = divmod(int(self.space.dist[np.ix_(rows, cols)].argmin()), len(cols))
-        return self.space.vertices[rows[i]], self.space.vertices[cols[j]]
+        near = self.space.nearest(sub2)[rows]
+        i = int(self.space.dist[rows, near].argmin())
+        return self.space.vertices[rows[i]], self.space.vertices[near[i]]
 
 
 @dataclass
@@ -148,7 +154,16 @@ class EquivClass:
 
 
 def equivalence_classes(t):
-    """Union-find closure of the edge identifications of index elements."""
+    """Union-find closure of the edge identifications of index elements.
+    A (vertex, element) node ranks by the tree index of the vertex, then by
+    the element's position in the vertex lattice; roots and classes go by
+    that rank."""
+    index = t.space.index
+    pos = {v: m.lattice.pos for v, m in t.vertex_models.items()}
+
+    def rank(node):
+        return index[node[0]], pos[node[0]][node[1]]
+
     parent = {}
 
     def find(x):
@@ -162,7 +177,7 @@ def equivalence_classes(t):
     def union(x, y):
         rx, ry = find(x), find(y)
         if rx != ry:
-            if vkey(ry) < vkey(rx):
+            if rank(ry) < rank(rx):
                 rx, ry = ry, rx
             parent[ry] = rx
 
@@ -179,7 +194,7 @@ def equivalence_classes(t):
     for node in parent:
         groups.setdefault(find(node), []).append(node)
     out = []
-    for root, members in sorted(groups.items(), key=lambda kv: vkey(kv[0])):
+    for root, members in sorted(groups.items(), key=lambda kv: rank(kv[0])):
         rep_at = {}
         for (v, U) in members:
             if v in rep_at and rep_at[v] != U:
@@ -190,10 +205,10 @@ def equivalence_classes(t):
         _check_connected(t, support)
         # favorites prefer original tree vertices: decoration leaves carry
         # restricted lattices whose containers undershoot the ambient ones
-        fav = min(support, key=lambda v: (_deco_depth(v), vkey(v)))
+        fav = min(support, key=lambda v: (_deco_depth(v), index[v]))
         out.append(EquivClass(("c", fav, rep_at[fav]), frozenset(members),
                               support, rep_at, fav, rep_at[fav]))
-    out.sort(key=lambda c: vkey(c.id))
+    out.sort(key=lambda c: rank((c.favorite_vertex, c.favorite_rep)))
     return out
 
 
@@ -211,7 +226,7 @@ def _check_connected(t, support):
     ids = t.space.idx(list(support))
     if (t.space.dist[np.ix_(ids, ids)] == 1).sum() != 2 * (len(ids) - 1):
         raise HypothesisFailure("class support is not connected",
-                                tuple(sorted(support, key=vkey)))
+                                tuple(t.space.ordered(support)))
 
 
 # -- decoration ----------------------------------------------------------------
@@ -242,14 +257,14 @@ def decorate(t, copy_cap=2):
         tops = [U for U in lat.elements if U != lat.maximal
                 and not any(lat.properly_nested(U, W) and W != lat.maximal
                             for W in lat.elements)]
-        for U in sorted(tops, key=vkey):
+        for U in tops:
             region = _thinnest_region(model, U, cap)
             for k, (anchor, copyset) in enumerate(region.copies[:copy_cap]):
                 leaf = ("deco", v, U, k)
                 leaf_model = _restricted_model(model, U, copyset,
                                                name="%s|%s#%d" % (v, U, k))
                 vertices.append(leaf)
-                e = tuple(sorted((v, leaf), key=vkey))
+                e = (v, leaf)
                 edges.append(e)
                 vertex_models[leaf] = leaf_model
                 edge_models[e] = leaf_model
@@ -392,7 +407,6 @@ def tree_epsilon(t):
     """One support threshold for the whole tree, from the uniform measured
     constants of all vertex and edge models (window comparison slop must
     not masquerade as a bounded coordinate)."""
-    from .model import measure_alpha
     worst = 0.0
     for m in list(t.vertex_models.values()) + list(t.edge_models.values()):
         xi, _ = m.basics()
@@ -406,7 +420,6 @@ def concretize_edges(t):
     concrete edge elements only. Decoration edges are exempt: they are
     built in place as product-region inclusions and deliberately carry the
     container identifications that a concreteness reduction would drop."""
-    from .model import concretize
     eps = tree_epsilon(t)
     edge_models = dict(t.edge_models)
     edge_maps = dict(t.edge_maps)
@@ -446,7 +459,7 @@ def build_combined(t):
     table = []
     offenders = []
     for cls in classes:
-        for v in sorted(cls.support, key=vkey):
+        for v in t.space.ordered(cls.support):
             m, K, C = comparison_map(t, cls, v, cls.favorite_vertex)
             comp_maps[(cls.id, v)] = m
             d = t.space.d(v, cls.favorite_vertex)
@@ -456,10 +469,10 @@ def build_combined(t):
     if offenders:
         raise ComparisonNotUniform(COMPARISON_BOUND, table, offenders)
 
-    # supports, numbered in the order of their sorted vertex lists
+    # supports, numbered in the order of their sorted vertex index lists
     support_id = {sup: ("T", rank) for rank, sup in enumerate(sorted(
         {cls.support for cls in classes},
-        key=lambda sup: tuple(sorted(map(vkey, sup)))))}
+        key=lambda sup: sorted(map(t.space.index.__getitem__, sup))))}
     supports = {sid: sup for sup, sid in support_id.items()}
     support_of = {cls.id: support_id[cls.support] for cls in classes}
     owners = {}
@@ -518,14 +531,15 @@ class _CombinedBuilder:
         self.coned = {}
         self.rels = {}   # (c1.id, c2.id) -> rel_classes(c1, c2), both orders
         self.entries = {}   # class id -> t.entry_edges(support), filled on use
-        self.least = {sid: min(sup, key=vkey) for sid, sup in supports.items()}
+        self.least = {sid: min(sup, key=t.space.index.__getitem__)
+                      for sid, sup in supports.items()}
 
     # ---- helpers
 
     def rel_classes(self, c1, c2):
         """nested / orth / trans between two classes via common-vertex reps."""
         lat_rel = None
-        commons = sorted(c1.support & c2.support, key=vkey)
+        commons = self.t.space.ordered(c1.support & c2.support)
         for v in commons:
             lat = self.t.vertex_models[v].lattice
             r = lat.rel(c1.rep_at[v], c2.rep_at[v])
@@ -546,7 +560,7 @@ class _CombinedBuilder:
         """The bounded marker of class src inside the favorite model of dst,
         for src properly nested in dst or transverse to it."""
         t = self.t
-        commons = sorted(src.support & dst.support, key=vkey)
+        commons = t.space.ordered(src.support & dst.support)
         if commons:
             v = None
             for w in commons:
@@ -595,11 +609,12 @@ class _CombinedBuilder:
             for (ia, ib) in m.space.edges or ():
                 edges.append(((v, m.space.vertices[ia]), (v, m.space.vertices[ib])))
         for e in t.edges:
-            ma, mb = t.edge_maps[(e, e[0])], t.edge_maps[(e, e[1])]
+            # each end glues at the least image point of its vertex space
+            ends = [(v, t.edge_maps[(e, v)].space_map, t.vertex_models[v].space.index)
+                    for v in e]
             for x in t.edge_models[e].space.vertices:
-                pa = sorted(ma.space_map(x), key=vkey)[0]
-                pb = sorted(mb.space_map(x), key=vkey)[0]
-                edges.append(((e[0], pa), (e[1], pb)))
+                edges.append(tuple((v, min(m(x), key=index.__getitem__))
+                                   for v, m, index in ends))
         try:
             X = FiniteSpace(verts, edges, name=t.name + "|X")
         except ValueError:
@@ -607,7 +622,7 @@ class _CombinedBuilder:
                                     (_torn_vertex(t, edges),)) from None
 
         cls_ids = [c.id for c in self.classes]
-        sup_ids = sorted(self.supports, key=vkey)
+        sup_ids = sorted(self.supports, key=_rank)
         elements = cls_ids + sup_ids + [THAT]
 
         nested, orth = [], []
@@ -753,7 +768,7 @@ class _CombinedBuilder:
                     rho_set[(s1, s2)] = frozenset(self.supports[s1])
                     rho_map[(s1, s2)] = self._support_point_map(
                         s2, self.supports[s1], hyp[s1])
-                elif r == "trans" and vkey(s1) < vkey(s2):
+                elif r == "trans" and _rank(s1) < _rank(s2):
                     inter = self.supports[s1] & self.supports[s2]
                     if inter:
                         rho_set[(s1, s2)] = frozenset(inter)
@@ -823,8 +838,6 @@ def combined_wedge_table(c):
     intersections) against brute-force maximal common lower bounds, the two
     container identities, and the support of a join class against the
     support intersection. Mismatches are report entries."""
-    from .lattice import EMPTY, NotALattice
-
     lat = c.model.lattice
     rep = ValidationReport("combined-wedge:%s" % c.model.name)
     wedges, joins = {}, {}
@@ -843,7 +856,7 @@ def combined_wedge_table(c):
         return wedges, joins, rep
 
     def formula_class_class(c1, c2):
-        commons = sorted(c1.support & c2.support, key=vkey)
+        commons = c.tree.space.ordered(c1.support & c2.support)
         if commons:
             v = commons[0]
             vlat = c.tree.vertex_models[v].lattice
@@ -861,7 +874,7 @@ def combined_wedge_table(c):
         every support vertex; vertices with restricted lattices undershoot,
         so the nesting-maximal candidate is the meaningful one."""
         cands = []
-        for v in sorted(cls.support, key=vkey):
+        for v in c.tree.space.ordered(cls.support):
             vlat = c.tree.vertex_models[v].lattice
             cont = vlat.top_container(cls.rep_at[v])
             if cont is None:
@@ -1008,7 +1021,7 @@ def _support_large_links(c, threshold):
     supports below it; a violation's witness is its first vertex pair in
     row-major order."""
     lat = c.model.lattice
-    sup_ids = sorted(c.supports, key=vkey)
+    sup_ids = sorted(c.supports, key=_rank)
     bad = []
     for S in sup_ids + [THAT]:
         nested = [X for X in sup_ids if X != S and lat.properly_nested(X, S)]
@@ -1067,7 +1080,7 @@ def _far_side_exactness(c):
             for (src, dst) in ((c1, c2), (c2, c1)):
                 rho = c.model.rho_set[(src.id, dst.id)]
                 # vertices whose geodesic to dst's support passes the bridge
-                for v in sorted(src.support, key=vkey):
+                for v in c.tree.space.ordered(src.support):
                     for x in c.tree.vertex_models[v].space.vertices:
                         val = c.model.proj[dst.id]((v, x))
                         if val != rho:

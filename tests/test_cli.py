@@ -187,6 +187,23 @@ def test_reports_byte_identical_across_hash_seeds():
         assert outs[0] == outs[1], name
 
 
+def test_random_lattices_do_not_depend_on_the_hash_seed():
+    # the fixture's nesting holds the string "S"; seeds 14 and 102 once took
+    # another lattice under some hash seeds
+    src = os.path.dirname(os.path.dirname(hhspace.__file__))
+    code = ("from hhspace import fixtures, serialize\n"
+            "for seed in list(range(40)) + [102]:\n"
+            "    lat = fixtures.random_valid_lattice(seed)\n"
+            "    print(serialize.dumps(serialize.lattice_to_json(lat)))\n")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        for seed in ("0", "1", "3")]
+    outs = [p.communicate()[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0, 0]
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_dot_format(tmp_path):
     assert run(["--out", tmp_path, "--format", "dot", "examples",
                 "fixture-b-product"]) == 0

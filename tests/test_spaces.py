@@ -1,4 +1,5 @@
 import functools
+import pathlib
 import tracemalloc
 from collections import deque
 from unittest import mock
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhspace import spaces
+from hhspace.fixtures import hagen_target
 from hhspace.spaces import (CoarseMap, FiniteSpace, _bfs_all_pairs,
                             coarse_map_constants, cone_off, cycle_graph,
                             four_point_delta, path_graph, product_graph,
-                            qi_constants, single_point)
+                            qi_constants, single_point, vkey)
 
 
 def test_path_metric():
@@ -618,3 +620,75 @@ def test_kernels_allocate_chunks_not_cubes():
     # temporary, a chunk is 32 kB
     g = product_graph(path_graph(6), cycle_graph(10))
     assert _traced_peak(four_point_delta, g) < 1e6
+
+
+# -- label order and the nearest-point kernel ----------------------------------
+
+
+def _nearest_reference(X, subset):
+    """The nearest point of the subset from every vertex, by a search over
+    the labels: ties go to the least label."""
+    return [min(subset, key=lambda p: (X.d(x, p), vkey(p))) for x in X.vertices]
+
+
+def _check_nearest(X, subset):
+    assert [X.vertices[i] for i in X.nearest(subset)] == _nearest_reference(X, subset)
+
+
+# labels of mixed types, so index order is neither insertion order nor the
+# order of the graph's construction
+_LABELS = st.one_of(st.integers(-50, 50), st.text("abc", max_size=3),
+                    st.tuples(st.integers(0, 3), st.text("xy", max_size=2)),
+                    st.frozensets(st.integers(0, 4), max_size=2), st.booleans())
+
+
+@st.composite
+def labelled_graphs(draw, max_n=25):
+    """A connected graph with mixed labels: a random tree, plus random extra
+    edges unless the draw asks for a tree, and a nonempty vertex subset."""
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=max_n, unique=True))
+    n = len(labels)
+    edges = [(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    if n > 2 and draw(st.booleans()):
+        ends = st.sampled_from(labels)
+        edges += draw(st.lists(st.tuples(ends, ends), max_size=n))
+    subset = draw(st.frozensets(st.sampled_from(labels), min_size=1))
+    return FiniteSpace(labels, edges), subset
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_graphs())
+def test_nearest_matches_label_search(case):
+    _check_nearest(*case)
+
+
+@pytest.mark.parametrize("space, subset", [
+    # every vertex of an even cycle between two antipodal points has a tie
+    (cycle_graph(8), {2, 6}),
+    (cycle_graph(8, label=lambda k: ("c", 7 - k)), {("c", 0), ("c", 4)}),
+    (product_graph(path_graph(4), path_graph(4)), {(0, 3), (3, 0)}),
+    (path_graph(-3, 3, label=str), {"-3", "3", "0"}),
+    (single_point(), {"*"}),
+])
+def test_nearest_ties_go_to_the_least_label(space, subset):
+    _check_nearest(space, subset)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
+def test_nearest_on_hagen_axes(r):
+    t = hagen_target(r)
+    X = t.space
+    for w in t.elements:
+        if w == "M":
+            continue
+        pts = set(t.hyp[w].vertices)
+        _check_nearest(X, pts)
+        assert [t.proj[w](x) for x in X.vertices] == \
+            [frozenset([p]) for p in _nearest_reference(X, pts)]
+
+
+def test_labels_are_ordered_in_three_modules_only():
+    # every other module compares indices of a space or positions of a lattice
+    src = pathlib.Path(spaces.__file__).parent
+    assert sorted(p.name for p in src.glob("*.py") if "vkey" in p.read_text()) == \
+        ["lattice.py", "serialize.py", "spaces.py"]

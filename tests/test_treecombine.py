@@ -452,3 +452,43 @@ def test_table_backed_vertex_space_is_a_hypothesis_failure():
         build_combined(t)
     assert exc.value.reason == "vertex space is a metric table, not a graph"
     assert exc.value.witness == ("v1",)
+
+
+def _flipped(t):
+    """t given with every edge, and every key of its edge dicts, the other
+    way round."""
+    def flip(e):
+        return e[1], e[0]
+    return TreeOfHHS(t.vertices, [flip(e) for e in t.edges], t.vertex_models,
+                     {flip(e): m for e, m in t.edge_models.items()},
+                     {(flip(e), v): m for (e, v), m in t.edge_maps.items()},
+                     name=t.name)
+
+
+def _free_product_window():
+    from hhspace.graphproduct import free_product_window
+    return free_product_window([("cyclic", 2), ("cyclic", 3)], ["a", "b"], 2, 6000)
+
+
+@pytest.mark.parametrize("make", [grid_chain, _free_product_window,
+                                  lambda: decorate(_free_product_window())])
+def test_edge_orientation_does_not_matter(make):
+    from hhspace.serialize import dumps, tree_to_json
+    t = make()
+    back = _flipped(t)
+    assert back.edges == t.edges
+    assert list(back.edge_models) == list(t.edge_models)
+    assert list(back.edge_maps) == list(t.edge_maps)
+    assert dumps(tree_to_json(back)) == dumps(tree_to_json(t))
+    c, cb = build_combined(decorate(t)), build_combined(decorate(back))
+    assert cb.comparison_table == c.comparison_table
+    assert [cls.id for cls in cb.classes] == [cls.id for cls in c.classes]
+
+
+def test_edge_orientation_does_not_change_a_failure():
+    t = bs_window(2, 3)
+    with pytest.raises(ComparisonNotUniform) as want:
+        build_combined(t)
+    with pytest.raises(ComparisonNotUniform) as got:
+        build_combined(_flipped(t))
+    assert got.value.table == want.value.table
