@@ -18,7 +18,7 @@ from .graphproduct import build
 from .lattice import MissingRelation
 from .model import audit_axioms, distance_formula_fit
 from .treecombine import (ComparisonNotUniform, HypothesisFailure,
-                          audit_combined, build_combined, decorate)
+                          audit_combined, build_combined)
 
 OK, HYPOTHESIS_FAILURE, SCHEMA_ERROR = 0, 1, 2
 
@@ -49,8 +49,6 @@ def main(argv=None):
     p = sub.add_parser("combine", parents=[common],
                        help="combine a tree-of-models file")
     p.add_argument("file")
-    p.add_argument("--copy-cap", type=int, default=2)
-    p.add_argument("--no-decorate", action="store_true")
 
     p = sub.add_parser("product", parents=[common],
                        help="run the graph-product recursion")
@@ -139,8 +137,6 @@ def cmd_audit(args):
 
 def cmd_combine(args):
     tree = _load(args.file, serialize.tree_from_json, "tree")
-    if not args.no_decorate:
-        tree = decorate(tree, copy_cap=args.copy_cap)
     combined = build_combined(tree)
     rep = audit_combined(combined)
     doc = {"combined": serialize.combined_to_json(combined),

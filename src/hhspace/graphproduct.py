@@ -21,7 +21,7 @@ from .indexmaps import IndexMap
 from .lattice import IndexLattice
 from .model import HHSModel, hq_check, trivial_model
 from .spaces import CoarseMap, product_graph, single_point
-from .treecombine import HypothesisFailure, TreeOfHHS, build_combined, decorate
+from .treecombine import HypothesisFailure, TreeOfHHS, build_combined
 
 
 def _l(u):
@@ -461,11 +461,9 @@ def build(spec):
     """Recursive construction of the combined structure of the whole graph
     product: complete graphs fold into direct products, disconnected graphs
     into free-product windows, everything else splits along the link of the
-    pivot. Tree windows are decorated before combining (undecorated trees
-    leave distinct classes with equal supports, which the relation rules
-    cannot separate). Every level certifies the lattice checks plus
-    fullness, hierarchical quasiconvexity and isometry of the inclusions
-    used."""
+    pivot. Tree windows go to build_combined as they are; it decorates
+    them itself. Every level certifies the lattice checks plus fullness,
+    hierarchical quasiconvexity and isometry of the inclusions used."""
     levels = []
     model, combined, include = _build_sub(spec, levels)
     return BuildResult(model, combined, CertChain(levels), include)
@@ -572,7 +570,7 @@ def _build_free(spec, comps, levels):
     labels = [comp[0] for comp in comps]
     window = free_product_window(bases, labels, spec.window_radius,
                                  spec.budget, name="fp:" + ",".join(map(str, labels)))
-    combined = build_combined(decorate(window))
+    combined = build_combined(window)
     model = combined.model
 
     def component_embedding(idx):
@@ -642,16 +640,15 @@ def _build_split(spec, levels):
             % (spec.vertices,), data.pivot)
     p_model, _, p_include = _build_sub(left, levels)
     pivot_model = base_group_model(spec.bases[v], v)
-    window = decorate(amalgam_star_window(p_model, pivot_model,
-                                          name="amalgam:%s" % (v,)))
-    combined = build_combined(window)
+    combined = build_combined(amalgam_star_window(p_model, pivot_model,
+                                                  name="amalgam:%s" % (v,)))
     model = combined.model
     center = ("Q",)
     leaves = [w for w in combined.tree.vertices
               if isinstance(w, tuple) and w and w[0] == "P"]
 
     def side_embedding(leaf):
-        sub = window.vertex_models[leaf]
+        sub = combined.tree.vertex_models[leaf]
         cls_of = {U: _class_of(combined, leaf, U).id for U in sub.elements}
         space_map = CoarseMap.single(sub.space, model.space,
                                      lambda x, leaf=leaf: (leaf, x))

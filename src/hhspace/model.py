@@ -615,7 +615,10 @@ def _orthogonal_families(lat):
             queue.append((base + [u], [w for w in common[i + 1:] if w in later[u]]))
 
 
-def measure_alpha(model, budget=500000):
+ALPHA_SCAN_BUDGET = 500000   # choices per family before ScanBudgetExceeded
+
+
+def measure_alpha(model):
     """Minimal partial-realization constant: over every family of pairwise
     orthogonal elements and every choice of image points, the best witness
     point's worst error."""
@@ -639,7 +642,7 @@ def measure_alpha(model, budget=500000):
         pin = np.maximum.reduce([pin_row[Vj] for Vj in Vs])
         sizes = [len(point_rows[Vj]) for Vj in Vs]
         count = math.prod(sizes)
-        if count > budget:
+        if count > ALPHA_SCAN_BUDGET:
             raise ScanBudgetExceeded("partial-realization scan exceeds budget: %d choices" % count)
         for choice in itertools.product(*(range(sz) for sz in sizes)):
             req = pin.copy()

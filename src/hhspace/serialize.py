@@ -14,7 +14,7 @@ from .graphproduct import ProductSpec
 from .indexmaps import IndexMap
 from .lattice import IndexLattice
 from .model import HHSModel
-from .spaces import CoarseMap, FiniteSpace, vkey
+from .spaces import CoarseMap, FiniteSpace, check_distinct, vkey
 from .treecombine import TreeOfHHS
 
 
@@ -199,8 +199,9 @@ def tree_from_json(doc):
     verts = [_freeze(v) for v in doc["vertices"]]
     edges = [tuple(sorted((_freeze(a), _freeze(b)), key=vkey))
              for a, b in doc["edges"]]
-    vertex_models = {_freeze(v): model_from_json(m)
-                     for v, m in doc["vertex_models"]}
+    models = [(_freeze(v), m) for v, m in doc["vertex_models"]]
+    check_distinct([v for v, _ in models], "tree vertex")
+    vertex_models = {v: model_from_json(m) for v, m in models}
     edge_models = {}
     for (a, b), m in doc["edge_models"]:
         e = tuple(sorted((_freeze(a), _freeze(b)), key=vkey))

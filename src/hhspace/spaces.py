@@ -55,6 +55,15 @@ def sorted_vertices(vs):
     return tuple(sorted(set(vs), key=vkey))
 
 
+def check_distinct(labels, what="label"):
+    """Raise ValueError naming the first label that repeats an earlier one."""
+    seen = set()
+    for v in labels:
+        if v in seen:
+            raise ValueError("repeated %s %r" % (what, v))
+        seen.add(v)
+
+
 class FiniteSpace:
     """A finite connected metric space with integer distances."""
 
@@ -89,9 +98,10 @@ class FiniteSpace:
     @classmethod
     def from_matrix(cls, vertices, table, name=""):
         """Build from an explicit metric; ``table`` rows follow ``vertices`` order.
-        Raises ValueError unless the table is a square integer metric: non-
-        negative, zero on the diagonal, symmetric, with the triangle inequality."""
+        Raises ValueError on a repeated vertex, and unless the table is a square
+        integer metric: non-negative, zero diagonal, symmetric, triangle inequality."""
         src = list(vertices)
+        check_distinct(src, "vertex")
         n = len(src)
         m = np.asarray(table)
         if m.shape != (n, n):

@@ -34,7 +34,7 @@ from .indexmaps import IndexMap
 from .lattice import EMPTY, IndexLattice, NotALattice, ValidationReport
 from .model import (AxiomEntry, HHSModel, _innermost_big, audit_axioms,
                     concretize, hq_check, measure_alpha, product_region)
-from .spaces import (CoarseMap, FiniteSpace, cone_off, coarse_map_constants,
+from .spaces import (CoarseMap, FiniteSpace, check_distinct, cone_off,
                      qi_constants)
 
 # support ids ("T", rank) in rank order
@@ -81,9 +81,10 @@ class TreeOfHHS:
                  name=""):
         self.name = name
         vertices, edges = list(vertices), list(edges)
-        if len(edges) != len(set(vertices)) - 1:
+        check_distinct(vertices, "tree vertex")
+        if len(edges) != len(vertices) - 1:
             raise ValueError("not a tree: %d vertices, %d edges"
-                             % (len(set(vertices)), len(edges)))
+                             % (len(vertices), len(edges)))
         # a connected graph on n vertices with n - 1 edges has them distinct
         self.space = FiniteSpace(vertices, edges, name=name + "|T")
         self.vertices = V = self.space.vertices
@@ -232,14 +233,15 @@ def _check_connected(t, support):
 # -- decoration ----------------------------------------------------------------
 
 
-def decorate(t, copy_cap=2):
+def decorate(t):
     """Attach product-region leaves until every vertex model has complexity
     one, so distinct classes end up with distinct supports.
 
-    For each vertex, each nesting-maximal non-top element U, and each
-    parallel copy of the U-region (capped at copy_cap distinct copies), a
-    leaf carrying the copy with the index set below U is added; the leaf
-    recursion strictly drops complexity, so it terminates."""
+    For each vertex, each nesting-maximal non-top element U, and each of
+    the first COPY_CAP parallel copies of the U-region, a leaf ("deco", v,
+    U, k) carrying the copy with the index set below U is added unless the
+    tree has it, so decorate is idempotent; the leaf recursion strictly
+    drops complexity. Returns a new tree named t.name + "~"."""
     vertices = list(t.vertices)
     edges = list(t.edges)
     vertex_models = dict(t.vertex_models)
@@ -259,8 +261,10 @@ def decorate(t, copy_cap=2):
                             for W in lat.elements)]
         for U in tops:
             region = _thinnest_region(model, U, cap)
-            for k, (anchor, copyset) in enumerate(region.copies[:copy_cap]):
+            for k, (anchor, copyset) in enumerate(region.copies[:COPY_CAP]):
                 leaf = ("deco", v, U, k)
+                if leaf in vertex_models:
+                    continue
                 leaf_model = _restricted_model(model, U, copyset,
                                                name="%s|%s#%d" % (v, U, k))
                 vertices.append(leaf)
@@ -351,11 +355,11 @@ def comparison_map(t, cls, u, v):
 THAT = ("That",)
 
 COMPARISON_BOUND = 2.0     # the declared bound on K of every comparison map
+COPY_CAP = 2               # parallel copies decorate gives each product region
 
 
 @dataclass
 class ConedTree:
-    base: frozenset
     cones: dict       # label -> coned vertex set
     space: FiniteSpace
 
@@ -375,18 +379,14 @@ class CombinedStructure:
     comparison_table: list    # (class id, vertex, distance, K, C)
     comparison_maps: dict     # (class id, vertex) -> map into the favorite model
     comparison_bound: float
-    decorated: bool
+    decorated: bool           # no support has two owners
     warnings: list = field(default_factory=list)
-
-    @property
-    def that(self):
-        return THAT
 
 
 def check_hypotheses(t):
-    """Theorem-hypothesis screen for every edge embedding: relation/fullness
-    checks, hierarchically quasiconvex image, finite lipschitz constants."""
-    worst_lip = 0.0
+    """Theorem-hypothesis screen for every edge embedding: structure and
+    fullness checks, and a hierarchically quasiconvex image. Uniformity of
+    the comparison maps across the tree is checked by build_combined."""
     for e in t.edges:
         for endpoint in e:
             emb = t.edge_maps[(e, endpoint)]
@@ -398,9 +398,6 @@ def check_hypotheses(t):
             if not hq.passed:
                 raise HypothesisFailure("edge image not hierarchically quasiconvex",
                                         (e, endpoint, hq.k0, hq.table))
-            K, C = coarse_map_constants(emb.space_map)
-            worst_lip = max(worst_lip, K, C)
-    return worst_lip
 
 
 def tree_epsilon(t):
@@ -447,9 +444,11 @@ def concretize_edges(t):
 
 
 def build_combined(t):
-    """Run the whole combination: hypothesis screen, edge concretization,
-    classes and supports, comparison maps (uniformity enforced), the glued
-    space, the combined lattice and all projection data."""
+    """Run the whole combination: decoration, hypothesis screen, edge
+    concretization, classes and supports, comparison maps (uniformity
+    enforced), the glued space, the combined lattice and all projection
+    data. The structure records the decorated tree."""
+    t = decorate(t)
     check_hypotheses(t)
     t = concretize_edges(t)
     classes = equivalence_classes(t)
@@ -480,7 +479,7 @@ def build_combined(t):
         owners.setdefault(support_id[cls.support], []).append(cls)
     for sid, owner in owners.items():
         if len(owner) > 1:
-            warnings.append("support %r shared by %d classes (tree not decorated)"
+            warnings.append("support %r shared by %d classes after decoration"
                             % (sid, len(owner)))
     decorated = all(len(o) == 1 for o in owners.values())
 
@@ -673,11 +672,11 @@ class _CombinedBuilder:
             graph = FiniteSpace(self.supports[sid], base_edges)
             cones = {s2: frozenset(self.supports[s2]) for s2 in proper[sid]}
             coned = cone_off(graph, cones, name="%r^" % (sid,))
-            self.coned[sid] = ConedTree(frozenset(self.supports[sid]), cones, coned)
+            self.coned[sid] = ConedTree(cones, coned)
             hyp[sid] = coned
         all_cones = {sid: frozenset(self.supports[sid]) for sid in sup_ids}
         that_coned = cone_off(t.space, all_cones, name="That")
-        self.coned[THAT] = ConedTree(frozenset(t.vertices), all_cones, that_coned)
+        self.coned[THAT] = ConedTree(all_cones, that_coned)
         hyp[THAT] = that_coned
 
         # projections
@@ -952,18 +951,15 @@ def combined_wedge_table(c):
 LARGE_LINKS_THRESHOLD = 4  # big pair distance for the support-count bound
 
 
-def audit_combined(c, require_decorated=None):
+def audit_combined(c):
     """Generic nine-axiom audit of the combined model plus the
     combination-specific claims: the complexity bound, the support-count
-    bound for large links over support elements, the support laws (with the
-    decorated biconditional), exactness of far-side projections for
-    transverse classes with disjoint supports, coning diameters, and the
-    wedge/container cross-check.
-
-    The support-discrimination laws are asserted when the structure is
-    decorated; pass require_decorated=True to demand them regardless (an
-    undecorated tree with two classes on one support then fails with a
-    witness), or False to skip them."""
+    bound for large links over support elements, the support laws (nesting
+    exactly when supports are reversely included, and distinct supports for
+    distinct classes), exactness of far-side projections for transverse
+    classes with disjoint supports, coning diameters, and the
+    wedge/container cross-check. Two classes that decoration left on one
+    support fail the support laws with a witness."""
     rep = audit_axioms(c.model)
     lat = c.model.lattice
 
@@ -982,8 +978,7 @@ def audit_combined(c, require_decorated=None):
         {"threshold": LARGE_LINKS_THRESHOLD, "violations": len(bad)},
         bad[:8]))
 
-    demand = c.decorated if require_decorated is None else require_decorated
-    laws = _support_laws(c, demand)
+    laws = _support_laws(c)
     rep.entries.append(AxiomEntry(
         "support-laws", laws.ok, {"decorated": c.decorated},
         laws.violations[:8]))
@@ -1041,7 +1036,7 @@ def _support_large_links(c, threshold):
     return bad
 
 
-def _support_laws(c, demand_discrimination):
+def _support_laws(c):
     rep = ValidationReport("support-laws")
     lat = c.model.lattice
     for c1 in c.classes:
@@ -1051,18 +1046,16 @@ def _support_laws(c, demand_discrimination):
             if lat.properly_nested(c1.id, c2.id):
                 if not (c2.support <= c1.support):
                     rep.add("nesting-support-inclusion", (c1.id, c2.id))
-            # nesting reverses support inclusion; decorated trees also give
-            # the converse: contained support means the other class nests
-            if demand_discrimination and (c2.support <= c1.support):
-                if not lat.nested(c1.id, c2.id):
-                    rep.add("support-inclusion-nesting", (c1.id, c2.id),
-                            "reverse inclusion without nesting (decorated)")
-    if demand_discrimination:
-        seen = {}
-        for cls in c.classes:
-            if cls.support in seen:
-                rep.add("distinct-supports", (seen[cls.support], cls.id))
-            seen[cls.support] = cls.id
+            # nesting reverses support inclusion; decoration also gives the
+            # converse: contained support means the other class nests
+            if c2.support <= c1.support and not lat.nested(c1.id, c2.id):
+                rep.add("support-inclusion-nesting", (c1.id, c2.id),
+                        "reverse inclusion without nesting")
+    seen = {}
+    for cls in c.classes:
+        if cls.support in seen:
+            rep.add("distinct-supports", (seen[cls.support], cls.id))
+        seen[cls.support] = cls.id
     return rep
 
 

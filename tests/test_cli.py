@@ -9,7 +9,7 @@ import hhspace
 from hhspace import cli, serialize
 from hhspace.cli import main
 from hhspace.fixtures import (bs_window, factor_inclusion, fixture_b_product,
-                              free_product_z2_z3, grid_product)
+                              free_product_z2_z3, grid_product, raag_path)
 from hhspace.spaces import FiniteSpace
 from hhspace.graphproduct import ProductSpec
 
@@ -67,6 +67,36 @@ def test_combine_command_succeeds_on_small_window(tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(serialize.dumps(serialize.tree_to_json(tree)))
     assert run(["--out", tmp_path, "combine", path]) == 0
+
+
+def test_combine_command_accepts_a_decorated_tree(tmp_path):
+    # build_combined decorates; a tree that already carries its decoration
+    # leaves gets none twice
+    tree = raag_path(1).combined.tree
+    path = tmp_path / "tree.json"
+    path.write_text(serialize.dumps(serialize.tree_to_json(tree)))
+    assert run(["--out", tmp_path, "combine", path]) == 0
+
+
+@pytest.mark.parametrize("flag", [["--no-decorate"], ["--copy-cap", 3]])
+def test_combine_command_has_no_decoration_settings(tmp_path, capsys, flag):
+    path = tmp_path / "tree.json"
+    path.write_text(serialize.dumps(serialize.tree_to_json(bs_window(2, 1))))
+    with pytest.raises(SystemExit) as exc:
+        run(["combine", path, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_combine_command_repeated_vertex_is_schema_error(tmp_path, capsys):
+    doc = serialize.tree_to_json(bs_window(2, 1))
+    doc["vertices"].append(doc["vertices"][0])
+    doc["vertex_models"].append(doc["vertex_models"][0])
+    path = tmp_path / "tree.json"
+    path.write_text(serialize.dumps(doc))
+    assert run(["--out", tmp_path, "combine", path]) == 2
+    assert "repeated tree vertex" in capsys.readouterr().err
+    assert not (tmp_path / "combined.json").exists()
 
 
 def test_combine_command_rejects_table_vertex_spaces(tmp_path):

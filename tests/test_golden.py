@@ -1,9 +1,9 @@
 """Golden outputs: every `hhspace examples NAME` report at its default
-arguments, and the radius-7 bs12 failure, must stay byte-identical.
+arguments, the radius-7 bs12 failure, and `hhspace combine` on two tree
+documents must stay byte-identical.
 
-The table holds the exit status and the SHA-256 of stdout of each run.
-A change that is meant to alter an example's output updates its row and
-says why."""
+The tables hold the exit status and the SHA-256 of stdout of each run.
+A change that is meant to alter an output updates its row and says why."""
 
 import contextlib
 import hashlib
@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from hhspace import cli
+from hhspace import cli, fixtures, serialize
 
 GOLDEN = {
     ("bs12-window",): (
@@ -39,12 +39,39 @@ def test_every_example_is_pinned():
     assert {args[0] for args in GOLDEN} == set(cli.FIXTURES)
 
 
-@pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
-def test_example_output_unchanged(args):
+# `hhspace combine FILE` on the tree document of each fixture tree
+COMBINE_GOLDEN = {
+    "bs_window(2, 1)": (
+        0, "39564ecacc15525665d3c82b6c74f881c6db1a534594e6dfcdf410a8833b8871"),
+    "free_product_z2_z3(2).combined.tree": (
+        0, "38f998048934fc17069d9e64b4e4523436907eada5bc6ab6d5ab160f44a96dc8"),
+}
+
+TREES = {
+    "bs_window(2, 1)": lambda: fixtures.bs_window(2, 1),
+    "free_product_z2_z3(2).combined.tree":
+        lambda: fixtures.free_product_z2_z3(2).combined.tree,
+}
+
+
+def _run(argv):
+    """Exit status and SHA-256 of stdout of one `hhspace` run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["examples", *args])
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert (code, digest) == GOLDEN[args], \
+        code = cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
+def test_example_output_unchanged(args):
+    assert _run(["examples", *args]) == GOLDEN[args], \
         "output of `hhspace examples %s` changed" % " ".join(args)
+
+
+@pytest.mark.parametrize("name", sorted(COMBINE_GOLDEN))
+def test_combine_output_unchanged(tmp_path, name):
+    path = tmp_path / "tree.json"
+    path.write_text(serialize.dumps(serialize.tree_to_json(TREES[name]())))
+    assert _run(["combine", str(path)]) == COMBINE_GOLDEN[name], \
+        "output of `hhspace combine` on %s changed" % name

@@ -572,7 +572,7 @@ def test_orthogonal_families_match_brute_force(raag_window):
     assert max(len(f) for f in _orthogonal_families(raag_window.lattice)) >= 2
 
 
-def test_measure_alpha_budget_is_typed():
+def test_measure_alpha_budget_is_typed(monkeypatch):
     m = fixture_b_product()
     assert m.lattice.orthogonal(L1, R2)
     # budget 1 trips on the single element L1 (2 choices), budget 3 on the
@@ -580,8 +580,9 @@ def test_measure_alpha_budget_is_typed():
     for budget in (1, 3):
         with pytest.raises(ScanBudgetExceeded) as want:
             _measure_alpha_reference(m, budget=budget)
+        monkeypatch.setattr(model_module, "ALPHA_SCAN_BUDGET", budget)
         with pytest.raises(ScanBudgetExceeded) as got:
-            measure_alpha(m, budget=budget)
+            measure_alpha(m)
         assert str(got.value) == str(want.value)
 
 

@@ -89,6 +89,11 @@ def test_from_matrix_rejects_non_metrics():
             FiniteSpace.from_matrix([0, 1, 2], table)
 
 
+def test_from_matrix_rejects_repeated_vertices():
+    with pytest.raises(ValueError, match="repeated vertex 'a'"):
+        FiniteSpace.from_matrix(["a", "b", "a"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
 def test_cone_off_diameter():
     g = path_graph(0, 9)
     c = cone_off(g, {"all": g.vertices})

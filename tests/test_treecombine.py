@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 
 import pytest
@@ -45,6 +46,13 @@ def test_not_a_tree_rejected():
     m = trivial_model(sp)
     with pytest.raises(ValueError):
         TreeOfHHS(["a", "b"], [], {"a": m, "b": m}, {}, {})
+
+
+def test_repeated_tree_vertex_rejected():
+    t = point_edge_tree([path_graph(0, 1), path_graph(0, 2)])
+    with pytest.raises(ValueError, match="repeated tree vertex 'v0'"):
+        TreeOfHHS(["v0", "v0", "v1"], t.edges, t.vertex_models,
+                  t.edge_models, t.edge_maps)
 
 
 def test_equivalence_classes_single_edge():
@@ -178,7 +186,7 @@ def test_decorate_product_vertex_adds_leaves():
     from hhspace.fixtures import grid_product
     m = grid_product(3, 3)
     t = TreeOfHHS(["v"], [], {"v": m}, {}, {}, name="single")
-    td = decorate(t, copy_cap=2)
+    td = decorate(t)
     assert len(td.vertices) > 1
     leaves = [v for v in td.vertices if v != "v"]
     assert all(td.vertex_models[l].lattice.complexity()
@@ -200,19 +208,50 @@ def test_single_vertex_tree_combines_to_vertex_structure():
     assert audit_combined(c).ok
 
 
-def test_undecorated_shared_support_fails_when_demanded():
-    from hhspace.fixtures import grid_product
-    m = grid_product(3, 3)
-    t = TreeOfHHS(["v"], [], {"v": m}, {}, {}, name="single")
-    c = build_combined(t)        # no decoration: five classes on one support
-    assert not c.decorated
-    relaxed = audit_combined(c)                              # no-decorate mode
-    assert relaxed.entry("support-laws").ok
-    strict = audit_combined(c, require_decorated=True)
-    entry = strict.entry("support-laws")
+def test_shared_support_fails_support_laws():
+    c = build_combined(_grid_vertex())
+    assert c.decorated and audit_combined(c).entry("support-laws").ok
+    # give the second class the support of the first, as an undecorated
+    # tree would
+    first, second = c.classes[0], c.classes[1]
+    shared = dataclasses.replace(
+        c, classes=[first, dataclasses.replace(second, support=first.support)]
+        + c.classes[2:])
+    entry = audit_combined(shared).entry("support-laws")
     assert not entry.ok
-    assert any(v.rule in ("distinct-supports", "support-inclusion-nesting")
-               for v in entry.witnesses)
+    assert ("distinct-supports", (first.id, second.id)) in \
+        {(v.rule, v.witness) for v in entry.witnesses}
+
+
+def _raag_amalgam_window():
+    """The amalgam window that raag_path(1) combines, undecorated."""
+    from hhspace.graphproduct import (ProductSpec, amalgam_star_window,
+                                      base_group_model, build)
+    side = build(ProductSpec(("a", "c"), frozenset(),
+                             {"a": ("z", 1), "c": ("z", 1)}, window_radius=1))
+    return amalgam_star_window(side.model, base_group_model(("z", 1), "b"),
+                               name="amalgam:b")
+
+
+def _grid_vertex():
+    return TreeOfHHS(["v"], [], {"v": grid_product(3, 3)}, {}, {}, name="single")
+
+
+@pytest.mark.parametrize("make", [_raag_amalgam_window, _grid_vertex])
+def test_decorate_is_idempotent(make):
+    once = decorate(make())
+    twice = decorate(once)
+    assert len(once.vertices) > 1
+    assert twice.vertices == once.vertices
+    assert twice.edges == once.edges
+    assert twice.name == once.name + "~"
+
+
+def test_build_combined_decorates_its_tree():
+    w = _raag_amalgam_window()
+    c = build_combined(w)
+    assert c.tree.vertices == decorate(w).vertices
+    assert c.tree.name == w.name + "~"
 
 
 def test_combined_distance_formula_finite():
@@ -237,8 +276,8 @@ def test_raag_b_factor_class_supported_at_center_only():
 
 def grid_chain():
     """grid - segment - grid, glued through point edges into the l-factor of
-    each grid: the r-factor classes of the two grids get the disjoint
-    supports {a} and {c}."""
+    each grid: the r-factor classes of the two grids get disjoint supports,
+    a and c with their decoration leaves."""
     vm = {"a": grid_product(3, 3), "b": trivial_model(path_graph(0, 2), elt="S", name="b"),
           "c": grid_product(3, 3)}
     into = {"a": ("l", "S1"), "b": "S", "c": ("l", "S1")}
@@ -480,7 +519,7 @@ def test_edge_orientation_does_not_matter(make):
     assert list(back.edge_models) == list(t.edge_models)
     assert list(back.edge_maps) == list(t.edge_maps)
     assert dumps(tree_to_json(back)) == dumps(tree_to_json(t))
-    c, cb = build_combined(decorate(t)), build_combined(decorate(back))
+    c, cb = build_combined(t), build_combined(back)
     assert cb.comparison_table == c.comparison_table
     assert [cls.id for cls in cb.classes] == [cls.id for cls in c.classes]
 
