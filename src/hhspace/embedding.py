@@ -54,6 +54,16 @@ class Embedding:
                    {U: CoarseMap.identity(model.hyp[U]) for U in model.elements},
                    name=name)
 
+    @classmethod
+    def inclusion(cls, sub, ambient):
+        """The inclusion of ``ambient.restrict(...)`` into ambient: the
+        identity on points, on elements and on every hyperbolic model."""
+        return cls(sub, ambient,
+                   CoarseMap.single(sub.space, ambient.space, lambda x: x, name="incl"),
+                   IndexMap(sub.lattice, ambient.lattice,
+                            {U: U for U in sub.elements}, name="incl"),
+                   {U: CoarseMap.identity(sub.hyp[U]) for U in sub.elements}, name="incl")
+
 
 def verify_embedding(e):
     """Index-map and fullness checks plus measured commutation defects of

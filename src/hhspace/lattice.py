@@ -213,9 +213,6 @@ class IndexLattice:
                                   (z, u), "candidates %s" % sorted(minimal, key=vkey)))
         return out
 
-    def container(self, z, u):
-        return self.containers.get((z, u))
-
     def top_container(self, u):
         """cont(u) in the whole lattice (container within the maximal element)."""
         return self.containers.get((self.maximal, u))
@@ -408,7 +405,7 @@ class IndexLattice:
 
     def restrict(self, keep, maximal=None, name=""):
         """Sublattice on a nesting-closed subset."""
-        keep = sorted(set(keep), key=vkey)
+        keep = frozenset(keep)
         top = maximal
         if top is None:
             tops = [e for e in keep

@@ -212,6 +212,24 @@ class HHSModel:
         diam pi_U(y), with equality at x = y."""
         return max(self.proj[U].diam_bound for U in self.elements)
 
+    def restrict(self, top, points=None, name=""):
+        """The structure below top, with top maximal: the same hyperbolic
+        models and rho data, and the same projections, or their restrictions
+        to the metric subspace on points when points are given."""
+        keep = self.lattice.below(top)
+        lat = self.lattice.restrict(keep, maximal=top, name=name)
+        hyp = {U: self.hyp[U] for U in keep}
+        if points is None:
+            space, proj = self.space, {U: self.proj[U] for U in keep}
+        else:
+            space = self.space.subspace(points, name=name)
+            proj = {U: CoarseMap(space, self.hyp[U],
+                                 {x: self.proj[U](x) for x in space.vertices},
+                                 name="pi:%s" % (U,)) for U in keep}
+        rset = {k: v for k, v in self.rho_set.items() if k[0] in keep and k[1] in keep}
+        rmap = {k: v for k, v in self.rho_map.items() if k[0] in keep and k[1] in keep}
+        return HHSModel(space, lat, hyp, proj, rset, rmap, name=name)
+
     # -- structure ---------------------------------------------------------
 
     def validate_structure(self):
@@ -500,8 +518,8 @@ class ConcretizeResult:
 
 
 def concretize(model, eps=None):
-    """Restrict the structure to everything below the join of the eps-support
-    of the whole space. Bounded models and already-concrete models are
+    """``model.restrict`` to the join of the eps-support of the whole space,
+    named model.name + "|core". Bounded and already-concrete models are
     returned unchanged. The measured neighborhood constant (how far the
     space wanders from the core product region) is reported."""
     if eps is None:
@@ -513,25 +531,12 @@ def concretize(model, eps=None):
     s_eps = model.lattice.join_all(supp)
     if s_eps == model.lattice.maximal:
         return ConcretizeResult(model, False, None, (), eps, 0)
-    keep = model.lattice.below(s_eps)
-    removed = tuple(e for e in model.elements if e not in keep)
-    xi, k0 = model.basics()
-    region = product_region(model, s_eps, max(xi, k0))
+    removed = tuple(e for e in model.elements if not model.lattice.nested(e, s_eps))
+    region = product_region(model, s_eps, max(model.basics()))
     core = region.F if region.F else frozenset([model.basepoint])
     dist_to_core = int(model.space.dist[:, model.space.idx(list(core))].min(axis=1).max())
-    sub = submodel(model, keep, s_eps)
+    sub = model.restrict(s_eps, name=model.name + "|core")
     return ConcretizeResult(sub, True, s_eps, removed, eps, dist_to_core)
-
-
-def submodel(model, keep, new_maximal):
-    keep = frozenset(keep)
-    lat = model.lattice.restrict(keep, maximal=new_maximal)
-    hyp = {U: model.hyp[U] for U in keep}
-    proj = {U: model.proj[U] for U in keep}
-    rset = {k: v for k, v in model.rho_set.items() if k[0] in keep and k[1] in keep}
-    rmap = {k: v for k, v in model.rho_map.items() if k[0] in keep and k[1] in keep}
-    return HHSModel(model.space, lat, hyp, proj, rset, rmap,
-                    name=model.name + "|core")
 
 
 # -- distance formula ----------------------------------------------------------

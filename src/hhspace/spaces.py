@@ -303,9 +303,9 @@ class FiniteSpace:
 
     def subspace(self, keep, name=""):
         """Metric subspace (restricted ambient metric, not induced path metric)."""
-        ks = sorted_vertices(keep)
-        ii = self.idx(list(ks))
-        return FiniteSpace(ks, dist=self.dist[np.ix_(ii, ii)], name=name or self.name + "|sub")
+        ii = sorted({self.index[v] for v in keep})
+        return FiniteSpace([self.vertices[i] for i in ii], dist=self.dist[np.ix_(ii, ii)],
+                           name=name or self.name + "|sub")
 
     def relabel(self, fn, name=""):
         verts = [fn(v) for v in self.vertices]
@@ -514,11 +514,10 @@ def cone_off(space, subsets, name=""):
         raise ValueError("cone_off needs a graph-backed space")
     vs = list(space.vertices)
     es = [(space.vertices[a], space.vertices[b]) for a, b in space.edges]
-    for label, sub in sorted(subsets.items(), key=lambda kv: vkey(kv[0])):
+    for label, sub in subsets.items():
         c = ("cone", label)
         vs.append(c)
-        for v in sorted_vertices(sub):
-            es.append((c, v))
+        es.extend((c, v) for v in sub)
     return FiniteSpace(vs, es, name=name)
 
 

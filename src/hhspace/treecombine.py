@@ -30,7 +30,6 @@ from operator import itemgetter
 import numpy as np
 
 from .embedding import Embedding, verify_embedding
-from .indexmaps import IndexMap
 from .lattice import EMPTY, IndexLattice, NotALattice, ValidationReport
 from .model import (AxiomEntry, HHSModel, _innermost_big, audit_axioms,
                     concretize, hq_check, measure_alpha, product_region)
@@ -239,9 +238,10 @@ def decorate(t):
 
     For each vertex, each nesting-maximal non-top element U, and each of
     the first COPY_CAP parallel copies of the U-region, a leaf ("deco", v,
-    U, k) carrying the copy with the index set below U is added unless the
-    tree has it, so decorate is idempotent; the leaf recursion strictly
-    drops complexity. Returns a new tree named t.name + "~"."""
+    U, k) carrying ``model.restrict(U, copy)``, joined to v by its
+    ``Embedding.inclusion``, is added unless the tree has it, so decorate is
+    idempotent; the leaf recursion strictly drops complexity. Returns a new
+    tree named t.name + "~"."""
     vertices = list(t.vertices)
     edges = list(t.edges)
     vertex_models = dict(t.vertex_models)
@@ -254,8 +254,7 @@ def decorate(t):
         lat = model.lattice
         if lat.complexity() <= 1:
             continue
-        xi, k0 = model.basics()
-        cap = max(xi, k0)
+        cap = max(model.basics())
         tops = [U for U in lat.elements if U != lat.maximal
                 and not any(lat.properly_nested(U, W) and W != lat.maximal
                             for W in lat.elements)]
@@ -265,15 +264,14 @@ def decorate(t):
                 leaf = ("deco", v, U, k)
                 if leaf in vertex_models:
                     continue
-                leaf_model = _restricted_model(model, U, copyset,
-                                               name="%s|%s#%d" % (v, U, k))
+                leaf_model = model.restrict(U, copyset, name="%s|%s#%d" % (v, U, k))
                 vertices.append(leaf)
                 e = (v, leaf)
                 edges.append(e)
                 vertex_models[leaf] = leaf_model
                 edge_models[e] = leaf_model
                 edge_maps[(e, leaf)] = Embedding.identity(leaf_model)
-                edge_maps[(e, v)] = _inclusion_embedding(leaf_model, model)
+                edge_maps[(e, v)] = Embedding.inclusion(leaf_model, model)
                 queue.append(leaf)
     return TreeOfHHS(vertices, edges, vertex_models, edge_models, edge_maps,
                      name=t.name + "~")
@@ -289,29 +287,6 @@ def _thinnest_region(model, U, cap):
             return region
         kappa += 1
     return product_region(model, U, cap)
-
-
-def _restricted_model(model, U, copyset, name=""):
-    keep = model.lattice.below(U)
-    lat = model.lattice.restrict(keep, maximal=U, name=name)
-    sub = model.space.subspace(copyset, name=name)
-    hyp = {W: model.hyp[W] for W in keep}
-    proj = {W: CoarseMap(sub, model.hyp[W],
-                         {x: model.proj[W](x) for x in sub.vertices},
-                         name="pi:%s" % (W,)) for W in keep}
-    rset = {k: v for k, v in model.rho_set.items()
-            if k[0] in keep and k[1] in keep}
-    rmap = {k: v for k, v in model.rho_map.items()
-            if k[0] in keep and k[1] in keep}
-    return HHSModel(sub, lat, hyp, proj, rset, rmap, name=name)
-
-
-def _inclusion_embedding(sub, ambient):
-    space_map = CoarseMap.single(sub.space, ambient.space, lambda x: x, name="incl")
-    index_map = IndexMap(sub.lattice, ambient.lattice,
-                         {U: U for U in sub.elements}, name="incl")
-    hyp_maps = {U: CoarseMap.identity(sub.hyp[U]) for U in sub.elements}
-    return Embedding(sub, ambient, space_map, index_map, hyp_maps, name="incl")
 
 
 # -- comparison maps -----------------------------------------------------------
@@ -403,17 +378,18 @@ def check_hypotheses(t):
 def tree_epsilon(t):
     """One support threshold for the whole tree, from the uniform measured
     constants of all vertex and edge models (window comparison slop must
-    not masquerade as a bounded coordinate)."""
+    not masquerade as a bounded coordinate); shared models count once."""
     worst = 0.0
-    for m in list(t.vertex_models.values()) + list(t.edge_models.values()):
+    for m in dict.fromkeys([*t.vertex_models.values(), *t.edge_models.values()]):
         xi, _ = m.basics()
         worst = max(worst, xi, measure_alpha(m))
     return 3.0 * worst + 1.0
 
 
 def concretize_edges(t):
-    """Restrict every edge model (and its two embeddings) to the join of its
-    supports at the tree-wide threshold; identifications then run over
+    """Restrict every edge model to the join of its supports at the
+    tree-wide threshold (``concretize``) and precompose its two embeddings
+    with the inclusion of the restriction; identifications then run over
     concrete edge elements only. Decoration edges are exempt: they are
     built in place as product-region inclusions and deliberately carry the
     container identifications that a concreteness reduction would drop."""
@@ -429,14 +405,9 @@ def concretize_edges(t):
             continue
         changed_any = True
         edge_models[e] = res.model
+        incl = Embedding.inclusion(res.model, t.edge_models[e])
         for endpoint in e:
-            emb = t.edge_maps[(e, endpoint)]
-            keep = res.model.elements
-            edge_maps[(e, endpoint)] = Embedding(
-                res.model, emb.target, emb.space_map,
-                IndexMap(res.model.lattice, emb.target.lattice,
-                         {U: emb.index_map(U) for U in keep}, name=emb.index_map.name),
-                {U: emb.hyp_maps[U] for U in keep}, name=emb.name)
+            edge_maps[(e, endpoint)] = incl.compose(t.edge_maps[(e, endpoint)])
     if not changed_any:
         return t
     return TreeOfHHS(t.vertices, t.edges, t.vertex_models, edge_models,

@@ -1,6 +1,6 @@
 """Golden outputs: every `hhspace examples NAME` report at its default
-arguments, the radius-7 bs12 failure, and `hhspace combine` on two tree
-documents must stay byte-identical.
+arguments, the radius-7 bs12 failure, `hhspace combine` on two tree
+documents and `hhspace product` on one spec must stay byte-identical.
 
 The tables hold the exit status and the SHA-256 of stdout of each run.
 A change that is meant to alter an output updates its row and says why."""
@@ -8,10 +8,15 @@ A change that is meant to alter an output updates its row and says why."""
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hhspace
 from hhspace import cli, fixtures, serialize
+from hhspace.graphproduct import ProductSpec
 
 GOLDEN = {
     ("bs12-window",): (
@@ -75,3 +80,25 @@ def test_combine_output_unchanged(tmp_path, name):
     path.write_text(serialize.dumps(serialize.tree_to_json(TREES[name]())))
     assert _run(["combine", str(path)]) == COMBINE_GOLDEN[name], \
         "output of `hhspace combine` on %s changed" % name
+
+
+# `hhspace product FILE` on the path a - b - c with cyclic(2) bases at radius
+# 4: the one CLI output whose combination restricts an edge model
+# (concretize_edges). Its stdout is about 24 MB, so it runs in a child
+# process: a child's ru_maxrss starts at its parent's peak RSS, which the
+# peak-RSS test in test_pair_scans.py reads.
+PRODUCT_GOLDEN = (
+    0, "366d565a19bb2982e382cf37ba0cd7a5acbd0a9a5e322d75fadb05db6dc2eb5e")
+
+
+def test_product_output_unchanged(tmp_path):
+    spec = ProductSpec(("a", "b", "c"),
+                       frozenset([frozenset(("a", "b")), frozenset(("b", "c"))]),
+                       {v: ("cyclic", 2) for v in "abc"}, window_radius=4)
+    path = tmp_path / "spec.json"
+    path.write_text(serialize.dumps(serialize.spec_to_json(spec)))
+    src = os.path.dirname(os.path.dirname(hhspace.__file__))
+    out = subprocess.run([sys.executable, "-m", "hhspace.cli", "product", str(path)],
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (out.returncode, hashlib.sha256(out.stdout).hexdigest()) == PRODUCT_GOLDEN, \
+        "output of `hhspace product` on the cyclic(2) path changed"

@@ -189,6 +189,22 @@ def test_include_factory():
         res.include(("a", "b"))
 
 
+def test_include_single_free_factor_below_the_amalgam():
+    # a and c are the free factors of the link; each inclusion composes the
+    # free-product level's factor embedding with the amalgam side
+    from hhspace.embedding import verify_embedding
+    from hhspace.fixtures import raag_path
+    res = raag_path(1)
+    for theta in (("a",), ("c",)):
+        assert verify_embedding(res.include(theta)).ok
+
+
+def test_include_spanning_two_free_factors_is_a_hypothesis_failure():
+    spec = spec_of("abc", [], {v: ("cyclic", 2) for v in "abc"})
+    with pytest.raises(HypothesisFailure, match="several free factors"):
+        build(spec).include(("a", "b"))
+
+
 def test_path4_out_of_scope():
     spec = spec_of("abcd", [("a", "b"), ("b", "c"), ("c", "d")],
                    {v: ("z", 1) for v in "abcd"})
@@ -215,3 +231,7 @@ def test_complete_triangle_build():
     from hhspace.embedding import verify_embedding
     assert verify_embedding(res.include(("a", "b"))).ok
     assert verify_embedding(res.include(("a",))).ok
+    # c is the last vertex of the fold a, b, c; a, c is not a prefix of it
+    assert verify_embedding(res.include(("c",))).ok
+    with pytest.raises(HypothesisFailure, match="not a fold prefix"):
+        res.include(("a", "c"))

@@ -92,6 +92,17 @@ def test_realize_rejects_inconsistent():
         realize(m, t, kappa=2)
 
 
+def test_tuple_consistency_defect_of_realized_tuples_is_zero():
+    # fixture B has transverse and properly nested pairs, so both
+    # inequalities are evaluated; the tuple of a point satisfies both
+    m = fixture_b_product()
+    lat = m.lattice
+    rels = {lat.rel(a, b) for i, a in enumerate(lat.elements) for b in lat.elements[i + 1:]}
+    assert {"trans", "nested"} <= rels
+    for x in m.space.vertices:
+        assert tuple_consistency_defect(m, m.coords_of(x))[0] == 0
+
+
 def test_product_region_fibers(grid):
     pr = product_region(grid, L1, 0)
     assert pr.F == frozenset((i, 0) for i in range(5))
@@ -215,6 +226,20 @@ def test_normalize_restricts_fat_models():
     assert audit_axioms(slim).entry("projections").constants["surj_radius"] <= 1
 
 
+def test_normalize_keeps_rho_maps_that_land_in_the_slim_models():
+    # hagen_target(3) has four rho maps; at radius 1 every image point stays
+    # in the restricted lower model, so each map keeps its images
+    m = fixtures.hagen_target(3)
+    slim = normalize(m, radius=1)
+    assert len(m.rho_map) == 4
+    for (v, w), rmap in m.rho_map.items():
+        got = slim.rho_map[(v, w)]
+        assert got.domain is slim.hyp[w] and got.codomain is slim.hyp[v]
+        assert got.images == {p: rmap(p) for p in slim.hyp[w].vertices}
+        assert got.name == rmap.name
+    assert audit_axioms(slim).ok
+
+
 def test_theta_table_monotone(grid):
     rep = audit_axioms(grid)
     theta = rep.entry("uniqueness").constants["theta_u"]
@@ -268,6 +293,75 @@ def test_concretize_removes_artificial_bounded_element():
     assert res.changed
     assert W in res.removed
     assert audit_axioms(res.model).ok
+
+
+# the two restrictions HHSModel.restrict replaced: concretize's `submodel`
+# and decorate's `_restricted_model`, as they were
+
+
+def _submodel_reference(model, keep, new_maximal):
+    keep = frozenset(keep)
+    lat = model.lattice.restrict(keep, maximal=new_maximal)
+    hyp = {U: model.hyp[U] for U in keep}
+    proj = {U: model.proj[U] for U in keep}
+    rset = {k: v for k, v in model.rho_set.items() if k[0] in keep and k[1] in keep}
+    rmap = {k: v for k, v in model.rho_map.items() if k[0] in keep and k[1] in keep}
+    return HHSModel(model.space, lat, hyp, proj, rset, rmap,
+                    name=model.name + "|core")
+
+
+def _restricted_model_reference(model, U, copyset, name=""):
+    keep = model.lattice.below(U)
+    lat = model.lattice.restrict(keep, maximal=U, name=name)
+    sub = model.space.subspace(copyset, name=name)
+    hyp = {W: model.hyp[W] for W in keep}
+    proj = {W: CoarseMap(sub, model.hyp[W],
+                         {x: model.proj[W](x) for x in sub.vertices},
+                         name="pi:%s" % (W,)) for W in keep}
+    rset = {k: v for k, v in model.rho_set.items()
+            if k[0] in keep and k[1] in keep}
+    rmap = {k: v for k, v in model.rho_map.items()
+            if k[0] in keep and k[1] in keep}
+    return HHSModel(sub, lat, hyp, proj, rset, rmap, name=name)
+
+
+def _assert_same_restriction(got, want):
+    assert got.name == want.name
+    assert got.space.vertices == want.space.vertices
+    assert got.space.name == want.space.name
+    assert (got.space.dist == want.space.dist).all()
+    lat, ref = got.lattice, want.lattice
+    assert (lat.elements, lat.maximal) == (ref.elements, ref.maximal)
+    assert lat.nest_pairs() == ref.nest_pairs()
+    assert lat.orth_pairs() == ref.orth_pairs()
+    assert lat.containers == ref.containers
+    for U in ref.elements:
+        assert got.hyp[U] is want.hyp[U]
+        assert got.proj[U].domain is got.space
+        assert got.proj[U].images == want.proj[U].images
+        assert got.proj[U].name == want.proj[U].name
+    assert got.rho_set == want.rho_set
+    assert got.rho_map.keys() == want.rho_map.keys()
+    assert all(got.rho_map[k] is m for k, m in want.rho_map.items())
+
+
+@pytest.mark.parametrize("make", [lambda: grid_product(3, 3), bounded_factor_product],
+                         ids=["grid3x3", "bounded-factor"])
+def test_restrict_matches_the_two_restrictions_it_replaced(make):
+    m = make()
+    for U in m.elements:
+        core = m.restrict(U, name=m.name + "|core")
+        _assert_same_restriction(core, _submodel_reference(m, m.lattice.below(U), U))
+        # on the same space the projections are the same objects
+        assert core.space is m.space
+        assert all(core.proj[W] is m.proj[W] for W in core.elements)
+        region = product_region(m, U, max(m.basics()))
+        for k, (_, copyset) in enumerate(region.copies + [(None, m.space.vertices)]):
+            name = "%s|%s#%d" % (m.name, U, k)
+            _assert_same_restriction(m.restrict(U, copyset, name=name),
+                                     _restricted_model_reference(m, U, copyset, name=name))
+        if U != m.lattice.maximal:
+            assert len(core.elements) < len(m.elements)
 
 
 def test_distance_formula_fit_without_clipped_pairs_emits_no_warning():

@@ -43,6 +43,18 @@ def test_subspace_keeps_ambient_metric():
     assert s.d(0, 4) == 4
 
 
+def test_subspace_and_cone_off_do_not_depend_on_input_order():
+    g = cycle_graph(8)
+    s = g.subspace([6, 1, 4, 1, 7])
+    assert s.vertices == (1, 4, 6, 7)
+    ii = g.idx(list(s.vertices))
+    assert (s.dist == g.dist[np.ix_(ii, ii)]).all()
+    a = cone_off(g, {"x": [5, 0, 2], "w": [3, 1]})
+    b = cone_off(g, {"w": [1, 3], "x": [2, 0, 5]})
+    assert (a.vertices, a.edges) == (b.vertices, b.edges)
+    assert (a.dist == b.dist).all()
+
+
 def test_delta_tree_is_zero():
     t = FiniteSpace(range(7), [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5), (5, 6)])
     assert four_point_delta(t) == 0.0

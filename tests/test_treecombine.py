@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhspace.embedding import Embedding
+from hhspace import treecombine
+from hhspace.embedding import Embedding, verify_embedding
 from hhspace.fixtures import bs_window, grid_product
 from hhspace.indexmaps import IndexMap
-from hhspace.model import audit_axioms, trivial_model
+from hhspace.model import audit_axioms, measure_alpha, trivial_model
 from hhspace.spaces import (CoarseMap, FiniteSpace, path_graph, single_point,
                             vkey)
 from hhspace.treecombine import (THAT, ComparisonNotUniform, HypothesisFailure,
                                  TreeOfHHS, _check_connected, audit_combined,
                                  build_combined, combined_wedge_table,
-                                 comparison_map, decorate, equivalence_classes)
+                                 comparison_map, concretize_edges, decorate,
+                                 equivalence_classes, tree_epsilon)
 
 
 def point_edge_tree(spaces):
@@ -252,6 +254,70 @@ def test_build_combined_decorates_its_tree():
     c = build_combined(w)
     assert c.tree.vertices == decorate(w).vertices
     assert c.tree.name == w.name + "~"
+
+
+def _cyclic2_amalgam_window():
+    """The amalgam window of the path a - b - c with cyclic(2) bases at
+    radius 4, decorated: the one known window where concretize_edges
+    restricts an edge (its two amalgam edges, from three elements to one)."""
+    from hhspace.graphproduct import (ProductSpec, amalgam_star_window,
+                                      base_group_model, build)
+    side = build(ProductSpec(("a", "c"), frozenset(),
+                             {"a": ("cyclic", 2), "c": ("cyclic", 2)}, window_radius=4))
+    return decorate(amalgam_star_window(side.model, base_group_model(("cyclic", 2), "b"),
+                                        name="amalgam:b"))
+
+
+def _hand_built_edge_map(emb, sub):
+    """The edge map that concretize_edges built by hand before
+    Embedding.inclusion: emb's own maps, cut down to the elements of sub."""
+    keep = sub.elements
+    return Embedding(sub, emb.target, emb.space_map,
+                     IndexMap(sub.lattice, emb.target.lattice,
+                              {U: emb.index_map(U) for U in keep}, name=emb.index_map.name),
+                     {U: emb.hyp_maps[U] for U in keep}, name=emb.name)
+
+
+def test_concretized_edge_maps_match_the_hand_built_maps():
+    t = _cyclic2_amalgam_window()
+    c = concretize_edges(t)
+    changed = [e for e in t.edges if c.edge_models[e] is not t.edge_models[e]]
+    assert len(changed) == 2
+    for e in changed:
+        sub = c.edge_models[e]
+        assert sub.name == "fp:a,c~|combined|core"
+        assert (len(t.edge_models[e].elements), len(sub.elements)) == (3, 1)
+        for endpoint in e:
+            got = c.edge_maps[(e, endpoint)]
+            want = _hand_built_edge_map(t.edge_maps[(e, endpoint)], sub)
+            assert got.source is want.source is sub
+            assert got.target is want.target
+            assert got.index_map.mapping == want.index_map.mapping
+            assert got.space_map.images == want.space_map.images
+            for U in sub.elements:
+                assert got.hyp_maps[U].domain is want.hyp_maps[U].domain
+                assert got.hyp_maps[U].codomain is want.hyp_maps[U].codomain
+                assert got.hyp_maps[U].images == want.hyp_maps[U].images
+            assert verify_embedding(got).ok
+    for e in t.edges:
+        if e not in changed:
+            assert c.edge_maps[(e, e[0])] is t.edge_maps[(e, e[0])]
+
+
+def test_tree_epsilon_measures_each_shared_model_once(monkeypatch):
+    t = _cyclic2_amalgam_window()
+    models = list(t.vertex_models.values()) + list(t.edge_models.values())
+    distinct = list({id(m): m for m in models}.values())
+    assert len(distinct) < len(models)
+    want = 3.0 * max(max(m.basics()[0], measure_alpha(m)) for m in models) + 1.0
+    seen = []
+
+    def counting(m):
+        seen.append(m)
+        return measure_alpha(m)
+    monkeypatch.setattr(treecombine, "measure_alpha", counting)
+    assert tree_epsilon(t) == want
+    assert [id(m) for m in seen] == [id(m) for m in distinct]
 
 
 def test_combined_distance_formula_finite():
