@@ -10,6 +10,9 @@ to the containers of everything above it, and transverse to the rest.
 The recursion for a whole product graph lives in build(); complete graphs
 fold into direct products, disconnected graphs into amalgams over the
 trivial group, everything else splits along the link of a pivot vertex.
+Each level is kept as data: its subgraph, its model, and the levels it
+combines with their embeddings, which one walk composes into the
+inclusion of any sub-product a level holds.
 """
 
 from collections import deque
@@ -139,7 +142,7 @@ def direct_product_structure(a, b, name=""):
             elif r == "trans":
                 rho_set[(e, ve)] = frozenset([point_of[f]])
                 rho_set[(ve, e)] = _complement_marker(
-                    a, b, sides, rho_set, e, f, base_marker(e))
+                    a, b, sides, e, f, base_marker(e))
             if e != f and lattice.properly_nested(ve, ("V", e)):
                 rho_set[(ve, ("V", e))] = frozenset([point_of[e]])
                 rho_map[(ve, ("V", e))] = const_map(("V", e), ve, [point_of[f]])
@@ -150,7 +153,7 @@ def direct_product_structure(a, b, name=""):
     return HHSModel(space, lattice, hyp, proj, rho_set, rho_map, name=name)
 
 
-def _complement_marker(a, b, sides, rho_set, e, f, fallback):
+def _complement_marker(a, b, sides, e, f, fallback):
     """Marker of the container element ("V", f) inside the model of e, for
     transverse pairs. The container behaves like the orthogonal complement
     of f, so reuse the factor marker of that complement in e when it exists
@@ -269,7 +272,6 @@ class SplitData:
     pivot: object
     left: ProductSpec       # the graph minus the pivot
     link: tuple             # link of the pivot
-    spec: ProductSpec = None
 
     def __repr__(self):
         return "SplitData(pivot=%r, left=%r, link=%r)" % (
@@ -289,7 +291,7 @@ def split(spec):
         raise NoSplitNeeded("disconnected graph: free product")
     pivot = max(spec.vertices, key=spec.degree)   # the first, so the least, at a tie
     rest = tuple(v for v in spec.vertices if v != pivot)
-    return SplitData(pivot, spec.induced(rest), spec.link(pivot), spec)
+    return SplitData(pivot, spec.induced(rest), spec.link(pivot))
 
 
 def base_group_model(kind, label):
@@ -457,16 +459,41 @@ class BuildResult:
     include: object           # callable subgraph-vertices -> Embedding
 
 
+@dataclass
+class _Level:
+    """One level of the recursion: the subgraph it covers, its model, and
+    the levels it combines, each with the embedding of its model into this
+    level's model."""
+    vertices: tuple
+    model: HHSModel
+    children: tuple = ()      # (child _Level, Embedding child.model -> model)
+
+    def include(self, theta):
+        """Embedding of the sub-product over theta: the identity on this
+        level's own subgraph, else through the first child that holds
+        theta; HypothesisFailure (witness theta) when none does."""
+        theta = tuple(sorted(theta))
+        if theta == self.vertices:
+            return Embedding.identity(self.model)
+        for child, emb in self.children:
+            if set(theta) <= set(child.vertices):
+                return child.include(theta).compose(emb)
+        raise HypothesisFailure("no level of the recursion holds this subgraph",
+                                theta)
+
+
 def build(spec):
     """Recursive construction of the combined structure of the whole graph
     product: complete graphs fold into direct products, disconnected graphs
     into free-product windows, everything else splits along the link of the
     pivot. Tree windows go to build_combined as they are; it decorates
     them itself. Every level certifies the lattice checks plus fullness,
-    hierarchical quasiconvexity and isometry of the inclusions used."""
+    hierarchical quasiconvexity and isometry of the inclusions used, and
+    keeps them with its children, so include(theta) walks the levels down
+    to the one whose subgraph is theta."""
     levels = []
-    model, combined, include = _build_sub(spec, levels)
-    return BuildResult(model, combined, CertChain(levels), include)
+    level, combined = _build_sub(spec, levels)
+    return BuildResult(level.model, combined, CertChain(levels), level.include)
 
 
 BOUNDED_DIAM = 2
@@ -503,17 +530,10 @@ def _lattice_checks(model):
 def _build_sub(spec, levels):
     verts = spec.vertices
     if len(verts) == 1:
-        v = verts[0]
-        model = base_group_model(spec.bases[v], v)
+        model = base_group_model(spec.bases[verts[0]], verts[0])
         ip, cc = _lattice_checks(model)
         levels.append(CertLevel(verts, "base", None, ip, cc, []))
-
-        def include(theta, model=model, v=v):
-            if tuple(theta) == (v,):
-                return Embedding.identity(model)
-            raise HypothesisFailure("no such subgraph below a base vertex", theta)
-        return model, None, include
-
+        return _Level(verts, model), None
     if spec.is_complete():
         return _build_complete(spec, levels)
     comps = spec.components()
@@ -523,97 +543,59 @@ def _build_sub(spec, levels):
 
 
 def _build_complete(spec, levels):
-    order = list(spec.vertices)
-    model, _, include = _build_sub(spec.induced(order[:1]), levels)
-    prefix = order[:1]
-    for v in order[1:]:
+    level, _ = _build_sub(spec.induced(spec.vertices[:1]), levels)
+    for v in spec.vertices[1:]:
         right = base_group_model(spec.bases[v], v)
-        product = direct_product_structure(model, right,
-                                           name="x".join(map(str, prefix + [v])))
-        left_emb = factor_embedding(product, model, "l")
+        prefix = level.vertices + (v,)
+        product = direct_product_structure(level.model, right,
+                                           name="x".join(map(str, prefix)))
+        left_emb = factor_embedding(product, level.model, "l")
         right_emb = factor_embedding(product, right, "r")
         ip, cc = _lattice_checks(product)
-        incs = [_certify_inclusion("factor:%s" % ",".join(map(str, prefix)),
+        incs = [_certify_inclusion("factor:%s" % ",".join(map(str, level.vertices)),
                                    left_emb),
                 _certify_inclusion("factor:%s" % v, right_emb)]
-        levels.append(CertLevel(tuple(prefix + [v]), "direct-product", None,
-                                ip, cc, incs))
-        old_include = include
-        prefix = prefix + [v]
-
-        def include(theta, product=product, model=model, right=right, v=v,
-                    old=old_include, left_emb=left_emb, right_emb=right_emb,
-                    prefix=tuple(prefix)):
-            theta = tuple(sorted(theta))
-            if theta == prefix:
-                return Embedding.identity(product)
-            if theta == (v,):
-                return right_emb
-            if v not in theta:
-                return old(theta).compose(left_emb)
-            raise HypothesisFailure(
-                "inclusion into the product fold %r is not a fold prefix"
-                % (prefix,), theta)
-        model = product
-    return model, None, include
+        levels.append(CertLevel(prefix, "direct-product", None, ip, cc, incs))
+        level = _Level(prefix, product,
+                       ((level, left_emb), (_Level((v,), right), right_emb)))
+    return level, None
 
 
 def _build_free(spec, comps, levels):
-    sub_results = []
+    subs = []
     for comp in comps:
         if len(comp) > 1:
             raise HypothesisFailure(
                 "free factors with composite structures are outside the "
                 "implemented window scope", comp)
-        sub_results.append(_build_sub(spec.induced(comp), levels))
+        subs.append(_build_sub(spec.induced(comp), levels)[0])
     bases = [spec.bases[comp[0]] for comp in comps]
     labels = [comp[0] for comp in comps]
-    window = free_product_window(bases, labels, spec.window_radius,
-                                 spec.budget, name="fp:" + ",".join(map(str, labels)))
-    combined = build_combined(window)
-    model = combined.model
-
-    def component_embedding(idx):
-        fp = FreeProductBases(bases)
-        sub_model = sub_results[idx][0]
+    combined = build_combined(free_product_window(
+        bases, labels, spec.window_radius, spec.budget,
+        name="fp:" + ",".join(map(str, labels))))
+    fp = FreeProductBases(bases)
+    children, incs = [], []
+    for idx, sub in enumerate(subs):
         root = ("gp", idx, ())
-        cls = _class_of(combined, root, "S")
-        comp_map = combined.comparison_maps[(cls.id, root)]
+        _class_of(combined, root, "S")      # the witness when the window misses root
+        copy = combined.tree.vertex_models[root]
 
-        def relabel(x, idx=idx, fp=fp):
-            # base models index their own syllables 0; the window copy uses
-            # the component index
-            e = 0 if x == () else x[0][1]
-            return fp.normalize(((idx, e),))
+        def relabel(x, idx=idx):
+            # base models index their own syllables 0, window copies by factor
+            return fp.normalize(((idx, 0 if x == () else x[0][1]),))
 
-        space_map = CoarseMap.single(sub_model.space, model.space,
-                                     lambda x, root=root: (root, relabel(x)))
-        index_map = IndexMap(sub_model.lattice, model.lattice, {"S": cls.id})
-        hyp_map = CoarseMap(sub_model.hyp["S"], model.hyp[cls.id],
-                            {x: comp_map(relabel(x))
-                             for x in sub_model.hyp["S"].vertices})
-        return Embedding(sub_model, model, space_map, index_map,
-                         {"S": hyp_map}, name="free-factor:%r" % (labels[idx],))
-
-    incs = []
-    for idx, comp in enumerate(comps):
-        incs.append(_certify_inclusion("free-factor:%s" % (comp[0],),
-                                       component_embedding(idx)))
-    ip, cc = _lattice_checks(model)
+        # both are trivial models: each space is its own hyperbolic model
+        rel = CoarseMap.single(sub.model.space, copy.space, relabel)
+        iso = Embedding(sub.model, copy, rel,
+                        IndexMap(sub.model.lattice, copy.lattice, {"S": "S"}),
+                        {"S": rel}, name="relabel:%r" % (labels[idx],))
+        emb = iso.compose(_vertex_embedding(combined, root))
+        incs.append(_certify_inclusion("free-factor:%s" % (labels[idx],), emb))
+        children.append((sub, emb))
+    ip, cc = _lattice_checks(combined.model)
     levels.append(CertLevel(spec.vertices, "free-product", None, ip, cc, incs))
-
-    def include(theta, spec=spec, comps=comps):
-        theta = tuple(sorted(theta))
-        if theta == spec.vertices:
-            return Embedding.identity(model)
-        for idx, comp in enumerate(comps):
-            if theta == comp:
-                return component_embedding(idx)
-            if set(theta) <= set(comp):
-                return sub_results[idx][2](theta).compose(component_embedding(idx))
-        raise HypothesisFailure(
-            "inclusion spanning several free factors is not implemented", theta)
-    return model, combined, include
+    return _Level(spec.vertices, combined.model, tuple(children)), combined
 
 
 def _class_of(combined, vertex, elt):
@@ -626,50 +608,39 @@ def _class_of(combined, vertex, elt):
             (vertex, elt)) from None
 
 
+def _vertex_embedding(combined, v):
+    """Embedding of the model at tree vertex v into the combined model:
+    x goes to (v, x), each element to its class, each hyperbolic model
+    through the comparison map of that class at v."""
+    sub = combined.tree.vertex_models[v]
+    model = combined.model
+    cls_of = {U: _class_of(combined, v, U).id for U in sub.elements}
+    return Embedding(sub, model,
+                     CoarseMap.single(sub.space, model.space, lambda x: (v, x)),
+                     IndexMap(sub.lattice, model.lattice, cls_of),
+                     {U: combined.comparison_maps[(cls_of[U], v)]
+                      for U in sub.elements},
+                     name="vertex:%r" % (v,))
+
+
 def _build_split(spec, levels):
     data = split(spec)
     v = data.pivot
-    link = data.link
-    left = data.left
-    if tuple(sorted(link)) != left.vertices:
+    if data.link != data.left.vertices:
         # the general amalgam needs coset windows over a proper subgroup of
         # the complement; see the decisions on scope
         raise HypothesisFailure(
             "splitting whose link differs from the pivot complement needs "
             "coset windows over a proper subgroup; not implemented for %r"
-            % (spec.vertices,), data.pivot)
-    p_model, _, p_include = _build_sub(left, levels)
+            % (spec.vertices,), v)
+    p_level, _ = _build_sub(data.left, levels)
     pivot_model = base_group_model(spec.bases[v], v)
-    combined = build_combined(amalgam_star_window(p_model, pivot_model,
+    combined = build_combined(amalgam_star_window(p_level.model, pivot_model,
                                                   name="amalgam:%s" % (v,)))
-    model = combined.model
-    center = ("Q",)
-    leaves = [w for w in combined.tree.vertices
-              if isinstance(w, tuple) and w and w[0] == "P"]
-
-    def side_embedding(leaf):
-        sub = combined.tree.vertex_models[leaf]
-        cls_of = {U: _class_of(combined, leaf, U).id for U in sub.elements}
-        space_map = CoarseMap.single(sub.space, model.space,
-                                     lambda x, leaf=leaf: (leaf, x))
-        index_map = IndexMap(sub.lattice, model.lattice, cls_of)
-        hyp_maps = {U: combined.comparison_maps[(cls_of[U], leaf)]
-                    for U in sub.elements}
-        return Embedding(sub, model, space_map, index_map, hyp_maps,
-                         name="side:%r" % (leaf,))
-
-    incs = [_certify_inclusion("amalgam-side:%r" % (leaves[0],),
-                               side_embedding(leaves[0])),
-            _certify_inclusion("amalgam-center", side_embedding(center))]
-    ip, cc = _lattice_checks(model)
+    leaf = ("P", pivot_model.space.vertices[0])
+    side = _vertex_embedding(combined, leaf)
+    incs = [_certify_inclusion("amalgam-side:%r" % (leaf,), side),
+            _certify_inclusion("amalgam-center", _vertex_embedding(combined, ("Q",)))]
+    ip, cc = _lattice_checks(combined.model)
     levels.append(CertLevel(spec.vertices, "amalgam", v, ip, cc, incs))
-
-    def include(theta, spec=spec):
-        theta = tuple(sorted(theta))
-        if theta == spec.vertices:
-            return Embedding.identity(model)
-        if set(theta) <= set(left.vertices):
-            return p_include(theta).compose(side_embedding(leaves[0]))
-        raise HypothesisFailure(
-            "inclusion through the pivot side is not implemented", theta)
-    return model, combined, include
+    return _Level(spec.vertices, combined.model, ((p_level, side),)), combined

@@ -68,8 +68,17 @@ class FiniteSpace:
     """A finite connected metric space with integer distances."""
 
     def __init__(self, vertices, edges=None, dist=None, name=""):
+        """A graph (``edges`` between labels) or a metric table ``dist``
+        whose rows and columns follow the order of ``vertices``; labels are
+        stored sorted by ``vkey``."""
         self.name = name
-        self.vertices = sorted_vertices(vertices)
+        if dist is None:
+            self.vertices = sorted_vertices(vertices)
+        else:
+            given = tuple(vertices)
+            check_distinct(given, "vertex")
+            perm = sorted(range(len(given)), key=lambda i: vkey(given[i]))
+            self.vertices = tuple(given[i] for i in perm)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
         if n == 0:
@@ -80,6 +89,8 @@ class FiniteSpace:
             self.dist = np.asarray(dist, dtype=np.int64)
             if self.dist.shape != (n, n):
                 raise ValueError("distance table shape mismatch")
+            if perm != list(range(n)):
+                self.dist = self.dist[np.ix_(perm, perm)]
         else:
             es = set()
             for a, b in edges or ():
@@ -101,7 +112,6 @@ class FiniteSpace:
         Raises ValueError on a repeated vertex, and unless the table is a square
         integer metric: non-negative, zero diagonal, symmetric, triangle inequality."""
         src = list(vertices)
-        check_distinct(src, "vertex")
         n = len(src)
         m = np.asarray(table)
         if m.shape != (n, n):
@@ -117,9 +127,7 @@ class FiniteSpace:
             if (m > m[:, k, None] + m[None, k, :]).any():
                 raise ValueError("distance table breaks the triangle inequality "
                                  "through vertex %r" % (src[k],))
-        order = sorted_vertices(src)
-        perm = [src.index(v) for v in order]
-        return cls(order, dist=m[np.ix_(perm, perm)], name=name)
+        return cls(src, dist=m, name=name)
 
     def __len__(self):
         return len(self.vertices)
@@ -308,12 +316,8 @@ class FiniteSpace:
                            name=name or self.name + "|sub")
 
     def relabel(self, fn, name=""):
-        verts = [fn(v) for v in self.vertices]
-        if len(set(verts)) != len(verts):
-            raise ValueError("relabel is not injective")
-        order = sorted(range(len(verts)), key=lambda i: vkey(verts[i]))
-        m = self.dist[np.ix_(order, order)]
-        return FiniteSpace([verts[i] for i in order], dist=m, name=name or self.name)
+        return FiniteSpace([fn(v) for v in self.vertices], dist=self.dist,
+                           name=name or self.name)
 
     def dot(self):
         lines = ["graph {"]

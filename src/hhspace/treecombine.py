@@ -676,10 +676,10 @@ class _CombinedBuilder:
 
         # relative projections
         rho_set, rho_map = {}, {}
-        self._rho_classes(lattice, hyp, rho_set, rho_map)
-        self._rho_supports(lattice, hyp, rho_set, rho_map, sup_ids, proper)
-        self._rho_cross(lattice, hyp, rho_set, rho_map, sup_ids)
-        self._rho_that(lattice, hyp, rho_set, rho_map, sup_ids, proj)
+        self._rho_classes(lattice, rho_set, rho_map)
+        self._rho_supports(lattice, hyp, rho_set, rho_map, sup_ids)
+        self._rho_cross(lattice, rho_set, rho_map, sup_ids)
+        self._rho_that(hyp, rho_set, rho_map, sup_ids)
 
         return HHSModel(X, lattice, hyp, proj, rho_set, rho_map,
                         name=t.name + "|combined")
@@ -695,7 +695,7 @@ class _CombinedBuilder:
         fwd = self.comp[(small.id, v)]
         return back.compose(down).compose(fwd)
 
-    def _rho_classes(self, lattice, hyp, rho_set, rho_map):
+    def _rho_classes(self, lattice, rho_set, rho_map):
         for i, c1 in enumerate(self.classes):
             for c2 in self.classes[i + 1:]:
                 r = lattice.rel(c1.id, c2.id)
@@ -728,7 +728,7 @@ class _CombinedBuilder:
         return CoarseMap.single(self.coned[from_sid].space, to_space,
                                 lambda p: closest[self._cone_base(p)])
 
-    def _rho_supports(self, lattice, hyp, rho_set, rho_map, sup_ids, proper):
+    def _rho_supports(self, lattice, hyp, rho_set, rho_map, sup_ids):
         for s1 in sup_ids:
             for s2 in sup_ids:
                 if s1 == s2:
@@ -750,7 +750,7 @@ class _CombinedBuilder:
                         rho_set[(s1, s2)] = frozenset([b])
                         rho_set[(s2, s1)] = frozenset([a])
 
-    def _rho_cross(self, lattice, hyp, rho_set, rho_map, sup_ids):
+    def _rho_cross(self, lattice, rho_set, rho_map, sup_ids):
         for cls in self.classes:
             for sid in sup_ids:
                 r = lattice.rel(cls.id, sid)
@@ -789,7 +789,7 @@ class _CombinedBuilder:
         return CoarseMap(src, self.t.vertex_models[cls.favorite_vertex]
                          .hyp[cls.favorite_rep], {p: value(p) for p in src.vertices})
 
-    def _rho_that(self, lattice, hyp, rho_set, rho_map, sup_ids, proj):
+    def _rho_that(self, hyp, rho_set, rho_map, sup_ids):
         for cls in self.classes:
             rho_set[(cls.id, THAT)] = frozenset(cls.support)
             rho_map[(cls.id, THAT)] = self._class_point_map(cls, THAT)

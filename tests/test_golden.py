@@ -1,6 +1,6 @@
 """Golden outputs: every `hhspace examples NAME` report at its default
 arguments, the radius-7 bs12 failure, `hhspace combine` on two tree
-documents and `hhspace product` on one spec must stay byte-identical.
+documents and `hhspace product` on three specs must stay byte-identical.
 
 The tables hold the exit status and the SHA-256 of stdout of each run.
 A change that is meant to alter an output updates its row and says why."""
@@ -85,20 +85,43 @@ def test_combine_output_unchanged(tmp_path, name):
 # `hhspace product FILE` on the path a - b - c with cyclic(2) bases at radius
 # 4: the one CLI output whose combination restricts an edge model
 # (concretize_edges). Its stdout is about 24 MB, so it runs in a child
-# process: a child's ru_maxrss starts at its parent's peak RSS, which the
-# peak-RSS test in test_pair_scans.py reads.
+# process, where that output does not stay in the test process's peak RSS.
 PRODUCT_GOLDEN = (
     0, "366d565a19bb2982e382cf37ba0cd7a5acbd0a9a5e322d75fadb05db6dc2eb5e")
+
+# the same on a, b, c at the default radius: the triangle folds into direct
+# products, the edgeless graph is a three-factor star window
+RECURSION_GOLDEN = {
+    "triangle": (
+        ["ab", "bc", "ac"], {"a": ("cyclic", 2), "b": ("cyclic", 2), "c": ("cyclic", 3)},
+        0, "ea28874688bd8c5f3df0729aaa58fd02664f1f71d59459b632264b2a52acd6a4"),
+    "edgeless": (
+        [], {v: ("cyclic", 2) for v in "abc"},
+        0, "c35c04742905354ad38c4ab63df4c872dae53b5bbb6ff02e2fd66ceface646cc"),
+}
+
+
+def _run_product(tmp_path, spec):
+    """Exit status and SHA-256 of stdout of `hhspace product` in a child."""
+    path = tmp_path / "spec.json"
+    path.write_text(serialize.dumps(serialize.spec_to_json(spec)))
+    src = os.path.dirname(os.path.dirname(hhspace.__file__))
+    out = subprocess.run([sys.executable, "-m", "hhspace.cli", "product", str(path)],
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    return out.returncode, hashlib.sha256(out.stdout).hexdigest()
 
 
 def test_product_output_unchanged(tmp_path):
     spec = ProductSpec(("a", "b", "c"),
                        frozenset([frozenset(("a", "b")), frozenset(("b", "c"))]),
                        {v: ("cyclic", 2) for v in "abc"}, window_radius=4)
-    path = tmp_path / "spec.json"
-    path.write_text(serialize.dumps(serialize.spec_to_json(spec)))
-    src = os.path.dirname(os.path.dirname(hhspace.__file__))
-    out = subprocess.run([sys.executable, "-m", "hhspace.cli", "product", str(path)],
-                         capture_output=True, env=dict(os.environ, PYTHONPATH=src))
-    assert (out.returncode, hashlib.sha256(out.stdout).hexdigest()) == PRODUCT_GOLDEN, \
+    assert _run_product(tmp_path, spec) == PRODUCT_GOLDEN, \
         "output of `hhspace product` on the cyclic(2) path changed"
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_GOLDEN))
+def test_product_fold_and_star_outputs_unchanged(tmp_path, name):
+    edges, bases, *golden = RECURSION_GOLDEN[name]
+    spec = ProductSpec(("a", "b", "c"), frozenset(frozenset(e) for e in edges), bases)
+    assert _run_product(tmp_path, spec) == tuple(golden), \
+        "output of `hhspace product` on the %s graph changed" % name

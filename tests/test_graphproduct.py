@@ -1,8 +1,12 @@
+import hashlib
+import itertools
+
 import pytest
 
 from hhspace.graphproduct import (NoSplitNeeded, ProductSpec, WindowTooLarge,
                                   build, direct_product_structure,
                                   free_product_window, split)
+from hhspace.fixtures import free_product_z2_z3
 from hhspace.model import audit_axioms, trivial_model
 from hhspace.spaces import path_graph
 from hhspace.treecombine import ComparisonNotUniform, HypothesisFailure, audit_combined
@@ -201,8 +205,9 @@ def test_include_single_free_factor_below_the_amalgam():
 
 def test_include_spanning_two_free_factors_is_a_hypothesis_failure():
     spec = spec_of("abc", [], {v: ("cyclic", 2) for v in "abc"})
-    with pytest.raises(HypothesisFailure, match="several free factors"):
+    with pytest.raises(HypothesisFailure, match="no level of the recursion") as exc:
         build(spec).include(("a", "b"))
+    assert exc.value.witness == ("a", "b")
 
 
 def test_path4_out_of_scope():
@@ -233,5 +238,94 @@ def test_complete_triangle_build():
     assert verify_embedding(res.include(("a",))).ok
     # c is the last vertex of the fold a, b, c; a, c is not a prefix of it
     assert verify_embedding(res.include(("c",))).ok
-    with pytest.raises(HypothesisFailure, match="not a fold prefix"):
+    with pytest.raises(HypothesisFailure, match="no level of the recursion") as exc:
         res.include(("a", "c"))
+    assert exc.value.witness == ("a", "c")
+
+
+# every nonempty subgraph of five specs: the inclusion either fails with a
+# typed witness or is a verified embedding whose index mapping, space-map
+# images and hyp-map images hash to the pinned SHA-256 ("fail" marks a
+# HypothesisFailure)
+INCLUDE_SPECS = {
+    "path": lambda: build(spec_of("abc", [("a", "b"), ("b", "c")],
+                                  {v: ("z", 1) for v in "abc"}, radius=1)),
+    "triangle": lambda: build(spec_of(
+        "abc", [("a", "b"), ("b", "c"), ("a", "c")],
+        {"a": ("cyclic", 2), "b": ("cyclic", 2), "c": ("cyclic", 3)})),
+    "edgeless": lambda: build(spec_of("abc", [], {v: ("cyclic", 2) for v in "abc"})),
+    "edge": lambda: build(spec_of("ab", [("a", "b")],
+                                  {"a": ("cyclic", 3), "b": ("z", 1)})),
+    "z2z3": lambda: free_product_z2_z3(),
+}
+
+INCLUDE_GOLDEN = {
+    "path": {
+        "a": "9bb13c73b39c83c97c1e98177323e015d6e2c5f7a34920eff60f7551ee0d650e",
+        "b": "fail",
+        "c": "7d860899aff73ddf384f9a62f521741660a823abbd0d0f3e1741ef60bfec286a",
+        "ab": "fail",
+        "ac": "90165a9bc5b8d02366d64fbb12cceb785bd93ee9a24e274ef877921c1abd724d",
+        "bc": "fail",
+        "abc": "ead125d8fe3409245f4a5b136e1d4cd71902266fd48e6f6b1d0daecce517b5d9",
+    },
+    "triangle": {
+        "a": "6126e82f8bf77c9c1545ef86e0656401f2cb43ca8ed58b0bf1e1635cbf1b544b",
+        "b": "1c8626485888149ae73fbc8dbea5e4d3d225f208b4694d0c9b58475993e86894",
+        "c": "1d9cf2cb87f1f7d120ce0a292e72596ecf035f3255c2b7d96ae71ad52501ac65",
+        "ab": "c07d39a97003da39ea0c78c2e1632b2a369ed8c3a3cc6c806b4dd890fa8dcab1",
+        "ac": "fail",
+        "bc": "fail",
+        "abc": "2f14275d7ee39550ca232254e3da616a1f91ca4a9287595771fa7e93050f8dda",
+    },
+    "edgeless": {
+        "a": "71c4c325574831e3bb91bcddc13ab0d0babf784dc7c20c8bb2320f2381ff5799",
+        "b": "50955930f3327eb5171100da58d0e2a039dd0edab47b70c7bb05f8adeeee931b",
+        "c": "9fd992f92bef875eac0606afbd6a0b5a6aa76f2d8ff2c64a775c4a97fc731ade",
+        "ab": "fail",
+        "ac": "fail",
+        "bc": "fail",
+        "abc": "85eaa632011c841595f79076fd0f1b9f603dcecebef4fd95f9b867595d552b3c",
+    },
+    "edge": {
+        "a": "5b6f1b1da69965d8c1a291ccbbec859236b65caf98cd02b0ba5323c4674c9206",
+        "b": "a254b1b486b15436f9fbc0cfd4b97f05abe82dbd9eac960dc6a0b070aa23201d",
+        "ab": "47240771d62250ac408fecf33c4767bba048dc6d4acf13c57adb6e0823ce044a",
+    },
+    "z2z3": {
+        "a": "82099cd0509e34565b31e114eca1f9475c7a4881fd64a8d7391556864911158e",
+        "b": "7692fe9c807354213cbaf493e258d45230eb3896844e3372866414ba381a8d21",
+        "ab": "ee9624977cf0051dcec0ee23e8aa5c301d561195211ca6b5602f7fef117c757c",
+    },
+}
+
+
+def _embedding_digest(emb):
+    """SHA-256 of the index mapping and the point images of the space map
+    and of every hyperbolic map, in source order, images sorted by repr."""
+    def images(m):
+        return [(repr(x), sorted(map(repr, m(x)))) for x in m.domain.vertices]
+    elements = emb.source.elements
+    data = [[(repr(U), repr(emb.index_map(U))) for U in elements],
+            images(emb.space_map),
+            [(repr(U), images(emb.hyp_maps[U])) for U in elements]]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INCLUDE_SPECS))
+def test_include_every_subgraph(name):
+    from hhspace.embedding import verify_embedding
+    res = INCLUDE_SPECS[name]()
+    vertices = res.cert.levels[-1].subgraph
+    got = {}
+    for k in range(1, len(vertices) + 1):
+        for theta in itertools.combinations(vertices, k):
+            try:
+                emb = res.include(theta)
+            except HypothesisFailure as exc:
+                assert exc.witness == theta
+                got["".join(theta)] = "fail"
+                continue
+            assert verify_embedding(emb).ok, theta
+            got["".join(theta)] = _embedding_digest(emb)
+    assert got == INCLUDE_GOLDEN[name]

@@ -229,12 +229,15 @@ def test_raag_window_build_and_audit_fill_no_pair_matrix(monkeypatch):
 def test_raag_path_3_audit_peak_rss_under_200_mb():
     # 377 MB while every element kept an n x n pair table (|X| = 1238)
     src = os.path.dirname(os.path.dirname(hhspace.__file__))
-    code = ("import resource\n"
-            "from hhspace import fixtures\n"
+    # the child's own peak: VmHWM restarts at exec, while ru_maxrss of a
+    # child started by subprocess keeps the peak of the process that forked it
+    code = ("from hhspace import fixtures\n"
             "from hhspace.treecombine import audit_combined\n"
             "res = fixtures.raag_path(3)\n"
-            "print(len(res.combined.model.space), audit_combined(res.combined).ok,\n"
-            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+            "ok = audit_combined(res.combined).ok\n"
+            "with open('/proc/self/status') as f:\n"
+            "    hwm = next(l for l in f if l.startswith('VmHWM'))\n"
+            "print(len(res.combined.model.space), ok, int(hwm.split()[1]) // 1024)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     n, ok, rss_mb = out.stdout.split()

@@ -106,6 +106,23 @@ def test_from_matrix_rejects_repeated_vertices():
         FiniteSpace.from_matrix(["a", "b", "a"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
+def test_distance_table_rows_follow_the_given_vertex_order():
+    D = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    for space in (FiniteSpace(["b", "a", "c"], dist=D),
+                  FiniteSpace.from_matrix(["b", "a", "c"], D)):
+        assert space.vertices == ("a", "b", "c")
+        assert (space.d("a", "c"), space.d("b", "a"), space.d("b", "c")) == (3, 1, 2)
+    with pytest.raises(ValueError, match="repeated vertex 'a'"):
+        FiniteSpace(["a", "b", "a"], dist=D)
+    # relabelling that reverses the order keeps every distance
+    g = path_graph(0, 4)
+    r = g.relabel(lambda v: -v)
+    assert r.vertices == (-4, -3, -2, -1, 0)
+    assert all(r.d(-u, -v) == g.d(u, v) for u in g.vertices for v in g.vertices)
+    with pytest.raises(ValueError, match="repeated vertex"):
+        g.relabel(lambda v: v // 2)
+
+
 def test_cone_off_diameter():
     g = path_graph(0, 9)
     c = cone_off(g, {"all": g.vertices})
