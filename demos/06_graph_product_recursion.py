@@ -1,6 +1,7 @@
 """The recursion over a product graph: complete graphs fold into direct
-products, disconnected graphs into free-product windows, and everything
-else splits along the link of a pivot vertex. Every level certifies its
+products, graphs of single vertices into free-product windows, and the
+path a - b - c splits along the link of its pivot b, which is the rest of
+the graph (other graphs are out of scope). Every level certifies its
 lattice checks and the fullness / quasiconvexity / isometry of the
 inclusions it uses."""
 

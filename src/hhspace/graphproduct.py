@@ -1,15 +1,15 @@
 """Direct products of models and the graph-product recursion.
 
-The direct product of two models gets the standard combined index set:
-both factor index sets side by side, one extra element per factor element
-(the container of its orthogonal complement, a point model), and a top
-element. Factor elements from different sides are orthogonal; an element
-is nested under the container of anything it is orthogonal to, orthogonal
-to the containers of everything above it, and transverse to the rest.
+direct_product_structure is the product of two models; its docstring
+states the rules of the product index set and its data.
 
-The recursion for a whole product graph lives in build(); complete graphs
-fold into direct products, disconnected graphs into amalgams over the
-trivial group, everything else splits along the link of a pivot vertex.
+The recursion for a whole product graph lives in build(). Complete graphs
+fold into direct products, and graphs whose components are single vertices
+into amalgams over the trivial group (free-product windows). A connected
+graph splits along the link of its pivot vertex only when that link is all
+of the rest of the graph. Every other graph raises HypothesisFailure: a
+pivot whose link misses a vertex (the path on four vertices) and a free
+factor with more than one vertex are out of scope.
 Each level is kept as data: its subgraph, its model, and the levels it
 combines with their embeddings, which one walk composes into the
 inclusion of any sub-product a level holds.
@@ -23,7 +23,7 @@ from .groups import FreeProductBases
 from .indexmaps import IndexMap
 from .lattice import IndexLattice
 from .model import HHSModel, hq_check, trivial_model
-from .spaces import CoarseMap, product_graph, single_point
+from .spaces import CoarseMap, check_distinct, product_graph, single_point
 from .treecombine import HypothesisFailure, TreeOfHHS, build_combined
 
 
@@ -39,129 +39,80 @@ TOP = ("S",)
 
 
 def direct_product_structure(a, b, name=""):
-    """Combined model of the product of two models, per the standard recipe.
+    """Combined model of the product of two models (BHS II, section 8).
 
-    Lattice: tagged copies of both factor index sets, a container element
-    ("V", e) per tagged factor element e, and the top. The container of a
-    factor element houses everything orthogonal to it, which is everything
-    on the other side plus its orthogonal partners on its own side.
+    Index set: the tagged factor elements ("l", U) and ("r", U), a container
+    ("V", e) per tagged element e, and the top ("S",). For tagged e, f:
+    - e and f are orthogonal when they come from different factors, or when
+      their factor says so; e is nested in f when their factor says so;
+    - e is nested in ("V", f) iff e is orthogonal to f, and e is orthogonal
+      to ("V", f) iff e is nested in f (e = f included);
+    - ("V", e) is properly nested in ("V", f) iff f is properly nested in e;
+    - everything is nested in the top; every other pair is transverse.
+
+    Tagged elements keep their factor's hyperbolic model, projection
+    (through their coordinate) and rho data. Containers and the top carry
+    one-point models, so for every x properly nested in, or transverse to,
+    such a y, the marker of x in y is y's point, and the downward map is
+    constant at x's marker of the base vertex. The only other marker is
+    that of ("V", f) inside a transverse tagged e (_complement_marker).
     """
     name = name or "%sx%s" % (a.name or "a", b.name or "b")
     space = product_graph(a.space, b.space, name=name)
-
-    sides = {}
-    for U in a.elements:
-        sides[_l(U)] = ("a", U)
-    for U in b.elements:
-        sides[_r(U)] = ("b", U)
+    sides = {_l(U): (a, 0, U) for U in a.elements}
+    sides.update({_r(U): (b, 1, U) for U in b.elements})
     tagged = list(sides)    # ("l", U) before ("r", U), each side in lattice order
-    elements = list(tagged) + [("V", e) for e in tagged] + [TOP]
+    points = [("V", e) for e in tagged] + [TOP]
+    elements = tagged + points
 
-    def factor(e):
-        return sides[e][0]
-
-    def orth_product(e, f):
-        """Orthogonality between tagged factor elements."""
-        if factor(e) != factor(f):
-            return True
-        lat = a.lattice if factor(e) == "a" else b.lattice
-        return lat.orthogonal(sides[e][1], sides[f][1])
-
-    def nested_product(e, f):
-        if factor(e) != factor(f):
-            return False
-        lat = a.lattice if factor(e) == "a" else b.lattice
-        return lat.nested(sides[e][1], sides[f][1])
-
-    nested, orth = [], []
-    for i, e in enumerate(tagged):
-        for f in tagged[i + 1:]:
-            if orth_product(e, f):
+    nested, orth = [(x, TOP) for x in elements], []
+    for e, (m, pick, U) in sides.items():
+        for f, (_, pick_f, F) in sides.items():
+            if pick != pick_f or m.lattice.orthogonal(U, F):
                 orth.append((e, f))
-    for e in tagged:
-        nested.append((e, TOP))
-        nested.append((("V", e), TOP))
-        for f in tagged:
-            if e != f and nested_product(e, f):
-                nested.append((e, f))
-            if orth_product(e, f):
                 nested.append((e, ("V", f)))
-            if nested_product(e, f):
+            elif m.lattice.nested(U, F):
                 orth.append((e, ("V", f)))
-            if e != f and nested_product(e, f):
-                nested.append((("V", f), ("V", e)))
-        orth.append((e, ("V", e)))
+                nested += [(e, f), (("V", f), ("V", e))]
     lattice = IndexLattice(elements, TOP, nested, orth, name=name)
 
     hyp, proj = {}, {}
-    for e in tagged:
-        side, U = sides[e]
-        m, pick = (a, 0) if side == "a" else (b, 1)
+    for e, (m, pick, U) in sides.items():
         hyp[e] = m.hyp[U]
         proj[e] = CoarseMap(space, m.hyp[U],
                             {v: m.proj[U](v[pick]) for v in space.vertices},
                             name="pi:%s" % (e,))
-    for e in tagged:
-        hyp[("V", e)] = single_point(("pt", "V", e))
-        proj[("V", e)] = CoarseMap.constant(space, hyp[("V", e)], [("pt", "V", e)])
-    hyp[TOP] = single_point(("pt",) + TOP)
-    proj[TOP] = CoarseMap.constant(space, hyp[TOP], [("pt",) + TOP])
+    for y in points:
+        hyp[y] = single_point(("pt",) + y)
+        proj[y] = CoarseMap.constant(space, hyp[y], hyp[y].vertices)
 
-    base = space.vertices[0]
+    # factor data lifted as it is (the hyperbolic models are shared objects)
     rho_set, rho_map = {}, {}
-
-    def base_marker(e):
-        return proj[e](base)
-
-    def const_map(w, v, value):
-        return CoarseMap.constant(hyp[w], hyp[v], value, name="rho:%s<-%s" % (v, w))
-
-    # inherited data within each factor (lifted verbatim; the hyperbolic
-    # models are shared objects)
-    for (m, tag) in ((a, _l), (b, _r)):
-        for (x, y), S in m.rho_set.items():
-            rho_set[(tag(x), tag(y))] = S
-        for (x, y), mp in m.rho_map.items():
-            rho_map[(tag(x), tag(y))] = mp
-
-    point_of = {e: next(iter(hyp[("V", e)].vertices)) for e in tagged}
-    top_point = next(iter(hyp[TOP].vertices))
-
-    for e in tagged:
-        # everything nested in the top gets a point marker there
-        rho_set[(e, TOP)] = frozenset([top_point])
-        rho_map[(e, TOP)] = const_map(TOP, e, base_marker(e))
-        rho_set[(("V", e), TOP)] = frozenset([top_point])
-        rho_map[(("V", e), TOP)] = const_map(TOP, ("V", e), [point_of[e]])
-        for f in tagged:
-            ve = ("V", f)
-            r = lattice.rel(e, ve)
-            if r == "nested":
-                rho_set[(e, ve)] = frozenset([point_of[f]])
-                rho_map[(e, ve)] = const_map(ve, e, base_marker(e))
-            elif r == "trans":
-                rho_set[(e, ve)] = frozenset([point_of[f]])
-                rho_set[(ve, e)] = _complement_marker(
-                    a, b, sides, e, f, base_marker(e))
-            if e != f and lattice.properly_nested(ve, ("V", e)):
-                rho_set[(ve, ("V", e))] = frozenset([point_of[e]])
-                rho_map[(ve, ("V", e))] = const_map(("V", e), ve, [point_of[f]])
-            if (e != f and lattice.transverse(("V", e), ve)
-                    and lattice.pos[e] < lattice.pos[f]):
-                rho_set[(("V", e), ve)] = frozenset([point_of[f]])
-                rho_set[(ve, ("V", e))] = frozenset([point_of[e]])
+    for m, tag in ((a, _l), (b, _r)):
+        rho_set.update({(tag(x), tag(y)): S for (x, y), S in m.rho_set.items()})
+        rho_map.update({(tag(x), tag(y)): mp for (x, y), mp in m.rho_map.items()})
+    base = space.vertices[0]
+    for y in points:
+        for x in elements:
+            below, trans = lattice.properly_nested(x, y), lattice.transverse(x, y)
+            if below or trans:
+                rho_set[(x, y)] = frozenset(hyp[y].vertices)
+            if below:
+                rho_map[(x, y)] = CoarseMap.constant(hyp[y], hyp[x], proj[x](base),
+                                                     name="rho:%s<-%s" % (x, y))
+            if trans and x in sides:
+                rho_set[(y, x)] = _complement_marker(sides, x, y[1], proj[x](base))
     return HHSModel(space, lattice, hyp, proj, rho_set, rho_map, name=name)
 
 
-def _complement_marker(a, b, sides, e, f, fallback):
+def _complement_marker(sides, e, f, fallback):
     """Marker of the container element ("V", f) inside the model of e, for
-    transverse pairs. The container behaves like the orthogonal complement
-    of f, so reuse the factor marker of that complement in e when it exists
-    and is placed correctly; otherwise fall back to a base-point marker."""
-    side, U = sides[e]
-    m = a if side == "a" else b
-    _, F = sides[f]
-    cont = m.lattice.top_container(F)
+    transverse pairs (e and f then share a factor). The container behaves
+    like the orthogonal complement of f, so reuse the factor marker of that
+    complement in e when it exists and is placed correctly; otherwise fall
+    back to the base-vertex marker."""
+    m, _, U = sides[e]
+    cont = m.lattice.top_container(sides[f][2])
     if cont is not None and cont != U:
         r = m.lattice.rel(cont, U)
         if (r == "nested" and m.lattice.properly_nested(cont, U)) or r == "trans":
@@ -218,6 +169,9 @@ class ProductSpec:
     budget: int = 6000
 
     def __post_init__(self):
+        if not self.vertices:
+            raise ValueError("the graph needs at least one vertex")
+        check_distinct(self.vertices, "vertex")
         self.vertices = tuple(sorted(self.vertices))
         self.edges = frozenset(frozenset(e) for e in self.edges)
         for e in self.edges:
@@ -484,13 +438,15 @@ class _Level:
 
 def build(spec):
     """Recursive construction of the combined structure of the whole graph
-    product: complete graphs fold into direct products, disconnected graphs
-    into free-product windows, everything else splits along the link of the
-    pivot. Tree windows go to build_combined as they are; it decorates
-    them itself. Every level certifies the lattice checks plus fullness,
-    hierarchical quasiconvexity and isometry of the inclusions used, and
-    keeps them with its children, so include(theta) walks the levels down
-    to the one whose subgraph is theta."""
+    product: complete graphs fold into direct products, graphs of single
+    vertices into free-product windows, and a connected graph splits along
+    the link of the pivot when that link is the rest of the graph; every
+    other graph raises HypothesisFailure. Tree windows go to build_combined
+    as they are; it decorates them itself. Every level certifies the
+    lattice checks plus fullness, hierarchical quasiconvexity and isometry
+    of the inclusions used, and keeps them with its children, so
+    include(theta) walks the levels down to the one whose subgraph is
+    theta."""
     levels = []
     level, combined = _build_sub(spec, levels)
     return BuildResult(level.model, combined, CertChain(levels), level.include)

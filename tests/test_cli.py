@@ -152,6 +152,16 @@ def test_product_command_malformed_base_is_schema_error(tmp_path, capsys, bases)
     assert not (tmp_path / "product.json").exists()
 
 
+@pytest.mark.parametrize("vertices", [["a", "a"], []], ids=["repeated", "empty"])
+def test_product_command_repeated_or_missing_vertex_is_schema_error(
+        tmp_path, capsys, vertices):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"graph": {"vertices": vertices, "edges": []},
+                                "bases": {"a": ["cyclic", 2]}}))
+    assert main(["product", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
 def test_distance_formula_command(tmp_path):
     model = grid_product(3, 4)
     path = tmp_path / "model.json"

@@ -1,6 +1,7 @@
 """Golden outputs: every `hhspace examples NAME` report at its default
 arguments, the radius-7 bs12 failure, `hhspace combine` on two tree
-documents and `hhspace product` on three specs must stay byte-identical.
+documents, `hhspace product` on three specs and the product recipe on
+three pairs of factors must stay byte-identical.
 
 The tables hold the exit status and the SHA-256 of stdout of each run.
 A change that is meant to alter an output updates its row and says why."""
@@ -16,7 +17,8 @@ import pytest
 
 import hhspace
 from hhspace import cli, fixtures, serialize
-from hhspace.graphproduct import ProductSpec
+from hhspace.graphproduct import (ProductSpec, base_group_model,
+                                  direct_product_structure)
 
 GOLDEN = {
     ("bs12-window",): (
@@ -125,3 +127,27 @@ def test_product_fold_and_star_outputs_unchanged(tmp_path, name):
     spec = ProductSpec(("a", "b", "c"), frozenset(frozenset(e) for e in edges), bases)
     assert _run_product(tmp_path, spec) == tuple(golden), \
         "output of `hhspace product` on the %s graph changed" % name
+
+
+# the serialized model of direct_product_structure(a, b) with a composite
+# right factor and with two composite factors, which neither the complete
+# fold nor the amalgam centre (composite left factors only) reaches
+RECIPE_GOLDEN = {
+    "grid2x3-cyclic3": (
+        lambda: (fixtures.grid_product(2, 3), base_group_model(("cyclic", 3), "c")),
+        "0ccdd4b6ac3cf46e95feea1fba3511ad8a16ddb1e9cc26f3e1da616ff76eedba"),
+    "cyclic3-grid2x3": (
+        lambda: (base_group_model(("cyclic", 3), "c"), fixtures.grid_product(2, 3)),
+        "8d5a9f58ed010ff15f4dc89cd4f7881cd285e5b09f94142be7dd6dace3fd4f74"),
+    "fixtureB-fixtureB": (
+        lambda: (fixtures.fixture_b_product(), fixtures.fixture_b_product()),
+        "6d58c449d75d0e3d5e7a8227e2e35ac274faab9b3671a2e6c54cca1fb63b0728"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECIPE_GOLDEN))
+def test_product_recipe_unchanged(name):
+    factors, golden = RECIPE_GOLDEN[name]
+    doc = serialize.dumps(serialize.model_to_json(direct_product_structure(*factors())))
+    assert hashlib.sha256(doc.encode()).hexdigest() == golden, \
+        "direct_product_structure on %s changed" % name

@@ -32,6 +32,15 @@ def test_spec_rejects_malformed_bases(bases):
         spec_of("ab", [("a", "b")], bases)
 
 
+@pytest.mark.parametrize("vertices, message", [
+    (("a", "a"), "repeated vertex 'a'"),
+    ((), "at least one vertex"),
+], ids=["repeated", "empty"])
+def test_spec_rejects_repeated_or_missing_vertex(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        ProductSpec(vertices, frozenset(), {"a": ("cyclic", 2)})
+
+
 PATH3 = spec_of("abc", [("a", "b"), ("b", "c")],
                 {"a": ("z", 1), "b": ("z", 1), "c": ("z", 1)})
 
@@ -182,6 +191,19 @@ def test_certified_cyclic2_path_window_passes_its_audit():
     assert res.cert.ok
     rep = audit_combined(res.combined)
     assert rep.ok, rep.summary()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8: the product has one container per "
+                          "factor element, none for complements of pairs")
+def test_join_of_two_free_product_levels_passes_structure():
+    # the 4-cycle a - b - c - d - a is the join of {a, c} and {b, d}: its
+    # graph product is the direct product of the two free-product levels
+    # (|X| = 100, |S| = 13), which fails container-none first at
+    # (('V', ('l', ('T', 0))), ('r', ('T', 0)))
+    left = build(spec_of("ac", [], {v: ("cyclic", 2) for v in "ac"})).model
+    right = build(spec_of("bd", [], {v: ("cyclic", 2) for v in "bd"})).model
+    assert audit_axioms(direct_product_structure(left, right)).entry("structure").ok
 
 
 def test_include_factory():
