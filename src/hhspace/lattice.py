@@ -13,7 +13,7 @@ The empty wedge is the sentinel EMPTY, never an element of the lattice.
 
 from dataclasses import dataclass, field
 
-from .spaces import vkey
+from .spaces import sort_key, vkey
 
 
 NESTED = "nested"
@@ -109,7 +109,7 @@ class IndexLattice:
     def __init__(self, elements, maximal, nested_pairs=(), orth_pairs=(),
                  trans_pairs=(), strict_total=False, name=""):
         self.name = name
-        self.elements = tuple(sorted(set(elements), key=vkey))
+        self.elements = tuple(sorted(set(elements), key=sort_key()))
         self.pos = {e: i for i, e in enumerate(self.elements)}
         if maximal not in self.pos:
             raise ValueError("maximal element %r not among elements" % (maximal,))

@@ -133,6 +133,7 @@ class HHSModel:
         self.rho_map = dict(rho_map or {})
         self.name = name
         self._pair = {}
+        self._xi = None
         self._basics = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -174,7 +175,7 @@ class HHSModel:
         """K x K table of d_U between the class representatives reps."""
         sids, _, M = self.proj[U].set_table()
         s = sids[reps]
-        return M[np.ix_(s, s)]
+        return M[s[:, None], s]
 
     def dist_to_set_array(self, U, S):
         """array over base vertices: sup-distance from the projection to S."""
@@ -189,13 +190,19 @@ class HHSModel:
         return {U: self.proj[U](x) for U in self.elements}
 
     def xi(self):
-        """Max projection-image diameter and rho-set diameter."""
-        out = 0
-        for U in self.elements:
-            out = max(out, self.proj[U].diam_bound)
-        for (a, b), S in self.rho_set.items():
-            out = max(out, self.hyp[b].diam_set(S))
-        return out
+        """Max projection-image diameter and rho-set diameter, cached. The
+        rho sets inside one hyperbolic model are measured as one set
+        family."""
+        if self._xi is None:
+            out = max(self.proj[U].diam_bound for U in self.elements)
+            inside = {}
+            for (_, b), S in self.rho_set.items():
+                if S:
+                    inside.setdefault(b, []).append(S)
+            for b, sets in inside.items():
+                out = max(out, int(self.hyp[b].set_family(sets).diams.max()))
+            self._xi = out
+        return self._xi
 
     def basics(self):
         """(xi, kappa0) measured, cached; kappa0 from the consistency scan."""
@@ -487,7 +494,8 @@ def gate_map(model, target):
         far = m.dset_points(A)[rec.sids[t_idx]]
         col = np.empty((len(t_idx), len(rec.sets)), dtype=np.int64)
         for a, near in enumerate(closest):
-            diam = m.codomain.dist[np.ix_(A_idx[near], A_idx[near])].max()
+            pts = A_idx[near]
+            diam = m.codomain.dist[pts[:, None], pts].max()
             col[:, a] = np.maximum(far[:, near].max(axis=1), diam)
         np.maximum(worst, col[:, rec.sids], out=worst)
     V = model.space.vertices

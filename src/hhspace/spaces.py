@@ -15,8 +15,10 @@ All distance conventions used by the auditors live here:
 - ``nearest`` answers every closest-point question: for each vertex, the
   index of its nearest vertex of a subset, ties going to the least index.
 
-Labels are ordered here once, by ``vkey``: ``vertices`` is sorted by it and
-``index`` holds that order, so other modules compare indices, not labels.
+Labels are ordered here once, in ``vkey`` order: ``vertices`` follows it
+and ``index`` holds that order, so other modules compare indices, not
+labels. Each sort of labels takes a fresh ``sort_key()``, whose keys equal
+``vkey``'s but which keys a tuple or frozenset shared between labels once.
 """
 
 from collections import namedtuple
@@ -51,8 +53,46 @@ def vkey(v):
     return ("r", repr(v))
 
 
+def sort_key():
+    """A key function for one sort, whose keys equal ``vkey``'s. The key of
+    a tuple or frozenset inside a label is built once per object, memoized
+    by ``id()`` for as long as the function lives: the labels being sorted
+    hold their parts, so no id is reused meanwhile, and labels share parts
+    (the tree vertex of every (vertex, point) pair). A label itself is not
+    memoized, as a sort never repeats one. A memo by value would be wrong:
+    it would merge (1,) and (True,), which ``vkey`` orders apart."""
+    memo = {}
+
+    def part(v):
+        t = type(v)
+        if t is int:
+            return ("i", v)
+        if t is str:
+            return ("s", v)
+        if isinstance(v, (tuple, frozenset)):
+            k = memo.get(id(v))
+            if k is None:
+                k = memo[id(v)] = key(v)
+            return k
+        return vkey(v)
+
+    def key(v):
+        t = type(v)
+        if t is int:
+            return ("i", v)
+        if t is str:
+            return ("s", v)
+        if isinstance(v, tuple):
+            return ("t", tuple(map(part, v)))
+        if isinstance(v, frozenset):
+            return ("fs", tuple(sorted(map(part, v))))
+        return vkey(v)
+
+    return key
+
+
 def sorted_vertices(vs):
-    return tuple(sorted(set(vs), key=vkey))
+    return tuple(sorted(set(vs), key=sort_key()))
 
 
 def check_distinct(labels, what="label"):
@@ -77,7 +117,8 @@ class FiniteSpace:
         else:
             given = tuple(vertices)
             check_distinct(given, "vertex")
-            perm = sorted(range(len(given)), key=lambda i: vkey(given[i]))
+            keys = list(map(sort_key(), given))
+            perm = sorted(range(len(given)), key=keys.__getitem__)
             self.vertices = tuple(given[i] for i in perm)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
@@ -90,7 +131,8 @@ class FiniteSpace:
             if self.dist.shape != (n, n):
                 raise ValueError("distance table shape mismatch")
             if perm != list(range(n)):
-                self.dist = self.dist[np.ix_(perm, perm)]
+                perm = np.array(perm)
+                self.dist = self.dist[perm[:, None], perm]
         else:
             es = set()
             for a, b in edges or ():
@@ -152,7 +194,7 @@ class FiniteSpace:
         if not A:
             return 0
         ii = self.idx(list(A))
-        return int(self.dist[np.ix_(ii, ii)].max())
+        return int(self.dist[ii[:, None], ii].max())
 
     def dset(self, A, B):
         """diam(A | B): the sup-convention distance between two point-sets."""
@@ -161,11 +203,11 @@ class FiniteSpace:
     def gap(self, A, B):
         """min distance between two nonempty sets."""
         ia, ib = self.idx(list(A)), self.idx(list(B))
-        return int(self.dist[np.ix_(ia, ib)].min())
+        return int(self.dist[ia[:, None], ib].min())
 
     def hausdorff(self, A, B):
         ia, ib = self.idx(list(A)), self.idx(list(B))
-        m = self.dist[np.ix_(ia, ib)]
+        m = self.dist[ia[:, None], ib]
         return int(max(m.min(axis=1).max(), m.min(axis=0).max()))
 
     def nearest(self, subset):
@@ -281,18 +323,28 @@ class FiniteSpace:
     def set_family(self, sets):
         """Index a list of nonempty point sets for the table kernels below:
         the sets, their vertex indices concatenated (each set sorted) with
-        the start offset of each set, and each set's diameter."""
-        parts = [np.sort(self.idx(list(A))) for A in sets]
-        starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
-        diams = np.array([self.dist[np.ix_(p, p)].max() if len(p) > 1 else 0
-                          for p in parts], dtype=np.int64)
-        return SetFamily(sets, np.concatenate(parts), starts, diams)
+        the start offset of each set, and each set's diameter. One pass over
+        the whole family: one idx call over all the points, one lexsort by
+        (set, index) when some set has two or more points, and a diameter
+        gather for those sets only (most sets are single points)."""
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        flat = self.idx(list(chain.from_iterable(sets)))
+        starts = np.cumsum(sizes) - sizes
+        diams = np.zeros(len(sets), dtype=np.int64)
+        multi = np.flatnonzero(sizes > 1)
+        if len(multi):
+            flat = flat[np.lexsort((flat, np.repeat(np.arange(len(sets)), sizes)))]
+            ends = starts + sizes
+            for s in multi:
+                p = flat[starts[s]:ends[s]]
+                diams[s] = self.dist[p[:, None], p].max()
+        return SetFamily(sets, flat, starts, diams)
 
     def per_set(self, fam, cols, reduce):
         """len(fam.sets) x len(cols) table: ``reduce`` (np.minimum or
         np.maximum) of the distances from each set of the family to each
         vertex index in cols."""
-        return reduce.reduceat(self.dist[np.ix_(fam.flat, cols)], fam.starts, axis=0)
+        return reduce.reduceat(self.dist[fam.flat[:, None], cols], fam.starts, axis=0)
 
     def dset_table(self, fa, fb):
         """len(fa.sets) x len(fb.sets) table of dset(A, B) = diam(A | B) over
@@ -312,7 +364,8 @@ class FiniteSpace:
     def subspace(self, keep, name=""):
         """Metric subspace (restricted ambient metric, not induced path metric)."""
         ii = sorted({self.index[v] for v in keep})
-        return FiniteSpace([self.vertices[i] for i in ii], dist=self.dist[np.ix_(ii, ii)],
+        rows = np.array(ii)
+        return FiniteSpace([self.vertices[i] for i in ii], dist=self.dist[rows[:, None], rows],
                            name=name or self.name + "|sub")
 
     def relabel(self, fn, name=""):
@@ -528,23 +581,27 @@ def cone_off(space, subsets, name=""):
 def four_point_delta(space):
     """Exact Gromov four-point hyperbolicity constant: the largest value of
     (largest - second largest)/2 over the three pair-sums of every 4-tuple.
-    Scans the (pair i < j, x, y) cells in chunks of about _CHUNK_CELLS, in
-    the narrowest signed integer dtype that holds 6 * diam, as
-    top - mid = 2 * top + low - s1 - s2 - s3 stays within it."""
+    The value depends only on the set of the four points, and is 0 when a
+    point repeats, so each 4-set a < b < c < d is scanned once from its
+    second point j = b: i runs below j, x and y above it (in both orders,
+    and x = y, which give the same value or 0). The (i, x, y) cells of one
+    j go in chunks of about _CHUNK_CELLS, in the narrowest signed integer
+    dtype that holds 6 * diam, as top - mid = 2 * top + low - s1 - s2 - s3
+    stays within it."""
     n = len(space)
     D = space.dist.astype(np.min_scalar_type(-6 * space.diam()))
-    I, J = np.triu_indices(n, 1)
-    step = max(1, _CHUNK_CELLS // (n * n))
     best = 0
-    for p0 in range(0, len(I), step):
-        i, j = I[p0:p0 + step], J[p0:p0 + step]
-        Di, Dj = D[i][:, :, None], D[j][:, None, :]
-        s1 = D[i, j][:, None, None] + D
-        s2 = Di + Dj
-        s3 = Di.transpose(0, 2, 1) + Dj.transpose(0, 2, 1)
-        top = np.maximum(np.maximum(s1, s2), s3)
-        low = np.minimum(np.minimum(s1, s2), s3)
-        best = max(best, int((top + top + low - s1 - s2 - s3).max()))
+    for j in range(1, n - 2):
+        T, Dj = D[j + 1:, j + 1:], D[j, j + 1:]
+        step = max(1, _CHUNK_CELLS // T.size)
+        for i0 in range(0, j, step):
+            i = slice(i0, min(j, i0 + step))
+            s1 = D[i, j, None, None] + T
+            s2 = D[i, j + 1:, None] + Dj
+            s3 = s2.transpose(0, 2, 1)
+            top = np.maximum(np.maximum(s1, s2), s3)
+            low = np.minimum(np.minimum(s1, s2), s3)
+            best = max(best, int((top + top + low - s1 - s2 - s3).max()))
     return best / 2.0
 
 
@@ -684,7 +741,7 @@ class CoarseMap:
     def pair_distance_matrix(self):
         """T with T[x, y] = dset(f(x), f(y)) over domain vertex indices."""
         sids, _, M = self.set_table()
-        return M[np.ix_(sids, sids)]
+        return M[sids[:, None], sids]
 
 
 def coarse_map_constants(m):

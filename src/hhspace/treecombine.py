@@ -224,7 +224,7 @@ def _check_connected(t, support):
     """A vertex set of a tree is connected exactly when it spans |S| - 1
     tree edges (pairs at distance one)."""
     ids = t.space.idx(list(support))
-    if (t.space.dist[np.ix_(ids, ids)] == 1).sum() != 2 * (len(ids) - 1):
+    if (t.space.dist[ids[:, None], ids] == 1).sum() != 2 * (len(ids) - 1):
         raise HypothesisFailure("class support is not connected",
                                 tuple(t.space.ordered(support)))
 

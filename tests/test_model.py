@@ -23,7 +23,8 @@ from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceed
                            distance_formula_fit, epsilon_support, gate,
                            gate_map, hq_check, measure_alpha, normalize, product_region,
                            realize, trivial_model, tuple_consistency_defect)
-from hhspace.spaces import CoarseMap, cycle_graph, path_graph, product_graph, single_point, vkey
+from hhspace.spaces import (CoarseMap, FiniteSpace, cycle_graph, path_graph, product_graph,
+                            single_point, vkey)
 from test_spaces import _traced_peak, connected_graphs, metric_spaces
 
 L1 = ("l", "S1")
@@ -486,6 +487,39 @@ def bgi_models(draw):
 @given(bgi_models())
 def test_audit_bgi_matches_reference_on_random_models(m):
     assert _audit_bgi(m) == _audit_bgi_reference(m)
+
+
+def _xi_reference(m):
+    """xi as one diam_set per rho set, recomputed on every call."""
+    out = 0
+    for U in m.elements:
+        out = max(out, m.proj[U].diam_bound)
+    for (a, b), S in m.rho_set.items():
+        out = max(out, m.hyp[b].diam_set(S))
+    return out
+
+
+def _check_xi_once(m):
+    got = m.xi()
+    assert got == _xi_reference(m) and type(got) is int
+    no_work = AssertionError("xi measured twice")
+    with mock.patch.object(FiniteSpace, "set_family", side_effect=no_work), \
+            mock.patch.object(CoarseMap, "diam_bound",
+                              new_callable=mock.PropertyMock, side_effect=no_work):
+        assert m.xi() == got
+
+
+@pytest.mark.parametrize("make", [
+    fixture_b_product, grid_product, bounded_factor_product,
+    lambda: fixtures.hagen_target(12), lambda: fixtures.raag_path(1).combined.model])
+def test_xi_is_measured_once_and_unchanged(make):
+    _check_xi_once(make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(bgi_models())
+def test_xi_is_measured_once_and_unchanged_on_random_models(m):
+    _check_xi_once(m)
 
 
 def test_audit_bgi_witness_follows_nest_pairs_order():

@@ -1,7 +1,7 @@
 import functools
 import pathlib
 import tracemalloc
-from collections import deque
+from collections import deque, namedtuple
 from unittest import mock
 
 import numpy as np
@@ -14,7 +14,7 @@ from hhspace.fixtures import hagen_target
 from hhspace.spaces import (CoarseMap, FiniteSpace, _bfs_all_pairs,
                             coarse_map_constants, cone_off, cycle_graph,
                             four_point_delta, path_graph, product_graph,
-                            qi_constants, single_point, vkey)
+                            qi_constants, single_point, sort_key, vkey)
 
 
 def test_path_metric():
@@ -726,3 +726,109 @@ def test_labels_are_ordered_in_three_modules_only():
     src = pathlib.Path(spaces.__file__).parent
     assert sorted(p.name for p in src.glob("*.py") if "vkey" in p.read_text()) == \
         ["lattice.py", "serialize.py", "spaces.py"]
+
+
+# -- the per-sort key and one-pass set families ---------------------------------
+
+Pt = namedtuple("Pt", "x y")
+
+_ATOMS = st.one_of(st.integers(-20, 20), st.text("ab", max_size=2), st.booleans(),
+                   st.floats(-2, 2, allow_nan=False), st.none())
+
+
+def _nest(children):
+    return st.one_of(st.tuples(children), st.tuples(children, children),
+                     st.builds(Pt, children, children),
+                     st.frozensets(children, max_size=3))
+
+
+@st.composite
+def nested_labels(draw):
+    """Nested labels built from a pool of sub-label objects, so that many
+    labels hold the very same part; (1,) and (True,), equal as values but
+    apart in vkey order, sit in the pool side by side."""
+    pool = [(1,), (True,), (0, "a"), (False, "a")]
+    pool += draw(st.lists(st.recursive(_ATOMS, _nest, max_leaves=6), max_size=6))
+    part = st.sampled_from(pool)
+    return draw(st.lists(st.one_of(_ATOMS, part, st.tuples(part, _ATOMS),
+                                   st.tuples(_ATOMS, part, part),
+                                   st.builds(Pt, part, part),
+                                   st.frozensets(part, max_size=3)),
+                         min_size=1, max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_labels())
+def test_sort_key_orders_as_vkey(labels):
+    key = sort_key()
+    assert [key(v) for v in labels] == [vkey(v) for v in labels]
+    assert sorted(labels, key=sort_key()) == sorted(labels, key=vkey)
+    assert spaces.sorted_vertices(labels) == tuple(sorted(set(labels), key=vkey))
+    # the graph constructor, on a path through the distinct labels
+    distinct = list(dict.fromkeys(labels))
+    want = tuple(sorted(distinct, key=vkey))
+    g = FiniteSpace(distinct, list(zip(distinct, distinct[1:])))
+    assert g.vertices == want
+    # the table constructor: rows follow the given order, |i - j| apart
+    pos = np.arange(len(distinct))
+    t = FiniteSpace(distinct, dist=abs(pos[:, None] - pos[None, :]))
+    assert t.vertices == want
+    at = {v: i for i, v in enumerate(distinct)}
+    assert all(t.d(u, v) == abs(at[u] - at[v]) for u in want for v in want)
+
+
+def test_sort_key_tells_one_from_true_inside_shared_parts():
+    one, true = (1,), (True,)
+    labels = [(one, "z"), (true, "a"), ("p", one), ("q", true), frozenset([one, "b"]),
+              frozenset([true, "c"])]
+    for order in (labels, labels[::-1]):
+        assert sorted(order, key=sort_key()) == sorted(order, key=vkey)
+    # a key memo by value would give (True,) the key of (1,) and put "a" after "z"
+    got = sorted(labels, key=sort_key())
+    assert got.index((true, "a")) < got.index((one, "z"))
+
+
+def _set_family_reference(space, sets):
+    """The per-set family that set_family replaced."""
+    parts = [np.sort(space.idx(list(A))) for A in sets]
+    starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
+    diams = np.array([space.dist[np.ix_(p, p)].max() if len(p) > 1 else 0
+                      for p in parts], dtype=np.int64)
+    return spaces.SetFamily(sets, np.concatenate(parts), starts, diams)
+
+
+@st.composite
+def set_families(draw):
+    """A graph-backed or table-backed space with mixed labels, and a family
+    of nonempty sets of one of the shapes the kernels meet."""
+    g, _ = draw(labelled_graphs(max_n=20))
+    if draw(st.booleans()):
+        g = g.subspace(draw(st.frozensets(st.sampled_from(g.vertices), min_size=1)))
+    pts = st.sampled_from(g.vertices)
+    shape = draw(st.sampled_from(["singletons", "repeated", "single", "whole", "mixed"]))
+    if shape == "singletons":
+        sets = [frozenset([p]) for p in draw(st.lists(pts, min_size=1, max_size=20))]
+    elif shape == "repeated":
+        A = draw(st.frozensets(pts, min_size=1))
+        sets = [A, frozenset(A), A] + draw(st.lists(st.sets(pts, min_size=1), max_size=3))
+    elif shape == "single":
+        sets = [draw(st.frozensets(pts, min_size=1))]
+    elif shape == "whole":
+        sets = draw(st.lists(st.frozensets(pts, min_size=1), max_size=3))
+        sets.insert(draw(st.integers(0, len(sets))), set(g.vertices))
+    else:
+        sets = draw(st.lists(st.one_of(st.frozensets(pts, min_size=1, max_size=1),
+                                       st.lists(pts, min_size=1, max_size=6, unique=True)),
+                             min_size=1, max_size=12))
+    return g, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_families())
+def test_set_family_matches_per_set_reference(case):
+    g, sets = case
+    got, want = g.set_family(sets), _set_family_reference(g, sets)
+    assert got.sets is sets
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tolist() == b.tolist()
