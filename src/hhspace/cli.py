@@ -66,7 +66,7 @@ def main(argv=None):
     p = sub.add_parser("examples", parents=[common],
                        help="materialize a fixture and run its checks")
     p.add_argument("name", choices=sorted(FIXTURES))
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=_radius, default=None)
 
     args = ap.parse_args(argv)
     for key, val in (("out", None), ("format", "json"), ("seed", 0)):
@@ -81,6 +81,18 @@ def main(argv=None):
     except SchemaError as exc:
         print("schema error: %s" % exc, file=sys.stderr)
         return SCHEMA_ERROR
+
+
+def _radius(text):
+    """A window radius: a non-negative integer."""
+    try:
+        r = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "radius must be an integer, got %r" % text) from None
+    if r < 0:
+        raise argparse.ArgumentTypeError("radius must be non-negative, got %d" % r)
+    return r
 
 
 def _failure_doc(exc):

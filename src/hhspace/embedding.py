@@ -78,7 +78,7 @@ def verify_embedding(e):
         Ui = e.index_map(U)
         fU = e.hyp_maps[U]
         hyp_qi = max(hyp_qi, qi_constants(fU))
-        if fU.domain is not e.source.hyp[U] or fU.codomain is not e.target.hyp[Ui]:
+        if fU.domain is not e.source.hyp[U] or fU.codomain is not e.target.hyp.get(Ui):
             out.add("hyp-map-spaces", (U,), "domain or codomain mismatch")
             continue
         # first diagram: project then map vs map then project

@@ -80,7 +80,9 @@ def verify_fullness(m):
     rep = ValidationReport("fullness:%s" % m.name)
     top_image = m.mapping[m.source.maximal]
     image = m.image()
-    for u in m.target.below(top_image):
+    # an image outside the target is verify_index_map's violation
+    below = m.target.below(top_image) if top_image in m.target.pos else ()
+    for u in below:
         if u not in image:
             rep.add("missing-preimage", (u,), "nested in %r but not hit" % (top_image,))
     for e in m.source.elements:

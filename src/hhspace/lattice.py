@@ -191,6 +191,15 @@ class IndexLattice:
         """The orthogonal pairs as frozensets, in vkey order."""
         return sorted(self._orth, key=lambda p: sorted(map(vkey, p)))
 
+    def relations_by_position(self):
+        """(maximal, nested, orth) by element position: with the number of
+        elements they fix the lattice up to relabelling. nested holds the
+        properly nested pairs, orth the orthogonal pairs as frozensets."""
+        pos = self.pos
+        return (pos[self.maximal],
+                frozenset((pos[a], pos[b]) for a, b in self._nest),
+                frozenset(frozenset(map(pos.__getitem__, p)) for p in self._orth))
+
     # -- containers --------------------------------------------------------
 
     def _compute_containers(self):

@@ -624,6 +624,7 @@ class CoarseMap:
         self._sets = None
         self._table = None
         self._qinv = None
+        self._image = None
 
     @property
     def diam_bound(self):
@@ -639,7 +640,10 @@ class CoarseMap:
         return frozenset(out)
 
     def image(self):
-        return self.image_of_set(self.domain.vertices)
+        """The union of all point images. Computed once per map."""
+        if self._image is None:
+            self._image = self.image_of_set(self.domain.vertices)
+        return self._image
 
     @classmethod
     def single(cls, domain, codomain, fn, name=""):

@@ -25,6 +25,7 @@ what detects the exponential-distortion counterexample windows).
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -240,13 +241,17 @@ def decorate(t):
     the first COPY_CAP parallel copies of the U-region, a leaf ("deco", v,
     U, k) carrying ``model.restrict(U, copy)``, joined to v by its
     ``Embedding.inclusion``, is added unless the tree has it, so decorate is
-    idempotent; the leaf recursion strictly drops complexity. Returns a new
-    tree named t.name + "~"."""
+    idempotent; the leaf recursion strictly drops complexity. The regions
+    read index-ordered data only, so they are measured once per class of
+    equal model_key and carried to the other models of the class by index.
+    Returns a new tree named t.name + "~"."""
     vertices = list(t.vertices)
     edges = list(t.edges)
     vertex_models = dict(t.vertex_models)
     edge_models = dict(t.edge_models)
     edge_maps = dict(t.edge_maps)
+    classes = _Classes()
+    regions = {}    # model class -> _region_copies of its first model
     queue = deque(t.vertices)
     while queue:
         v = queue.popleft()
@@ -254,16 +259,16 @@ def decorate(t):
         lat = model.lattice
         if lat.complexity() <= 1:
             continue
-        cap = max(model.basics())
-        tops = [U for U in lat.elements if U != lat.maximal
-                and not any(lat.properly_nested(U, W) and W != lat.maximal
-                            for W in lat.elements)]
-        for U in tops:
-            region = _thinnest_region(model, U, cap)
-            for k, (anchor, copyset) in enumerate(region.copies[:COPY_CAP]):
+        number, new = classes.model(model)
+        if new:
+            regions[number] = _region_copies(model)
+        for p, copies in regions[number]:
+            U = lat.elements[p]
+            for k, ids in enumerate(copies):
                 leaf = ("deco", v, U, k)
                 if leaf in vertex_models:
                     continue
+                copyset = [model.space.vertices[i] for i in ids]
                 leaf_model = model.restrict(U, copyset, name="%s|%s#%d" % (v, U, k))
                 vertices.append(leaf)
                 e = (v, leaf)
@@ -275,6 +280,20 @@ def decorate(t):
                 queue.append(leaf)
     return TreeOfHHS(vertices, edges, vertex_models, edge_models, edge_maps,
                      name=t.name + "~")
+
+
+def _region_copies(model):
+    """Position of each nesting-maximal non-top element U, with the first
+    COPY_CAP parallel copies of U's thinnest product region as vertex
+    index lists."""
+    lat = model.lattice
+    cap = max(model.basics())
+    tops = [U for U in lat.elements if U != lat.maximal
+            and not any(lat.properly_nested(U, W) and W != lat.maximal
+                        for W in lat.elements)]
+    return [(lat.pos[U], [model.space.idx(list(copyset)) for _, copyset
+                          in _thinnest_region(model, U, cap).copies[:COPY_CAP]])
+            for U in tops]
 
 
 def _thinnest_region(model, U, cap):
@@ -358,13 +377,131 @@ class CombinedStructure:
     warnings: list = field(default_factory=list)
 
 
+# -- classes of equal models -----------------------------------------------------
+#
+# A Bass-Serre window is made of translates: models and edge maps that differ
+# only in their labels. The hypothesis screen and tree_epsilon read
+# index-ordered data only, so they give one answer on a whole class of models
+# whose index-ordered tables are equal, and run once per class.
+
+
+class _Classes:
+    """Classes of equal keys, numbered in first-seen order. A key is a pair
+    (sizes, tables): sizes is hashable and cheap, tables a tuple of arrays.
+    Keys are bucketed by sizes, and a key joins the first class of its bucket
+    whose tables are equal array by array; the key None is a class of its
+    own. A _Classes holds either keys of models (``model``) or keys of
+    edge maps, never both."""
+
+    def __init__(self):
+        self.buckets = {}
+        self.count = 0
+        self.models = {}    # id of a model -> (its class number, the model)
+
+    def add(self, key):
+        """The class number of key, and whether key starts the class."""
+        if key is not None:
+            sizes, tables = key
+            bucket = self.buckets.setdefault(sizes, [])
+            for number, other in bucket:
+                if all(a is b or np.array_equal(a, b) for a, b in zip(tables, other)):
+                    return number, False
+            bucket.append((self.count, tables))
+        self.count += 1
+        return self.count - 1, True
+
+    def model(self, m):
+        """The class number of model m and whether m starts the class."""
+        if id(m) in self.models:
+            return self.models[id(m)][0], False
+        number, new = self.add(model_key(m))
+        self.models[id(m)] = number, m     # holding m keeps its id unique
+        return number, new
+
+
+def _image_tables(m):
+    """A coarse map's image sets by index: the set id of each domain point,
+    then the sorted codomain indices of the sets and the offset of each."""
+    rec = m.image_sets()
+    return rec.sids, rec.flat, rec.starts
+
+
+def model_key(m):
+    """The label-free structure of a model in index order, as (sizes,
+    tables), or None when a map or rho set reaches outside its space.
+
+    The key holds the distance tables of the space and of every hyperbolic
+    model, the lattice relations by position, the image sets of every
+    projection and rho map, and every rho set as an index list. sizes holds
+    the sizes, the relations, the rho keys by position and whether each map
+    runs between the model's own spaces. Models with equal keys are one
+    model up to relabelling; the key refers to the model's tables and copies
+    none."""
+    lat, space, hyp = m.lattice, m.space, m.hyp
+    pos = lat.pos
+    try:
+        hyps = [hyp[U] for U in lat.elements]
+        proj = [m.proj[U] for U in lat.elements]
+        rho_sets = sorted(((pos[a], pos[b]), np.sort(hyp[b].idx(list(S))))
+                          for (a, b), S in m.rho_set.items())
+        rho_maps = sorted(((pos[v], pos[w]), r,
+                           r.domain is hyp[w] and r.codomain is hyp[v])
+                          for (v, w), r in m.rho_map.items())
+        sizes = (len(space), lat.relations_by_position(),
+                 tuple(len(C) for C in hyps),
+                 tuple(len(p.image_sets().sets) for p in proj),
+                 tuple(p.domain is space and p.codomain is C
+                       for p, C in zip(proj, hyps)),
+                 tuple((k, len(S)) for k, S in rho_sets),
+                 tuple((k, len(r.image_sets().sets), own) for k, r, own in rho_maps))
+    except KeyError:
+        return None
+    return sizes, (space.dist, *(C.dist for C in hyps),
+                   *chain.from_iterable(map(_image_tables, proj)),
+                   *(S for _, S in rho_sets),
+                   *chain.from_iterable(_image_tables(r) for _, r, _ in rho_maps))
+
+
+def embedding_key(emb, models):
+    """The label-free structure of an edge map, as (sizes, tables), or None
+    when its index map leaves the target lattice or a map reaches outside
+    its space: the model classes of source and target, the index map by
+    position, whether the space map and each hyperbolic map run between the
+    spaces they belong to (verify_embedding's identity checks), and the
+    image sets of the space map and of every hyperbolic map."""
+    src, tgt = emb.source, emb.target
+    pos = tgt.lattice.pos
+    try:
+        image = [emb.index_map(U) for U in src.elements]
+        maps = [emb.space_map] + [emb.hyp_maps[U] for U in src.elements]
+        sizes = (models.model(src)[0], models.model(tgt)[0],
+                 tuple(map(pos.__getitem__, image)),
+                 emb.space_map.domain is src.space, emb.space_map.codomain is tgt.space,
+                 tuple((f.domain is src.hyp[U], f.codomain is tgt.hyp.get(Ui))
+                       for U, Ui, f in zip(src.elements, image, maps[1:])),
+                 tuple(len(f.image_sets().sets) for f in maps))
+    except KeyError:
+        return None
+    return sizes, tuple(chain.from_iterable(map(_image_tables, maps)))
+
+
 def check_hypotheses(t):
     """Theorem-hypothesis screen for every edge embedding: structure and
     fullness checks, and a hierarchically quasiconvex image. Uniformity of
-    the comparison maps across the tree is checked by build_combined."""
+    the comparison maps across the tree is checked by build_combined.
+
+    Both checks read index-ordered data only, so they run once per class of
+    (edge, endpoint) pairs with equal embedding_key whose target is the
+    endpoint's model, on its first member in t.edges order: the first
+    failure and its witness are those of checking every pair in turn."""
+    models, checks = _Classes(), _Classes()
     for e in t.edges:
         for endpoint in e:
             emb = t.edge_maps[(e, endpoint)]
+            key = (embedding_key(emb, models)
+                   if emb.target is t.vertex_models[endpoint] else None)
+            if not checks.add(key)[1]:
+                continue
             rep = verify_embedding(emb)
             if not rep.ok:
                 raise HypothesisFailure("edge map fails structure checks",
@@ -378,11 +515,15 @@ def check_hypotheses(t):
 def tree_epsilon(t):
     """One support threshold for the whole tree, from the uniform measured
     constants of all vertex and edge models (window comparison slop must
-    not masquerade as a bounded coordinate); shared models count once."""
+    not masquerade as a bounded coordinate). The constants read
+    index-ordered data only, so each class of equal model_key is measured
+    once, on its first model."""
     worst = 0.0
-    for m in dict.fromkeys([*t.vertex_models.values(), *t.edge_models.values()]):
-        xi, _ = m.basics()
-        worst = max(worst, xi, measure_alpha(m))
+    classes = _Classes()
+    for m in [*t.vertex_models.values(), *t.edge_models.values()]:
+        if classes.model(m)[1]:
+            xi, _ = m.basics()
+            worst = max(worst, xi, measure_alpha(m))
     return 3.0 * worst + 1.0
 
 
@@ -501,6 +642,7 @@ class _CombinedBuilder:
         self.coned = {}
         self.rels = {}   # (c1.id, c2.id) -> rel_classes(c1, c2), both orders
         self.entries = {}   # class id -> t.entry_edges(support), filled on use
+        self.entry_values = {}   # (class id, entry edge) -> entry_value, on use
         self.least = {sid: min(sup, key=t.space.index.__getitem__)
                       for sid, sup in supports.items()}
 
@@ -552,15 +694,17 @@ class _CombinedBuilder:
     def entry_value(self, cls, u):
         """pi_[cls] of any point over the tree vertex u outside the support:
         the projection of the edge space of the last edge of the geodesic
-        from u into the support, through its inside endpoint."""
+        from u into the support, through its inside endpoint. Computed once
+        per class and entry edge."""
         if cls.id not in self.entries:
             self.entries[cls.id] = self.t.entry_edges(cls.support)
         w, v = self.entries[cls.id][u]
-        e = self.t.edge_key(w, v)
-        emb = self.t.edge_maps[(e, v)]
-        rep = cls.rep_at[v]
-        img = self.t.vertex_models[v].proj[rep].image_of_set(emb.image())
-        return self.comp[(cls.id, v)].image_of_set(img)
+        key = (cls.id, w, v)
+        if key not in self.entry_values:
+            emb = self.t.edge_maps[(self.t.edge_key(w, v), v)]
+            img = self.t.vertex_models[v].proj[cls.rep_at[v]].image_of_set(emb.image())
+            self.entry_values[key] = self.comp[(cls.id, v)].image_of_set(img)
+        return self.entry_values[key]
 
     def base_marker(self, cls):
         vm = self.t.vertex_models[cls.favorite_vertex]
@@ -660,18 +804,17 @@ class _CombinedBuilder:
                                          name="pi:%r" % (sid,))
         for cls in self.classes:
             imgs = {}
-            outside = {}
-            for x in X.vertices:
-                v = x[0]
+            for v in t.vertices:
                 if v in cls.support:
-                    vm = t.vertex_models[v]
-                    val = self.comp[(cls.id, v)].image_of_set(
-                        vm.proj[cls.rep_at[v]](x[1]))
+                    # one comparison image per distinct image set over v
+                    m = t.vertex_models[v].proj[cls.rep_at[v]]
+                    rec = m.image_sets()
+                    vals = list(map(self.comp[(cls.id, v)].image_of_set, rec.sets))
+                    imgs.update(((v, p), vals[s])
+                                for p, s in zip(m.domain.vertices, rec.sids))
                 else:
-                    if v not in outside:
-                        outside[v] = self.entry_value(cls, v)
-                    val = outside[v]
-                imgs[x] = val
+                    val = self.entry_value(cls, v)
+                    imgs.update(((v, p), val) for p in t.vertex_models[v].space.vertices)
             proj[cls.id] = CoarseMap(X, hyp[cls.id], imgs, name="pi:%r" % (cls.id,))
 
         # relative projections

@@ -36,6 +36,15 @@ def test_examples_bs12_fails_with_witness(tmp_path):
         assert by_d[d] >= 2 ** d / 2
 
 
+@pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+def test_examples_negative_radius_is_a_usage_error(tmp_path, capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", tmp_path, "examples", name, "--radius", -1])
+    assert exc.value.code == 2
+    assert "radius must be non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_examples_hagen(tmp_path):
     assert run(["--out", tmp_path, "examples", "hagen-f2", "--radius", 4]) == 0
     doc = json.loads((tmp_path / "hagen-f2.json").read_text())

@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from hhspace import treecombine
 from hhspace.embedding import Embedding, verify_embedding
-from hhspace.fixtures import bs_window, grid_product
+from hhspace.fixtures import (bs_window, factor_inclusion, free_product_z2_z3,
+                              grid_product, raag_path)
 from hhspace.indexmaps import IndexMap
-from hhspace.model import audit_axioms, measure_alpha, trivial_model
+from hhspace.lattice import IndexLattice
+from hhspace.model import (HHSModel, audit_axioms, hq_check, measure_alpha,
+                           trivial_model)
 from hhspace.spaces import (CoarseMap, FiniteSpace, path_graph, single_point,
                             vkey)
 from hhspace.treecombine import (THAT, ComparisonNotUniform, HypothesisFailure,
                                  TreeOfHHS, _check_connected, audit_combined,
-                                 build_combined, combined_wedge_table,
-                                 comparison_map, concretize_edges, decorate,
+                                 build_combined, check_hypotheses,
+                                 combined_wedge_table, comparison_map,
+                                 concretize_edges, decorate,
                                  equivalence_classes, tree_epsilon)
 
 
@@ -304,11 +308,12 @@ def test_concretized_edge_maps_match_the_hand_built_maps():
             assert c.edge_maps[(e, e[0])] is t.edge_maps[(e, e[0])]
 
 
-def test_tree_epsilon_measures_each_shared_model_once(monkeypatch):
+def test_tree_epsilon_measures_each_class_of_equal_models_once(monkeypatch):
     t = _cyclic2_amalgam_window()
     models = list(t.vertex_models.values()) + list(t.edge_models.values())
     distinct = list({id(m): m for m in models}.values())
-    assert len(distinct) < len(models)
+    firsts = list(_firsts_reference(distinct, _model_reference).values())
+    assert len(firsts) < len(distinct) < len(models)
     want = 3.0 * max(max(m.basics()[0], measure_alpha(m)) for m in models) + 1.0
     seen = []
 
@@ -317,7 +322,7 @@ def test_tree_epsilon_measures_each_shared_model_once(monkeypatch):
         return measure_alpha(m)
     monkeypatch.setattr(treecombine, "measure_alpha", counting)
     assert tree_epsilon(t) == want
-    assert [id(m) for m in seen] == [id(m) for m in distinct]
+    assert [id(m) for m in seen] == [id(m) for m in firsts]
 
 
 def test_combined_distance_formula_finite():
@@ -597,3 +602,415 @@ def test_edge_orientation_does_not_change_a_failure():
     with pytest.raises(ComparisonNotUniform) as got:
         build_combined(_flipped(t))
     assert got.value.table == want.value.table
+
+
+# -- one check per class of equal models -------------------------------------------
+#
+# The references are the hypothesis screen and tree_epsilon one (edge,
+# endpoint) pair and one model object at a time, and a grouping of models
+# and edge maps by their index-ordered data written out as nested tuples.
+
+
+def _check_hypotheses_reference(t):
+    for e in t.edges:
+        for endpoint in e:
+            emb = t.edge_maps[(e, endpoint)]
+            rep = verify_embedding(emb)
+            if not rep.ok:
+                raise HypothesisFailure("edge map fails structure checks",
+                                        (e, endpoint, rep.violations[:3]))
+            hq = hq_check(t.vertex_models[endpoint], emb.image())
+            if not hq.passed:
+                raise HypothesisFailure("edge image not hierarchically quasiconvex",
+                                        (e, endpoint, hq.k0, hq.table))
+
+
+def _tree_epsilon_reference(t):
+    worst = 0.0
+    for m in dict.fromkeys([*t.vertex_models.values(), *t.edge_models.values()]):
+        xi, _ = m.basics()
+        worst = max(worst, xi, measure_alpha(m))
+    return 3.0 * worst + 1.0
+
+
+def _images_reference(f):
+    return tuple(tuple(sorted(f.codomain.index[p] for p in f(x)))
+                 for x in f.domain.vertices)
+
+
+def _model_reference(m):
+    E, lat = m.elements, m.lattice
+
+    def table(space):
+        return tuple(map(tuple, space.dist.tolist()))
+    return (table(m.space), lat.pos[lat.maximal],
+            tuple((lat.rel(a, b), lat.nested(a, b)) for a in E for b in E),
+            tuple(table(m.hyp[U]) for U in E),
+            tuple(_images_reference(m.proj[U]) for U in E),
+            tuple(sorted((lat.pos[a], lat.pos[b],
+                          tuple(sorted(m.hyp[b].index[p] for p in S)))
+                         for (a, b), S in m.rho_set.items())),
+            tuple(sorted((lat.pos[v], lat.pos[w], _images_reference(r))
+                         for (v, w), r in m.rho_map.items())))
+
+
+def _embedding_reference(emb):
+    src, tgt = emb.source, emb.target
+    image = [emb.index_map(U) for U in src.elements]
+    return (_model_reference(src), _model_reference(tgt),
+            tuple(tgt.lattice.pos[Ui] for Ui in image),
+            _images_reference(emb.space_map),
+            tuple((emb.hyp_maps[U].domain is src.hyp[U],
+                   emb.hyp_maps[U].codomain is tgt.hyp[Ui],
+                   _images_reference(emb.hyp_maps[U]))
+                  for U, Ui in zip(src.elements, image)))
+
+
+def _firsts_reference(items, key):
+    """The first item of each class of equal key, by key, in first-seen order."""
+    firsts = {}
+    for x in items:
+        firsts.setdefault(key(x), x)
+    return firsts
+
+
+def _screen(check, t):
+    try:
+        check(t)
+    except HypothesisFailure as exc:
+        return exc.reason, exc.witness
+    return None
+
+
+def _screened_trees(build):
+    """The trees that build_combined screens while build() runs."""
+    trees = []
+    real = treecombine.check_hypotheses
+
+    def record(t):
+        trees.append(t)
+        return real(t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(treecombine, "check_hypotheses", record)
+        build()
+    return trees
+
+
+# The trees each window's screen runs on, by name: the decorated trees that
+# build_combined screens, or the decorated fixture tree.
+WINDOWS = {
+    "raag_path(1)": lambda: _screened_trees(lambda: raag_path(1)),
+    "raag_path(2)": lambda: _screened_trees(lambda: raag_path(2)),
+    "free_product_z2_z3(2)": lambda: _screened_trees(lambda: free_product_z2_z3(2)),
+    "grid_chain": lambda: [decorate(grid_chain())],
+    "cyclic(2) radius 4": lambda: [_cyclic2_amalgam_window()],
+    **{"bs_window(2, %d)" % r: lambda r=r: [decorate(bs_window(2, r))]
+       for r in range(3, 8)}}
+REPEATING_WINDOWS = ["raag_path(1)", "free_product_z2_z3(2)", "cyclic(2) radius 4"]
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_screen_and_tree_epsilon_match_the_per_edge_references(name):
+    for t in WINDOWS[name]():
+        assert _screen(check_hypotheses, t) == _screen(_check_hypotheses_reference, t)
+        assert tree_epsilon(t) == _tree_epsilon_reference(t)
+
+
+def _with_edge_map(t, pair, emb):
+    return TreeOfHHS(t.vertices, t.edges, t.vertex_models, t.edge_models,
+                     {**t.edge_maps, pair: emb}, name=t.name)
+
+
+def _into_a_copied_space(emb):
+    """emb with its first hyperbolic map landing in an equal copy of its
+    target space: a map between the wrong spaces."""
+    U = emb.source.elements[0]
+    f = emb.hyp_maps[U]
+    copy = FiniteSpace(f.codomain.vertices, dist=f.codomain.dist)
+    return dataclasses.replace(
+        emb, hyp_maps={**emb.hyp_maps, U: CoarseMap(f.domain, copy, f.images)})
+
+
+def _not_injective(emb):
+    """emb with a non-maximal element sent where the maximal one goes."""
+    lat = emb.source.lattice
+    U = next(U for U in lat.elements if U != lat.maximal)
+    mapping = {**emb.index_map.mapping, U: emb.index_map(lat.maximal)}
+    return dataclasses.replace(emb, index_map=IndexMap(lat, emb.index_map.target,
+                                                       mapping))
+
+
+@pytest.mark.parametrize("name", REPEATING_WINDOWS)
+def test_a_defect_in_one_member_of_a_class_is_found(name):
+    for t in WINDOWS[name]():
+        models, checks = treecombine._Classes(), treecombine._Classes()
+        members = {}
+        for e in t.edges:
+            for end in e:
+                key = treecombine.embedding_key(t.edge_maps[(e, end)], models)
+                number, _ = checks.add(key)
+                members.setdefault(number, []).append((e, end))
+        largest = max(members.values(), key=len)
+        assert len(largest) > 1
+        pair = largest[-1]
+        plants = [_into_a_copied_space]
+        if len(t.edge_maps[pair].source.elements) > 1:
+            plants.append(_not_injective)
+        for plant in plants:
+            bad = _with_edge_map(t, pair, plant(t.edge_maps[pair]))
+            got = _screen(check_hypotheses, bad)
+            assert got == _screen(_check_hypotheses_reference, bad)
+            assert got[0] == "edge map fails structure checks"
+            assert got[1][:2] == pair
+
+
+@pytest.mark.parametrize("name", ["raag_path(2)", "cyclic(2) radius 4",
+                                  "bs_window(2, 7)"])
+def test_classes_match_the_reference_grouping(name):
+    for t in WINDOWS[name]():
+        objects = list(dict.fromkeys([*t.vertex_models.values(),
+                                      *t.edge_models.values()]))
+        pairs = [(e, end) for e in t.edges for end in e]
+        models, checks = treecombine._Classes(), treecombine._Classes()
+        got = [models.model(m)[0] for m in objects]
+        want = _firsts_reference(objects, _model_reference)
+        assert got == [list(want).index(_model_reference(m)) for m in objects]
+        got = [checks.add(treecombine.embedding_key(t.edge_maps[p], models))[0]
+               for p in pairs]
+        ref = [_embedding_reference(t.edge_maps[p]) for p in pairs]
+        want = list(_firsts_reference(ref, lambda r: r))
+        assert got == [want.index(r) for r in ref]
+
+
+def test_class_counts_of_the_raag_windows(monkeypatch):
+    calls = []
+
+    def counting(emb):
+        calls.append(emb)
+        return verify_embedding(emb)
+    monkeypatch.setattr(treecombine, "verify_embedding", counting)
+    trees = WINDOWS["raag_path(2)"]()
+    assert [t.name for t in trees] == ["fp:a,c~", "amalgam:b~"]
+    counts = []
+    for t in trees:
+        objects = dict.fromkeys([*t.vertex_models.values(), *t.edge_models.values()])
+        pairs = [t.edge_maps[(e, end)] for e in t.edges for end in e]
+        counts.append((len(pairs), len(set(map(_embedding_reference, pairs))),
+                       len(objects), len(set(map(_model_reference, objects)))))
+    assert counts == [(18, 3, 19, 2), (106, 44, 52, 14)]
+    assert len(calls) == 3 + 44
+
+
+def test_bs12_screen_checks_every_edge_map(monkeypatch):
+    calls = []
+
+    def counting(emb):
+        calls.append(emb)
+        return verify_embedding(emb)
+    monkeypatch.setattr(treecombine, "verify_embedding", counting)
+    t = decorate(bs_window(2, 7))
+    check_hypotheses(t)
+    assert len(calls) == 2 * len(t.edges) == 14
+
+
+def test_a_map_outside_the_target_lattice_is_a_class_of_its_own():
+    t = point_edge_tree([path_graph(0, 1)] * 3)
+    e = t.edges[-1]
+    good = t.edge_maps[(e, e[1])]
+    bad = dataclasses.replace(good, index_map=IndexMap(
+        good.source.lattice, good.target.lattice, {"SE": "Q"}))
+    assert treecombine.embedding_key(bad, treecombine._Classes()) is None
+    t = _with_edge_map(t, (e, e[1]), bad)
+    got = _screen(check_hypotheses, t)
+    assert got == _screen(_check_hypotheses_reference, t)
+    assert got[0] == "edge map fails structure checks"
+    assert got[1][:2] == (e, e[1])
+    violations = {(v.rule, v.witness) for v in got[1][2]}
+    assert ("image-not-in-target", ("SE", "Q")) in violations
+
+
+def test_an_edge_map_into_another_model_than_its_endpoints_is_checked_on_its_own():
+    # the map of the last pair lands in an equal model that is not the
+    # endpoint's, whose space is relabelled: the image check of that pair
+    # runs against the endpoint's model and cannot find the image there
+    t = point_edge_tree([path_graph(0, 1)] * 3)
+    e = t.edges[-1]
+    good = t.edge_maps[(e, e[1])]
+    other = _copied_model(good.target)
+    point = other.space.vertices[0]
+    bad = Embedding(good.source, other,
+                    CoarseMap.constant(good.source.space, other.space, [point]),
+                    IndexMap(good.source.lattice, other.lattice, {"SE": _lab("S")}),
+                    {"SE": CoarseMap.constant(good.source.hyp["SE"], other.hyp[_lab("S")],
+                                              [point])})
+    t = _with_edge_map(t, (e, e[1]), bad)
+    for check in (_check_hypotheses_reference, check_hypotheses):
+        with pytest.raises(KeyError):
+            check(t)
+
+
+# Key mutants: a relabelled copy of a model or an edge map falls in the class
+# of the original; the same copy with one index-ordered field changed does
+# not.
+
+
+def _lab(x):
+    return ("copy", x)
+
+
+def _copied_space(space):
+    return FiniteSpace([_lab(v) for v in space.vertices], dist=space.dist.copy())
+
+
+def _copied_map(f, domain, codomain):
+    return CoarseMap(domain, codomain,
+                     {_lab(x): {_lab(p) for p in f(x)} for x in f.domain.vertices})
+
+
+def _copied_model(m):
+    lat = m.lattice
+    X = _copied_space(m.space)
+    hyp = {_lab(U): _copied_space(m.hyp[U]) for U in m.elements}
+    return HHSModel(
+        X, IndexLattice([_lab(U) for U in m.elements], _lab(lat.maximal),
+                        [(_lab(a), _lab(b)) for a, b in lat.nest_pairs()],
+                        [tuple(map(_lab, p)) for p in lat.orth_pairs()]),
+        hyp, {_lab(U): _copied_map(m.proj[U], X, hyp[_lab(U)]) for U in m.elements},
+        {(_lab(a), _lab(b)): {_lab(p) for p in S} for (a, b), S in m.rho_set.items()},
+        {(_lab(v), _lab(w)): _copied_map(r, hyp[_lab(w)], hyp[_lab(v)])
+         for (v, w), r in m.rho_map.items()},
+        name=m.name + "'")
+
+
+def _copied_embedding(emb):
+    src, tgt = _copied_model(emb.source), _copied_model(emb.target)
+    image = {_lab(U): _lab(emb.index_map(U)) for U in emb.source.elements}
+    return Embedding(src, tgt, _copied_map(emb.space_map, src.space, tgt.space),
+                     IndexMap(src.lattice, tgt.lattice, image),
+                     {_lab(U): _copied_map(emb.hyp_maps[U], src.hyp[_lab(U)],
+                                           tgt.hyp[image[_lab(U)]])
+                      for U in emb.source.elements})
+
+
+def _has_two_images(f):
+    return len(set(f.images.values())) > 1
+
+
+def _swapped_images(f):
+    """f with the images of its first domain point and of the first point
+    with another image swapped: the same number of image sets, of the same
+    sizes, in other places."""
+    x = f.domain.vertices[0]
+    y = next(y for y in f.domain.vertices if f(y) != f(x))
+    return CoarseMap(f.domain, f.codomain, {**f.images, x: f(y), y: f(x)})
+
+
+def _chain_model():
+    return build_combined(point_edge_tree([path_graph(0, 1), cycle3()])).model
+
+
+def _set_distance(m):
+    m.space.dist[0, 1] += 1
+    m.space.dist[1, 0] += 1
+
+
+def _set_hyperbolic_distance(m):
+    C = next(m.hyp[U] for U in m.elements if len(m.hyp[U]) > 1)
+    C.dist[0, 1] += 1
+    C.dist[1, 0] += 1
+
+
+def _drop_orthogonality(m):
+    lat = m.lattice
+    m.lattice = IndexLattice(lat.elements, lat.maximal, lat.nest_pairs(),
+                             lat.orth_pairs()[1:])
+
+
+def _swap_projection_images(m):
+    U = next(U for U in m.elements if _has_two_images(m.proj[U]))
+    m.proj[U] = _swapped_images(m.proj[U])
+
+
+def _move_rho_set(m):
+    k = next(k for k, S in m.rho_set.items() if 0 < len(S) < len(m.hyp[k[1]]))
+    S = set(m.rho_set[k])
+    S.remove(min(S, key=m.hyp[k[1]].index.__getitem__))
+    S.add(next(p for p in m.hyp[k[1]].vertices if p not in m.rho_set[k]))
+    m.rho_set[k] = frozenset(S)
+
+
+def _swap_rho_map_images(m):
+    k = next(k for k, r in m.rho_map.items() if _has_two_images(r))
+    m.rho_map[k] = _swapped_images(m.rho_map[k])
+
+
+MODEL_MUTANTS = {"distance entry": _set_distance,
+                 "hyperbolic distance entry": _set_hyperbolic_distance,
+                 "lattice relation": _drop_orthogonality,
+                 "projection image": _swap_projection_images,
+                 "rho set": _move_rho_set,
+                 "rho-map image": _swap_rho_map_images}
+
+
+def _same_model_class(a, b):
+    classes = treecombine._Classes()
+    return classes.model(a)[0] == classes.model(b)[0]
+
+
+def test_a_relabelled_copy_is_in_the_class_of_its_model():
+    m = _chain_model()
+    copy = _copied_model(m)
+    assert copy.space.vertices != m.space.vertices
+    assert _same_model_class(m, copy)
+
+
+@pytest.mark.parametrize("field", MODEL_MUTANTS)
+def test_a_model_key_mutant_is_a_class_of_its_own(field):
+    m = _chain_model()
+    mutant = _copied_model(m)
+    MODEL_MUTANTS[field](mutant)
+    assert not _same_model_class(m, mutant)
+
+
+def _swap_hyp_map_images(emb):
+    U = emb.source.elements[0]
+    emb.hyp_maps[U] = _swapped_images(emb.hyp_maps[U])
+
+
+def _swap_space_map_images(emb):
+    emb.space_map = _swapped_images(emb.space_map)
+
+
+def _change_index_map(emb):
+    lat = emb.source.lattice
+    other = next(W for W in emb.target.elements if W != emb.index_map(lat.maximal))
+    emb.index_map = IndexMap(lat, emb.target.lattice, {lat.maximal: other})
+
+
+def _hyp_map_into_a_copy(emb):
+    emb.hyp_maps = _into_a_copied_space(emb).hyp_maps
+
+
+EMBEDDING_MUTANTS = {"hyp-map image": _swap_hyp_map_images,
+                     "space-map image": _swap_space_map_images,
+                     "index map": _change_index_map,
+                     "identity flag": _hyp_map_into_a_copy}
+
+
+def _same_embedding_class(a, b):
+    models, checks = treecombine._Classes(), treecombine._Classes()
+    return (checks.add(treecombine.embedding_key(a, models))[0]
+            == checks.add(treecombine.embedding_key(b, models))[0])
+
+
+def test_a_relabelled_copy_is_in_the_class_of_its_edge_map():
+    emb = factor_inclusion(1)
+    assert _same_embedding_class(emb, _copied_embedding(emb))
+
+
+@pytest.mark.parametrize("field", EMBEDDING_MUTANTS)
+def test_an_embedding_key_mutant_is_a_class_of_its_own(field):
+    emb = factor_inclusion(1)
+    mutant = _copied_embedding(emb)
+    EMBEDDING_MUTANTS[field](mutant)
+    assert not _same_embedding_class(emb, mutant)
