@@ -448,12 +448,9 @@ def hq_check(model, subset):
     if not subset:
         raise ValueError("empty subset")
     threshold = 2.0 * (model.xi() + model.realization_defect()) + 2.0
-    k0 = 0
-    for U in model.elements:
-        img = model.proj[U].image_of_set(subset)
-        k0 = max(k0, model.hyp[U].qc_constant(img))
-    gaps = np.stack([model.gap_to_set_array(U, model.proj[U].image_of_set(subset))
-                     for U in model.elements]).max(axis=0)
+    imgs = [(U, model.proj[U].image_of_set(subset)) for U in model.elements]
+    k0 = max(model.hyp[U].qc_constant(img) for U, img in imgs)
+    gaps = np.stack([model.gap_to_set_array(U, img) for U, img in imgs]).max(axis=0)
     to_sub = model.space.dist[:, model.space.idx(list(subset))].min(axis=1)
     table = {}
     for kappa in sorted(set(int(g) for g in gaps)):

@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-# cells (of any dtype) one chunk of FiniteSpace.intervals, one row chunk of
+# cells (of any dtype) one test of FiniteSpace.qc_constant, one row chunk of
 # FiniteSpace.interval_reduce, one middle-vertex chunk of FiniteSpace.steps,
 # one row chunk of the tree or bitset distance kernel, one neighbour gather
 # of a bitset BFS level or one chunk of the four-point scan may take;
@@ -111,17 +111,33 @@ class FiniteSpace:
         """A graph (``edges`` between labels) or a metric table ``dist``
         whose rows and columns follow the order of ``vertices``; labels are
         stored sorted by ``vkey``."""
-        self.name = name
         if dist is None:
-            self.vertices = sorted_vertices(vertices)
-        else:
-            given = tuple(vertices)
-            check_distinct(given, "vertex")
-            keys = list(map(sort_key(), given))
-            perm = sorted(range(len(given)), key=keys.__getitem__)
-            self.vertices = tuple(given[i] for i in perm)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
+            self._store(sorted_vertices(vertices), edges, None, name)
+            return
+        given = tuple(vertices)
+        check_distinct(given, "vertex")
+        keys = list(map(sort_key(), given))
+        perm = sorted(range(len(given)), key=keys.__getitem__)
+        self._store(tuple(given[i] for i in perm), edges, dist, name)
+        if perm != list(range(len(perm))):
+            perm = np.array(perm)
+            self.dist = self.dist[perm[:, None], perm]
+
+    @classmethod
+    def _in_order(cls, vertices, edges=None, dist=None, name=""):
+        """As the constructor, for labels that are distinct and already in
+        ``vkey`` order: they are stored as given, with no sort."""
+        space = cls.__new__(cls)
+        space._store(tuple(vertices), edges, dist, name)
+        return space
+
+    def _store(self, vertices, edges, dist, name):
+        """Keep the labels in the given order, and the table, whose rows
+        follow that order, or the graph's BFS metric."""
+        self.name = name
+        self.vertices = vertices
+        self.index = {v: i for i, v in enumerate(vertices)}
+        n = len(vertices)
         if n == 0:
             raise ValueError("a FiniteSpace needs at least one vertex")
         self._steps = None
@@ -130,9 +146,6 @@ class FiniteSpace:
             self.dist = np.asarray(dist, dtype=np.int64)
             if self.dist.shape != (n, n):
                 raise ValueError("distance table shape mismatch")
-            if perm != list(range(n)):
-                perm = np.array(perm)
-                self.dist = self.dist[perm[:, None], perm]
         else:
             es = set()
             for a, b in edges or ():
@@ -228,18 +241,6 @@ class FiniteSpace:
         on = self.dist[iu] + self.dist[iv] == self.dist[iu, iv]
         return tuple(self.vertices[i] for i in on.nonzero()[0])
 
-    def intervals(self, rows, cols):
-        """Geodesic intervals in row chunks: yields (r0, on) with on[i, j, x]
-        true when x lies on a geodesic from rows[r0 + i] to cols[j], that is
-        d(rows[r0 + i], x) + d(cols[j], x) = d(rows[r0 + i], cols[j]). A
-        chunk holds about _CHUNK_CELLS cells."""
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        Dc = self.dist[cols]
-        step = max(1, _CHUNK_CELLS // max(1, len(cols) * len(self)))
-        for r0 in range(0, len(rows), step):
-            Dr = self.dist[rows[r0:r0 + step]]
-            yield r0, Dr[:, None, :] + Dc[None, :, :] == Dr[:, cols, None]
-
     def steps(self):
         """(c, b): the ordered pairs at positive distance with no vertex
         strictly between them, sorted by b and then by c. For a graph-built
@@ -309,16 +310,55 @@ class FiniteSpace:
 
     def qc_constant(self, A):
         """Quasiconvexity constant of the subset A: the largest distance from a
-        point on a geodesic between points of A back to A. Exact, because the
-        union of all geodesics between u and v is the interval {w : d(u,w) +
-        d(w,v) = d(u,v)}."""
+        point on a geodesic between points of A back to A.
+
+        The union of all geodesics between a and b is the interval I(a, b) =
+        {x : d(a, x) + d(x, b) = d(a, b)}, so the constant is the largest
+        level to_A[x] = d(x, A) of a point x on some I(a, b) with a, b in A.
+        The scan takes the points off A from the highest level down, in
+        chunks that may span several levels, and stops at the first chunk
+        with a point on such an interval. No earlier chunk, so no higher
+        level, has one, so the highest level met in that chunk is the exact
+        constant; with no point met it is 0. The points of A are at level 0
+        and never tested, so even a convex A, whose points off A are all
+        tested in vain, reads fewer cells than the |A| x |A| x n cube of all
+        the intervals.
+
+        dist is symmetric, so d(x, A) and d(x, b) are read from rows of A.
+        Every temporary holds about _CHUNK_CELLS cells: to_A is reduced over
+        chunks of rows of A, and a test is a (rows of A) x A x (points off A)
+        cube, chunked over both the rows and the points."""
         ia = self.idx(list(A))
-        if len(ia) <= 1:
+        k = len(ia)
+        if k <= 1:
             return 0
-        # not interval_reduce, which pays per distance level: on bs12-detect's
-        # 14 calls (paths of up to 257 vertices) it took 0.067 s, this 0.033 s (2 vCPU)
-        to_A = self.dist[:, ia].min(axis=1)
-        return max(int(np.where(on, to_A, 0).max()) for _, on in self.intervals(ia, ia))
+        D = self.dist
+        step = max(1, _CHUNK_CELLS // len(self))
+        to_A = D[ia[0]].copy()
+        for r0 in range(1, k, step):
+            np.minimum(to_A, D[ia[r0:r0 + step]].min(axis=0), out=to_A)
+        order = np.argsort(-to_A, kind="stable")[:np.count_nonzero(to_A)]
+        cstep = max(1, min(len(order), _CHUNK_CELLS // k))
+        rstep = max(1, _CHUNK_CELLS // (k * cstep))
+        for c0 in range(0, len(order), cstep):
+            xs = order[c0:c0 + cstep]
+            # P[i, j] = d(a_i, x_j) = d(x_j, a_i)
+            P = D[ia[:, None], xs]
+            best = 0
+            # the pairs (a_i, a_j) with j from the chunk's first row on hold
+            # every unordered pair, and the test is symmetric in a and b
+            for r0 in range(0, k, rstep):
+                r = slice(r0, r0 + rstep)
+                on = (P[r, None, :] + P[None, r0:, :]
+                      == D[ia[r, None], ia[r0:]][:, :, None]).any(axis=(0, 1))
+                if on.any():
+                    # xs runs down the levels: its first point met is the highest
+                    best = max(best, int(to_A[xs[on.argmax()]]))
+                    if best == to_A[xs[0]]:
+                        break
+            if best:
+                return best
+        return 0
 
     def set_family(self, sets):
         """Index a list of nonempty point sets for the table kernels below:
@@ -365,8 +405,9 @@ class FiniteSpace:
         """Metric subspace (restricted ambient metric, not induced path metric)."""
         ii = sorted({self.index[v] for v in keep})
         rows = np.array(ii)
-        return FiniteSpace([self.vertices[i] for i in ii], dist=self.dist[rows[:, None], rows],
-                           name=name or self.name + "|sub")
+        return FiniteSpace._in_order([self.vertices[i] for i in ii],
+                                     dist=self.dist[rows[:, None], rows],
+                                     name=name or self.name + "|sub")
 
     def relabel(self, fn, name=""):
         return FiniteSpace([fn(v) for v in self.vertices], dist=self.dist,
@@ -552,7 +593,8 @@ def single_point(v="*"):
 
 
 def product_graph(a, b, name=""):
-    """Cartesian product graph: the l1 metric on pairs."""
+    """Cartesian product graph: the l1 metric on pairs. The pairs are built
+    in product order, which is ``vkey`` order, as both factors are sorted."""
     vs = [(x, y) for x in a.vertices for y in b.vertices]
     es = []
     for (ia, ib) in a.edges or ():
@@ -561,7 +603,7 @@ def product_graph(a, b, name=""):
     for (ia, ib) in b.edges or ():
         for x in a.vertices:
             es.append(((x, b.vertices[ia]), (x, b.vertices[ib])))
-    return FiniteSpace(vs, es, name=name)
+    return FiniteSpace._in_order(vs, es, name=name)
 
 
 def cone_off(space, subsets, name=""):

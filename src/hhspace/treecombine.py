@@ -233,7 +233,7 @@ def _check_connected(t, support):
 # -- decoration ----------------------------------------------------------------
 
 
-def decorate(t):
+def decorate(t, models=None):
     """Attach product-region leaves until every vertex model has complexity
     one, so distinct classes end up with distinct supports.
 
@@ -244,13 +244,15 @@ def decorate(t):
     idempotent; the leaf recursion strictly drops complexity. The regions
     read index-ordered data only, so they are measured once per class of
     equal model_key and carried to the other models of the class by index.
-    Returns a new tree named t.name + "~"."""
+    ``models`` is the _Classes table of model keys that build_combined
+    shares between its stages (a fresh one when None). Returns a new tree
+    named t.name + "~"."""
     vertices = list(t.vertices)
     edges = list(t.edges)
     vertex_models = dict(t.vertex_models)
     edge_models = dict(t.edge_models)
     edge_maps = dict(t.edge_maps)
-    classes = _Classes()
+    models = _Classes() if models is None else models
     regions = {}    # model class -> _region_copies of its first model
     queue = deque(t.vertices)
     while queue:
@@ -259,8 +261,8 @@ def decorate(t):
         lat = model.lattice
         if lat.complexity() <= 1:
             continue
-        number, new = classes.model(model)
-        if new:
+        number = models.model(model)
+        if number not in regions:
             regions[number] = _region_copies(model)
         for p, copies in regions[number]:
             U = lat.elements[p]
@@ -411,12 +413,11 @@ class _Classes:
         return self.count - 1, True
 
     def model(self, m):
-        """The class number of model m and whether m starts the class."""
-        if id(m) in self.models:
-            return self.models[id(m)][0], False
-        number, new = self.add(model_key(m))
-        self.models[id(m)] = number, m     # holding m keeps its id unique
-        return number, new
+        """The class number of model m; each model object is keyed once."""
+        if id(m) not in self.models:
+            # holding m keeps its id unique
+            self.models[id(m)] = self.add(model_key(m))[0], m
+        return self.models[id(m)][0]
 
 
 def _image_tables(m):
@@ -474,7 +475,7 @@ def embedding_key(emb, models):
     try:
         image = [emb.index_map(U) for U in src.elements]
         maps = [emb.space_map] + [emb.hyp_maps[U] for U in src.elements]
-        sizes = (models.model(src)[0], models.model(tgt)[0],
+        sizes = (models.model(src), models.model(tgt),
                  tuple(map(pos.__getitem__, image)),
                  emb.space_map.domain is src.space, emb.space_map.codomain is tgt.space,
                  tuple((f.domain is src.hyp[U], f.codomain is tgt.hyp.get(Ui))
@@ -485,7 +486,7 @@ def embedding_key(emb, models):
     return sizes, tuple(chain.from_iterable(map(_image_tables, maps)))
 
 
-def check_hypotheses(t):
+def check_hypotheses(t, models=None):
     """Theorem-hypothesis screen for every edge embedding: structure and
     fullness checks, and a hierarchically quasiconvex image. Uniformity of
     the comparison maps across the tree is checked by build_combined.
@@ -493,8 +494,10 @@ def check_hypotheses(t):
     Both checks read index-ordered data only, so they run once per class of
     (edge, endpoint) pairs with equal embedding_key whose target is the
     endpoint's model, on its first member in t.edges order: the first
-    failure and its witness are those of checking every pair in turn."""
-    models, checks = _Classes(), _Classes()
+    failure and its witness are those of checking every pair in turn.
+    ``models`` is the shared table of model keys, as for decorate."""
+    models = _Classes() if models is None else models
+    checks = _Classes()
     for e in t.edges:
         for endpoint in e:
             emb = t.edge_maps[(e, endpoint)]
@@ -512,29 +515,34 @@ def check_hypotheses(t):
                                         (e, endpoint, hq.k0, hq.table))
 
 
-def tree_epsilon(t):
+def tree_epsilon(t, models=None):
     """One support threshold for the whole tree, from the uniform measured
     constants of all vertex and edge models (window comparison slop must
     not masquerade as a bounded coordinate). The constants read
     index-ordered data only, so each class of equal model_key is measured
-    once, on its first model."""
+    once, on its first model here. ``models`` is the shared table of model
+    keys, as for decorate."""
+    models = _Classes() if models is None else models
     worst = 0.0
-    classes = _Classes()
+    done = set()    # model classes measured
     for m in [*t.vertex_models.values(), *t.edge_models.values()]:
-        if classes.model(m)[1]:
+        number = models.model(m)
+        if number not in done:
+            done.add(number)
             xi, _ = m.basics()
             worst = max(worst, xi, measure_alpha(m))
     return 3.0 * worst + 1.0
 
 
-def concretize_edges(t):
+def concretize_edges(t, models=None):
     """Restrict every edge model to the join of its supports at the
     tree-wide threshold (``concretize``) and precompose its two embeddings
     with the inclusion of the restriction; identifications then run over
     concrete edge elements only. Decoration edges are exempt: they are
     built in place as product-region inclusions and deliberately carry the
-    container identifications that a concreteness reduction would drop."""
-    eps = tree_epsilon(t)
+    container identifications that a concreteness reduction would drop.
+    ``models`` goes to tree_epsilon."""
+    eps = tree_epsilon(t, models)
     edge_models = dict(t.edge_models)
     edge_maps = dict(t.edge_maps)
     changed_any = False
@@ -559,10 +567,12 @@ def build_combined(t):
     """Run the whole combination: decoration, hypothesis screen, edge
     concretization, classes and supports, comparison maps (uniformity
     enforced), the glued space, the combined lattice and all projection
-    data. The structure records the decorated tree."""
-    t = decorate(t)
-    check_hypotheses(t)
-    t = concretize_edges(t)
+    data. The structure records the decorated tree. The first three stages
+    share one table of model keys, so each model object is keyed once."""
+    models = _Classes()
+    t = decorate(t, models)
+    check_hypotheses(t, models)
+    t = concretize_edges(t, models)
     classes = equivalence_classes(t)
     warnings = []
 

@@ -205,9 +205,8 @@ def _qc_constant_reference(space, A):
 
 @st.composite
 def graphs_and_subsets(draw):
-    # above 32 vertices one chunk of intervals(all, all) no longer covers
-    # every row; qc_constant(A) needs |A| > 28 on 40 vertices for that, so A
-    # is a small set or the complement of one
+    # A is a small set, with many levels above it, or the complement of one,
+    # with many rows of A and few points at each level
     g = draw(connected_graphs(max_n=40))
     A = draw(st.frozensets(st.sampled_from(g.vertices), max_size=8))
     return g, frozenset(g.vertices) - A if draw(st.booleans()) else A
@@ -218,17 +217,6 @@ def graphs_and_subsets(draw):
 def test_interval_kernel_matches_pairwise(case):
     g, A = case
     assert g.qc_constant(A) == _qc_constant_reference(g, A)
-    ends = np.arange(len(g))
-    for rows in (ends, g.idx(list(A))):
-        seen = 0
-        for r0, on in g.intervals(rows, ends):
-            assert r0 == seen and on.shape[1:] == (len(g), len(g))
-            seen += len(on)
-            for i, r in enumerate(rows[r0:r0 + len(on)]):
-                for j, v in enumerate(g.vertices):
-                    got = tuple(g.vertices[x] for x in on[i, j].nonzero()[0])
-                    assert got == g.interval(g.vertices[r], v)
-        assert seen == len(rows)
 
 
 @st.composite
@@ -239,6 +227,44 @@ def metric_spaces(draw, max_n=30):
     if draw(st.booleans()):
         return g.subspace(draw(st.frozensets(st.sampled_from(g.vertices), min_size=1)))
     return g
+
+
+def _assert_qc_constant_matches(g, A):
+    """qc_constant equals the reference at the default budget and at budgets
+    of |A|, 2 |A| and |A| (n - |A|) cells: one or two rows of A and one or
+    two points off A per chunk, or one row of A and all the points."""
+    want = _qc_constant_reference(g, A)
+    k = len(A)
+    for cells in (spaces._CHUNK_CELLS, k, 2 * k, k * (len(g) - k)):
+        with mock.patch.object(spaces, "_CHUNK_CELLS", max(1, cells)):
+            assert g.qc_constant(A) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs_and_subsets(),
+                 metric_spaces().flatmap(lambda g: st.tuples(
+                     st.just(g), st.frozensets(st.sampled_from(g.vertices))))))
+def test_qc_constant_matches_pairwise_in_small_chunks(case):
+    _assert_qc_constant_matches(*case)
+
+
+@pytest.mark.parametrize("g, A, want", [
+    # convex: the segment 0..9 of a path has levels 1..20, each scanned in vain
+    (path_graph(30), range(10), 0),
+    # a row of a grid is convex too, with a whole row of points at each level
+    (product_graph(path_graph(6), path_graph(5)), [(2, y) for y in range(5)], 0),
+    # levels 18 down to 2 hold no interval point; at level 1 only 1 does
+    (path_graph(21), [0, 2], 1),
+    # the first row of A, 0, meets level 2 (17 and 18, between 15 and 0);
+    # only the third, 5, meets the top level 3 (11 and 12, between 5 and 15)
+    (cycle_graph(20), [0, 2, 5, 8, 15], 3),
+    # |A| = n and |A| = 1: no positive level, and no pair
+    (cycle_graph(9), range(9), 0),
+    (path_graph(9), [4], 0),
+])
+def test_qc_constant_pinned_cases(g, A, want):
+    assert g.qc_constant(A) == want
+    _assert_qc_constant_matches(g, frozenset(A))
 
 
 def _steps_reference(space):
@@ -654,6 +680,14 @@ def test_kernels_allocate_chunks_not_cubes():
     # temporary, a chunk is 32 kB
     g = product_graph(path_graph(6), cycle_graph(10))
     assert _traced_peak(four_point_delta, g) < 1e6
+    # an unchunked cube of all intervals between the points of A would take
+    # 34 MB for every second vertex of a 257-path (one level, qc 1) and
+    # 96 MB for the convex 0..199 of a 300-path (100 levels, each scanned in
+    # vain), where the 200 x 200 table of A alone exceeds a chunk
+    g = path_graph(257)
+    assert _traced_peak(g.qc_constant, range(0, 257, 2)) < 1e6
+    g = path_graph(300)
+    assert _traced_peak(g.qc_constant, range(200)) < 1e6
 
 
 # -- label order and the nearest-point kernel ----------------------------------
@@ -775,6 +809,31 @@ def test_sort_key_orders_as_vkey(labels):
     assert t.vertices == want
     at = {v: i for i, v in enumerate(distinct)}
     assert all(t.d(u, v) == abs(at[u] - at[v]) for u in want for v in want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_labels(), nested_labels(), st.data())
+def test_order_preserving_constructors_store_vkey_order(left, right, data):
+    # subspace and product_graph store their labels unsorted: index order
+    # of the ambient space, and product order of two sorted factors
+    a, b = (list(dict.fromkeys(labels))[:8] for labels in (left, right))
+    g = FiniteSpace(a, list(zip(a, a[1:])))
+    h = FiniteSpace(b, list(zip(b, b[1:])))
+    keep = data.draw(st.lists(st.sampled_from(a), min_size=1))
+    sub = g.subspace(keep)
+    assert sub.vertices == tuple(sorted(set(keep), key=vkey))
+    ii = g.idx(list(sub.vertices))
+    assert (sub.dist == g.dist[np.ix_(ii, ii)]).all()
+    prod = product_graph(g, h)
+    pairs = [(x, y) for x in a for y in b]
+    assert prod.vertices == tuple(sorted(pairs, key=vkey))
+    # the same space as the sorting constructor builds from the same edges
+    edges = [(prod.vertices[i], prod.vertices[j]) for i, j in prod.edges]
+    ref = FiniteSpace(pairs, edges)
+    assert (ref.vertices, ref.edges) == (prod.vertices, prod.edges)
+    assert (ref.dist == prod.dist).all()
+    assert all(prod.d((x, y), (u, v)) == g.d(x, u) + h.d(y, v)
+               for x, y in pairs for u, v in pairs[:5])
 
 
 def test_sort_key_tells_one_from_true_inside_shared_parts():

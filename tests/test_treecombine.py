@@ -687,9 +687,9 @@ def _screened_trees(build):
     trees = []
     real = treecombine.check_hypotheses
 
-    def record(t):
+    def record(t, *rest):
         trees.append(t)
-        return real(t)
+        return real(t, *rest)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(treecombine, "check_hypotheses", record)
         build()
@@ -772,7 +772,7 @@ def test_classes_match_the_reference_grouping(name):
                                       *t.edge_models.values()]))
         pairs = [(e, end) for e in t.edges for end in e]
         models, checks = treecombine._Classes(), treecombine._Classes()
-        got = [models.model(m)[0] for m in objects]
+        got = [models.model(m) for m in objects]
         want = _firsts_reference(objects, _model_reference)
         assert got == [list(want).index(_model_reference(m)) for m in objects]
         got = [checks.add(treecombine.embedding_key(t.edge_maps[p], models))[0]
@@ -799,6 +799,19 @@ def test_class_counts_of_the_raag_windows(monkeypatch):
                        len(objects), len(set(map(_model_reference, objects)))))
     assert counts == [(18, 3, 19, 2), (106, 44, 52, 14)]
     assert len(calls) == 3 + 44
+
+
+def test_build_combined_keys_each_model_object_once(monkeypatch):
+    # decorate, the screen and tree_epsilon share one table of model keys
+    keyed = []
+
+    def counting(m):
+        keyed.append(m)
+        return model_key(m)
+    model_key = treecombine.model_key
+    monkeypatch.setattr(treecombine, "model_key", counting)
+    raag_path(2)
+    assert len(keyed) == len({id(m) for m in keyed}) == 71
 
 
 def test_bs12_screen_checks_every_edge_map(monkeypatch):
@@ -954,7 +967,7 @@ MODEL_MUTANTS = {"distance entry": _set_distance,
 
 def _same_model_class(a, b):
     classes = treecombine._Classes()
-    return classes.model(a)[0] == classes.model(b)[0]
+    return classes.model(a) == classes.model(b)
 
 
 def test_a_relabelled_copy_is_in_the_class_of_its_model():
