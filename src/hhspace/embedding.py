@@ -82,7 +82,7 @@ def verify_embedding(e):
             out.add("hyp-map-spaces", (U,), "domain or codomain mismatch")
             continue
         # first diagram: project then map vs map then project
-        src, via = e.source.proj[U].image_sets(), e.space_map.image_sets()
+        src, via = e.source.proj[U], e.space_map
         CU = e.target.hyp[Ui]
         a = CU.set_family([fU.image_of_set(A) for A in src.sets])
         b = CU.set_family([e.target.proj[Ui].image_of_set(B) for B in via.sets])
@@ -94,7 +94,7 @@ def verify_embedding(e):
             out.add("missing-target-rho-map", (v, w))
             continue
         tmap = e.target.rho_map[(vi, wi)]
-        down, across = rmap.image_sets(), e.hyp_maps[w].image_sets()
+        down, across = rmap, e.hyp_maps[w]
         CV = e.target.hyp[vi]
         a = CV.set_family([e.hyp_maps[v].image_of_set(A) for A in down.sets])
         b = CV.set_family([tmap.image_of_set(B) for B in across.sets])
@@ -259,14 +259,14 @@ def pullback_model(e):
     tgt = e.target
     image = tgt.space.ordered(e.image())
     sub = tgt.space.subspace(image, name=e.name + "|image")
+    rows = tgt.space.idx(image)
     lat = e.source.lattice
     hyp, proj = {}, {}
     rset, rmap = {}, {}
     for U in e.source.elements:
         Ui = e.index_map(U)
         hyp[U] = tgt.hyp[Ui]
-        proj[U] = CoarseMap(sub, tgt.hyp[Ui],
-                            {v: tgt.proj[Ui](v) for v in image})
+        proj[U] = CoarseMap.from_ids(sub, hyp[U], tgt.proj[Ui].sids[rows], tgt.proj[Ui].sets)
     inv = {e.index_map(U): U for U in e.source.elements}
     for (a, b), S in tgt.rho_set.items():
         if a in inv and b in inv:

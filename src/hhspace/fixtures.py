@@ -89,20 +89,17 @@ def hagen_target(r):
     proj = {}
     for w, pts in axes.items():
         # each point goes to its nearest point of the axis
-        near = (X.vertices[i] for i in X.nearest(pts))
-        proj[w] = CoarseMap(X, hyp[w],
-                            {x: frozenset([p]) for x, p in zip(X.vertices, near)},
-                            name="pi:%s" % (w,))
+        proj[w] = CoarseMap.from_ids(X, hyp[w], X.nearest(pts), [(x,) for x in X.vertices],
+                                     name="pi:%s" % (w,))
     proj["M"] = CoarseMap.single(X, CM, lambda x: x, name="pi:M")
 
     rho_set, rho_map = {}, {}
     for w in axes:
         rho_set[(w, "M")] = frozenset(axes[w])
-        imgs = {}
-        for p in CM.vertices:
-            q = p if p in X.index else axes[p[1]][0]
-            imgs[p] = proj[w](q)
-        rho_map[(w, "M")] = CoarseMap(CM, hyp[w], imgs, name="rho:%s<-M" % (w,))
+        # a cone point goes where the first point of its axis goes
+        at = X.idx([p if p in X.index else axes[p[1]][0] for p in CM.vertices])
+        rho_map[(w, "M")] = CoarseMap.from_ids(CM, hyp[w], proj[w].sids[at], proj[w].sets,
+                                               name="rho:%s<-M" % (w,))
     keys = [w for w in lattice.elements if w != "M"]
     for i, w in enumerate(keys):
         for v in keys[i + 1:]:

@@ -18,6 +18,8 @@ inclusion of any sub-product a level holds.
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .embedding import Embedding, verify_embedding
 from .groups import FreeProductBases
 from .indexmaps import IndexMap
@@ -76,12 +78,13 @@ def direct_product_structure(a, b, name=""):
                 nested += [(e, f), (("V", f), ("V", e))]
     lattice = IndexLattice(elements, TOP, nested, orth, name=name)
 
+    # pair i of the product order is (a's point i // |b|, b's point i % |b|)
+    rows = np.divmod(np.arange(len(space)), len(b.space))
     hyp, proj = {}, {}
     for e, (m, pick, U) in sides.items():
         hyp[e] = m.hyp[U]
-        proj[e] = CoarseMap(space, m.hyp[U],
-                            {v: m.proj[U](v[pick]) for v in space.vertices},
-                            name="pi:%s" % (e,))
+        proj[e] = CoarseMap.from_ids(space, m.hyp[U], m.proj[U].sids[rows[pick]],
+                                     m.proj[U].sets, name="pi:%s" % (e,))
     for y in points:
         hyp[y] = single_point(("pt",) + y)
         proj[y] = CoarseMap.constant(space, hyp[y], hyp[y].vertices)

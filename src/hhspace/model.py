@@ -163,8 +163,8 @@ class HHSModel:
         again after each, so it never exceeds n * k_U."""
         key = np.zeros(len(self.space), dtype=np.int64)
         for U in elements:
-            rec = self.proj[U].image_sets()
-            key = np.unique(key * len(rec.sets) + rec.sids, return_inverse=True)[1]
+            m = self.proj[U]
+            key = np.unique(key * len(m.sets) + m.sids, return_inverse=True)[1]
         _, first, key = np.unique(key, return_index=True, return_inverse=True)
         by_first = np.argsort(first)
         rank = np.empty_like(by_first)
@@ -180,11 +180,11 @@ class HHSModel:
     def dist_to_set_array(self, U, S):
         """array over base vertices: sup-distance from the projection to S."""
         m = self.proj[U]
-        return m.dset_row(S)[m.image_sets().sids]
+        return m.dset_row(S)[m.sids]
 
     def gap_to_set_array(self, U, S):
         m = self.proj[U]
-        return m.gap_row(S)[m.image_sets().sids]
+        return m.gap_row(S)[m.sids]
 
     def coords_of(self, x):
         return {U: self.proj[U](x) for U in self.elements}
@@ -230,9 +230,10 @@ class HHSModel:
             space, proj = self.space, {U: self.proj[U] for U in keep}
         else:
             space = self.space.subspace(points, name=name)
-            proj = {U: CoarseMap(space, self.hyp[U],
-                                 {x: self.proj[U](x) for x in space.vertices},
-                                 name="pi:%s" % (U,)) for U in keep}
+            rows = self.space.idx(space.vertices)
+            proj = {U: CoarseMap.from_ids(space, self.hyp[U], self.proj[U].sids[rows],
+                                          self.proj[U].sets, name="pi:%s" % (U,))
+                    for U in keep}
         rset = {k: v for k, v in self.rho_set.items() if k[0] in keep and k[1] in keep}
         rmap = {k: v for k, v in self.rho_map.items() if k[0] in keep and k[1] in keep}
         return HHSModel(space, lat, hyp, proj, rset, rmap, name=name)
@@ -319,7 +320,7 @@ def _nested_consistency(model, v, w):
     """min( d_w(pi_w x, rho), diam(pi_v x | rho-map(pi_w x)) ) maximized over x."""
     a = model.dist_to_set_array(w, model.rho_set[(v, w)])
     rmap, CV = model.rho_map[(v, w)], model.hyp[v]
-    on_w, on_v = model.proj[w].image_sets(), model.proj[v].image_sets()
+    on_w, on_v = model.proj[w], model.proj[v].image_sets()
     down = CV.set_family([rmap.image_of_set(B) for B in on_w.sets])
     both = np.minimum(a, CV.dset_table(on_v, down)[on_v.sids, on_w.sids])
     return int(both.max()), model.space.vertices[int(both.argmax())]
@@ -482,22 +483,20 @@ def gate_map(model, target):
     worst = np.zeros((len(t_idx), len(model.space)), dtype=np.int64)
     for U in model.elements:
         m = model.proj[U]
-        rec = m.image_sets()
         A = m.codomain.ordered(m.image_of_set(target))
         A_idx = m.codomain.idx(A)
         gaps = m.per_set(A, np.minimum)
         closest = gaps == gaps.min(axis=1, keepdims=True)
         # far[t, p] = dset(pi_U(t), {p}) for target points t and p in A
-        far = m.dset_points(A)[rec.sids[t_idx]]
-        col = np.empty((len(t_idx), len(rec.sets)), dtype=np.int64)
+        far = m.dset_points(A)[m.sids[t_idx]]
+        col = np.empty((len(t_idx), len(m.sets)), dtype=np.int64)
         for a, near in enumerate(closest):
             pts = A_idx[near]
             diam = m.codomain.dist[pts[:, None], pts].max()
             col[:, a] = np.maximum(far[:, near].max(axis=1), diam)
-        np.maximum(worst, col[:, rec.sids], out=worst)
-    V = model.space.vertices
-    out = {x: frozenset([V[i]]) for x, i in zip(V, t_idx[worst.argmin(axis=0)])}
-    return CoarseMap(model.space, model.space, out, name="gate")
+        np.maximum(worst, col[:, m.sids], out=worst)
+    return CoarseMap.from_ids(model.space, model.space, t_idx[worst.argmin(axis=0)],
+                              [(x,) for x in model.space.vertices], name="gate")
 
 
 # -- supports and concreteness -------------------------------------------------
@@ -647,7 +646,7 @@ def measure_alpha(model):
         pin_row[V] = pin
         m = model.proj[V]
         pts = m.codomain.ordered(m.image())
-        point_rows[V] = m.dset_points(pts).T[:, m.image_sets().sids]
+        point_rows[V] = m.dset_points(pts).T[:, m.sids]
     for Vs in _orthogonal_families(lat):
         pin = np.maximum.reduce([pin_row[Vj] for Vj in Vs])
         sizes = [len(point_rows[Vj]) for Vj in Vs]
@@ -870,21 +869,17 @@ def normalize(model, radius=1):
                 keep |= set(S)
         sub = CU.subspace(keep)
         new_hyp[U] = sub
-        new_proj[U] = CoarseMap(model.space, sub,
-                                {v: model.proj[U](v) for v in model.space.vertices},
-                                name=model.proj[U].name)
+        m = model.proj[U]
+        new_proj[U] = CoarseMap.from_ids(model.space, sub, m.sids, m.sets, name=m.name)
     for (a, b), S in model.rho_set.items():
         new_rset[(a, b)] = frozenset(S)
     for (v, w), rmap in model.rho_map.items():
         CW, CV = new_hyp[w], new_hyp[v]
         # an image that misses CV goes to its nearest point of CV, the least
         # at a tie: one argmin per distinct image set
-        sids = rmap.image_sets().sids
         near = rmap.per_set(CV.vertices, np.minimum).argmin(axis=1)
-        imgs = {}
-        for p in CW.vertices:
-            img = frozenset(q for q in rmap(p) if q in CV)
-            imgs[p] = img or frozenset([CV.vertices[near[sids[rmap.domain.index[p]]]]])
-        new_rmap[(v, w)] = CoarseMap(CW, CV, imgs, name=rmap.name)
+        kept = [[q for q in S if q in CV] or [CV.vertices[j]] for S, j in zip(rmap.sets, near)]
+        new_rmap[(v, w)] = CoarseMap.from_ids(CW, CV, rmap.sids[rmap.domain.idx(CW.vertices)],
+                                              kept, name=rmap.name)
     return HHSModel(model.space, model.lattice, new_hyp, new_proj,
                     new_rset, new_rmap, name=model.name + "|norm")

@@ -20,7 +20,7 @@ from .treecombine import TreeOfHHS
 
 def _freeze(x):
     if isinstance(x, list):
-        return tuple(_freeze(v) for v in x)
+        return tuple(map(_freeze, x))
     return x
 
 
@@ -98,8 +98,11 @@ def coarse_map_to_json(m):
 
 
 def coarse_map_from_json(doc, domain, codomain, name=""):
-    images = {_freeze(v): frozenset(_freeze(p) for p in pts)
-              for v, pts in doc["images"]}
+    """One row per domain point: with no row repeated, as many rows as
+    points and a row for each point (KeyError otherwise), none is left."""
+    images = {_freeze(v): frozenset(map(_freeze, pts)) for v, pts in doc["images"]}
+    if not len(images) == len(doc["images"]) == len(domain):
+        raise ValueError("coarse map rows must name each domain point once")
     return CoarseMap(domain, codomain, images, name=name)
 
 

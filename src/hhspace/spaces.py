@@ -651,90 +651,108 @@ ImageSets = namedtuple("ImageSets", ("sids",) + SetFamily._fields)
 
 
 class CoarseMap:
-    """Set-valued map between FiniteSpaces with bounded point images."""
+    """Set-valued map between FiniteSpaces with bounded point images, stored
+    as its image-set table: ``sets``, the distinct image sets (frozensets of
+    codomain labels) in order of first appearance over the domain vertices,
+    and ``sids``, each domain vertex's set id. The constructor takes images
+    by domain label (files, hand-made maps); maps built from maps use ids."""
 
     def __init__(self, domain, codomain, images, name=""):
-        self.domain = domain
-        self.codomain = codomain
-        self.name = name
-        self.images = {}
-        for v in domain.vertices:
-            img = images[v]
-            if not img:
-                raise ValueError("coarse map image must be nonempty at %r" % (v,))
-            self.images[v] = frozenset(img)
-        self._sets = None
-        self._table = None
-        self._qinv = None
-        self._image = None
+        self._build(domain, codomain, None, [images[v] for v in domain.vertices], name)
+
+    @classmethod
+    def from_ids(cls, domain, codomain, ids, sets, name=""):
+        """The map sending domain vertex i to sets[ids[i]], where sets is a
+        list of iterables of codomain labels that may repeat or go unused
+        (ids None: sets[i] itself). ValueError on a set that is empty or
+        leaves the codomain."""
+        return cls.__new__(cls)._build(domain, codomain, ids, sets, name)
+
+    def _build(self, domain, codomain, ids, sets, name):
+        """Number the distinct sets by first appearance (dicts keep their
+        insertion order) and check their union; returns the map."""
+        self.domain, self.codomain, self.name = domain, codomain, name
+        if ids is None:
+            ids, live = np.arange(len(sets)), list(range(len(sets)))
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+            live = list(dict.fromkeys(ids.tolist()))
+        imgs = [frozenset(sets[i]) for i in live]
+        self.sets = list(dict.fromkeys(imgs))
+        if len(self.sets) == len(imgs) and live == list(range(len(live))):
+            self.sids = ids
+        else:
+            pos = dict(zip(self.sets, range(len(self.sets))))
+            renum = np.zeros(len(sets), dtype=np.int64)
+            renum[live] = list(map(pos.__getitem__, imgs))
+            self.sids = renum[ids]
+        self._image = frozenset().union(*self.sets)
+        if not (all(self.sets) and codomain.index.keys() >= self._image):
+            s = next(s for s, A in enumerate(self.sets) if not (A and codomain.index.keys() >= A))
+            raise ValueError("coarse map image at %r is empty or leaves the codomain"
+                             % (domain.vertices[np.argmax(self.sids == s)],))
+        self._family = self._table = self._qinv = None
+        return self
 
     @property
     def diam_bound(self):
         return int(self.image_sets().diams.max())
 
     def __call__(self, v):
-        return self.images[v]
+        return self.sets[self.sids[self.domain.index[v]]]
 
     def image_of_set(self, S):
-        out = set()
-        for v in S:
-            out |= self.images[v]
-        return frozenset(out)
+        index, sids, sets = self.domain.index, self.sids, self.sets
+        ids = {sids.item(index[v]) for v in S}
+        if len(ids) == 1:
+            return sets[ids.pop()]
+        return frozenset().union(*map(sets.__getitem__, ids))
 
     def image(self):
-        """The union of all point images. Computed once per map."""
-        if self._image is None:
-            self._image = self.image_of_set(self.domain.vertices)
+        """The union of all point images."""
         return self._image
 
     @classmethod
     def single(cls, domain, codomain, fn, name=""):
-        return cls(domain, codomain, {v: frozenset([fn(v)]) for v in domain.vertices}, name=name)
+        canon = {}
+        ids = [canon.setdefault(p, len(canon)) for p in map(fn, domain.vertices)]
+        return cls.from_ids(domain, codomain, ids, [(p,) for p in canon], name=name)
 
     @classmethod
     def identity(cls, space):
-        return cls.single(space, space, lambda v: v, name="id")
+        return cls.from_ids(space, space, None, [(v,) for v in space.vertices], name="id")
 
     @classmethod
     def constant(cls, domain, codomain, points, name=""):
-        pts = frozenset(points)
-        return cls(domain, codomain, {v: pts for v in domain.vertices}, name=name)
+        return cls.from_ids(domain, codomain, np.zeros(len(domain)), [points], name=name)
 
     def compose(self, other):
-        """other after self: domain -> self.codomain -> other.codomain."""
+        """other after self: domain -> self.codomain -> other.codomain. Each
+        distinct image set of self is mapped once."""
         if other.domain is not self.codomain:
             raise ValueError("composition domain mismatch")
-        imgs = {v: other.image_of_set(self.images[v]) for v in self.domain.vertices}
-        return CoarseMap(self.domain, other.codomain, imgs,
-                         name="%s;%s" % (self.name, other.name))
+        return CoarseMap.from_ids(self.domain, other.codomain, self.sids,
+                                  [other.image_of_set(A) for A in self.sets],
+                                  name="%s;%s" % (self.name, other.name))
 
     def quasi_inverse(self):
         """Closest-point preimage: y maps to the first (in vertex order) domain
         vertex whose image is closest to y. Computed once per map."""
         if self._qinv is None:
-            gaps = self.per_set(self.codomain.vertices, np.minimum)[self.image_sets().sids]
-            best = gaps.argmin(axis=0)
-            imgs = {y: frozenset([self.domain.vertices[i]])
-                    for y, i in zip(self.codomain.vertices, best)}
-            self._qinv = CoarseMap(self.codomain, self.domain, imgs,
-                                   name="inv:" + self.name)
+            # by first appearance, the least closest set has the least closest vertex
+            best = self.per_set(self.codomain.vertices, np.minimum).argmin(axis=0)
+            order, starts = self.fibers()
+            self._qinv = CoarseMap.from_ids(self.codomain, self.domain, order[starts[best]],
+                                            [(v,) for v in self.domain.vertices],
+                                            name="inv:" + self.name)
         return self._qinv
 
     def image_sets(self):
-        """The distinct image sets, in order of first appearance, as a
-        codomain set family, with the per-domain-vertex set ids."""
-        if self._sets is None:
-            canon = {}
-            sids = np.empty(len(self.domain), dtype=np.int64)
-            sets = []
-            for i, v in enumerate(self.domain.vertices):
-                img = self.images[v]
-                if img not in canon:
-                    canon[img] = len(sets)
-                    sets.append(img)
-                sids[i] = canon[img]
-            self._sets = ImageSets(sids, *self.codomain.set_family(sets))
-        return self._sets
+        """The distinct image sets as a codomain set family, with the
+        per-domain-vertex set ids. Computed once per map."""
+        if self._family is None:
+            self._family = ImageSets(self.sids, *self.codomain.set_family(self.sets))
+        return self._family
 
     def per_set(self, points, reduce):
         """k x |points| table: ``reduce`` (np.minimum or np.maximum) of the
@@ -765,14 +783,13 @@ class CoarseMap:
         distinct sets. Lets scans over vertex pairs run as numpy lookups."""
         if self._table is None:
             rec = self.image_sets()
-            self._table = (rec.sids, rec.sets, self.codomain.dset_table(rec, rec))
+            self._table = (self.sids, self.sets, self.codomain.dset_table(rec, rec))
         return self._table
 
     def fibers(self):
         """(order, starts): domain vertex indices grouped by image set id, in
         vertex order within a group, and the offset of each group in order."""
-        rec = self.image_sets()
-        return groups(rec.sids, len(rec.sets))
+        return groups(self.sids, len(self.sets))
 
     def fiber_table(self, reduce):
         """k x k table: ``reduce`` (np.minimum or np.maximum) of the domain

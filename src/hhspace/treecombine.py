@@ -113,11 +113,6 @@ class TreeOfHHS:
         row = self.space.dist[index[v]]
         return min(subtree, key=lambda w: (row[index[w]], index[w]))
 
-    def closest_vertices(self, subtree):
-        """closest_vertex(v, subtree) for every tree vertex v, as a dict."""
-        V = self.vertices
-        return dict(zip(V, (V[i] for i in self.space.nearest(subtree))))
-
     def entry_edges(self, subtree):
         """Last edge (outside, inside) of the geodesic into the subtree from
         each vertex outside it, as a dict: the inside end is the closest
@@ -450,11 +445,11 @@ def model_key(m):
                           for (v, w), r in m.rho_map.items())
         sizes = (len(space), lat.relations_by_position(),
                  tuple(len(C) for C in hyps),
-                 tuple(len(p.image_sets().sets) for p in proj),
+                 tuple(len(p.sets) for p in proj),
                  tuple(p.domain is space and p.codomain is C
                        for p, C in zip(proj, hyps)),
                  tuple((k, len(S)) for k, S in rho_sets),
-                 tuple((k, len(r.image_sets().sets), own) for k, r, own in rho_maps))
+                 tuple((k, len(r.sets), own) for k, r, own in rho_maps))
     except KeyError:
         return None
     return sizes, (space.dist, *(C.dist for C in hyps),
@@ -480,7 +475,7 @@ def embedding_key(emb, models):
                  emb.space_map.domain is src.space, emb.space_map.codomain is tgt.space,
                  tuple((f.domain is src.hyp[U], f.codomain is tgt.hyp.get(Ui))
                        for U, Ui, f in zip(src.elements, image, maps[1:])),
-                 tuple(len(f.image_sets().sets) for f in maps))
+                 tuple(len(f.sets) for f in maps))
     except KeyError:
         return None
     return sizes, tuple(chain.from_iterable(map(_image_tables, maps)))
@@ -653,8 +648,6 @@ class _CombinedBuilder:
         self.rels = {}   # (c1.id, c2.id) -> rel_classes(c1, c2), both orders
         self.entries = {}   # class id -> t.entry_edges(support), filled on use
         self.entry_values = {}   # (class id, entry edge) -> entry_value, on use
-        self.least = {sid: min(sup, key=t.space.index.__getitem__)
-                      for sid, sup in supports.items()}
 
     # ---- helpers
 
@@ -715,10 +708,6 @@ class _CombinedBuilder:
             img = self.t.vertex_models[v].proj[cls.rep_at[v]].image_of_set(emb.image())
             self.entry_values[key] = self.comp[(cls.id, v)].image_of_set(img)
         return self.entry_values[key]
-
-    def base_marker(self, cls):
-        vm = self.t.vertex_models[cls.favorite_vertex]
-        return vm.proj[cls.favorite_rep](vm.space.vertices[0])
 
     # ---- the build
 
@@ -808,24 +797,25 @@ class _CombinedBuilder:
         proj = {}
         proj[THAT] = CoarseMap.single(X, that_coned, lambda x: x[0], name="pi:That")
         for sid in sup_ids:
-            closest = t.closest_vertices(self.supports[sid])
-            proj[sid] = CoarseMap.single(X, hyp[sid],
-                                         lambda x, c=closest: c[x[0]],
-                                         name="pi:%r" % (sid,))
+            proj[sid] = proj[THAT].compose(
+                self._support_point_map(THAT, self.supports[sid], hyp[sid]))
+            proj[sid].name = "pi:%r" % (sid,)
+        # X sorts (v, p) by v first: the points over v are a run (v, start, length)
+        runs = [(v, X.index[(v, sp.vertices[0])], len(sp))
+                for v, sp in ((v, t.vertex_models[v].space) for v in t.vertices)]
         for cls in self.classes:
-            imgs = {}
-            for v in t.vertices:
+            ids = np.empty(len(X), dtype=np.int64)
+            vals = []
+            for v, lo, k in runs:
                 if v in cls.support:
                     # one comparison image per distinct image set over v
                     m = t.vertex_models[v].proj[cls.rep_at[v]]
-                    rec = m.image_sets()
-                    vals = list(map(self.comp[(cls.id, v)].image_of_set, rec.sets))
-                    imgs.update(((v, p), vals[s])
-                                for p, s in zip(m.domain.vertices, rec.sids))
+                    ids[lo:lo + k] = m.sids + len(vals)
+                    vals.extend(map(self.comp[(cls.id, v)].image_of_set, m.sets))
                 else:
-                    val = self.entry_value(cls, v)
-                    imgs.update(((v, p), val) for p in t.vertex_models[v].space.vertices)
-            proj[cls.id] = CoarseMap(X, hyp[cls.id], imgs, name="pi:%r" % (cls.id,))
+                    ids[lo:lo + k] = len(vals)
+                    vals.append(self.entry_value(cls, v))
+            proj[cls.id] = CoarseMap.from_ids(X, hyp[cls.id], ids, vals, name="pi:%r" % (cls.id,))
 
         # relative projections
         rho_set, rho_map = {}, {}
@@ -867,19 +857,20 @@ class _CombinedBuilder:
                     rho_set[(c1.id, c2.id)] = self.class_marker(c1, c2)
                     rho_set[(c2.id, c1.id)] = self.class_marker(c2, c1)
 
-    def _cone_base(self, p):
-        """A tree vertex for a point of a coned tree: cone points (labelled
-        by support ids) go to the least vertex of their support."""
-        if isinstance(p, tuple) and len(p) == 2 and p[0] == "cone":
-            return self.least[p[1]]
-        return p
+    def _bases(self, key):
+        """Per point of the coned tree ``key`` (a support id or THAT), the
+        index of a tree vertex: cone points ("cone", support id) go to the
+        least vertex of their support."""
+        index = self.t.space.index
+        return [index[p] if p in index else min(map(index.__getitem__, self.supports[p[1]]))
+                for p in self.coned[key].space.vertices]
 
     def _support_point_map(self, from_sid, to_set, to_space):
         """Closest-point projection between support trees, cone points going
         through the least vertex of their coned subtree."""
-        closest = self.t.closest_vertices(to_set)
-        return CoarseMap.single(self.coned[from_sid].space, to_space,
-                                lambda p: closest[self._cone_base(p)])
+        return CoarseMap.from_ids(self.coned[from_sid].space, to_space,
+                                  self.t.space.nearest(to_set)[self._bases(from_sid)],
+                                  [(v,) for v in self.t.vertices])
 
     def _rho_supports(self, lattice, hyp, rho_set, rho_map, sup_ids):
         for s1 in sup_ids:
@@ -929,18 +920,14 @@ class _CombinedBuilder:
         """rho map from the coned tree ``key`` (a support id or THAT) down to
         the class: the base marker inside the support, the entry-edge value
         outside it."""
+        # the base marker, the image of the first point, is the first image set
+        vm = self.t.vertex_models[cls.favorite_vertex]
         inside = self.comp[(cls.id, cls.favorite_vertex)].image_of_set(
-            self.base_marker(cls))
-
-        def value(p):
-            p = self._cone_base(p)
-            if p in cls.support:
-                return inside
-            return self.entry_value(cls, p)
-
-        src = self.coned[key].space
-        return CoarseMap(src, self.t.vertex_models[cls.favorite_vertex]
-                         .hyp[cls.favorite_rep], {p: value(p) for p in src.vertices})
+            vm.proj[cls.favorite_rep].sets[0])
+        vals = [inside if v in cls.support else self.entry_value(cls, v)
+                for v in self.t.vertices]
+        return CoarseMap.from_ids(self.coned[key].space, vm.hyp[cls.favorite_rep],
+                                  self._bases(key), vals)
 
     def _rho_that(self, hyp, rho_set, rho_map, sup_ids):
         for cls in self.classes:
@@ -1195,16 +1182,11 @@ def _far_side_exactness(c):
             if not lat.transverse(c1.id, c2.id):
                 continue
             for (src, dst) in ((c1, c2), (c2, c1)):
-                rho = c.model.rho_set[(src.id, dst.id)]
+                rho, f = c.model.rho_set[(src.id, dst.id)], c.model.proj[dst.id]
                 # vertices whose geodesic to dst's support passes the bridge
-                for v in c.tree.space.ordered(src.support):
-                    for x in c.tree.vertex_models[v].space.vertices:
-                        val = c.model.proj[dst.id]((v, x))
-                        if val != rho:
-                            rep.add("far-side-mismatch",
-                                    (src.id, dst.id, v, x))
-                            break
-                    else:
-                        continue
-                    break
+                bad = next(((v, x) for v in c.tree.space.ordered(src.support)
+                            for x in c.tree.vertex_models[v].space.vertices
+                            if f((v, x)) != rho), None)
+                if bad:
+                    rep.add("far-side-mismatch", (src.id, dst.id, *bad))
     return rep

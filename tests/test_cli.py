@@ -196,6 +196,24 @@ def test_schema_error(tmp_path):
     assert run(["audit", bad]) == 2
 
 
+def _grid_document_with(tmp_path, edit):
+    doc = serialize.model_to_json(grid_product(2, 3))
+    edit(next(m for U, m in doc["proj"] if U == ["l", "S1"])["images"])
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows[0][1].append(9),     # an image point outside C_U
+    lambda rows: rows.append([[9, 9], [0]]),   # a row outside the space
+    lambda rows: rows.append(rows[0]),     # a repeated row
+], ids=["image-outside-codomain", "row-outside-domain", "repeated-row"])
+def test_bad_coarse_map_rows_are_schema_errors(tmp_path, capsys, edit):
+    assert run(["audit", _grid_document_with(tmp_path, edit)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
 def test_missing_relation_is_schema_error(tmp_path):
     doc = serialize.model_to_json(fixture_b_product())
     del doc["lattice"]["relations"][0]

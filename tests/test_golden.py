@@ -1,6 +1,7 @@
 """Golden outputs: every `hhspace examples NAME` report at its default
 arguments, the radius-7 bs12 failure, `hhspace combine` on two tree
-documents, `hhspace product` on three specs and the product recipe on
+documents, `hhspace product` on three specs, `audit`, `distance-formula`
+and `probe-theorem-b` on fixture documents and the product recipe on
 three pairs of factors must stay byte-identical.
 
 The tables hold the exit status and the SHA-256 of stdout of each run.
@@ -82,6 +83,40 @@ def test_combine_output_unchanged(tmp_path, name):
     path.write_text(serialize.dumps(serialize.tree_to_json(TREES[name]())))
     assert _run(["combine", str(path)]) == COMBINE_GOLDEN[name], \
         "output of `hhspace combine` on %s changed" % name
+
+
+# `hhspace COMMAND FILE ...` on the serialized model or embedding of a fixture
+FILE_GOLDEN = {
+    ("audit", "grid_product(3, 4)"): (
+        0, "e83f69cfc8b4add2424e02ff67caf16b60a5aca65264c77f4e00cc4519dbb30e"),
+    ("audit", "fixture_b_product()"): (
+        0, "fdf247a230acac8a93f5700c8fdb8e2f6025ff03bd516f5e341374e3ddb4f65c"),
+    ("distance-formula", "grid_product(3, 4)", "--s", "2"): (
+        0, "cfd1c483a0c03c330507762d2b8bec9645a40007dd6e669a5a17ec2e2a8c8c54"),
+    ("probe-theorem-b", "factor_inclusion(2)"): (
+        0, "065bbdf87fa0bf20d408c2f888846380ed39528e603f1dbdc27300f6a8523794"),
+    ("probe-theorem-b", "hagen(4)"): (
+        0, "2dc54695b7b310d226e282e07625588a2703bacef3408479991332f3c0c39bc7"),
+}
+
+DOCUMENTS = {
+    "grid_product(3, 4)":
+        lambda: serialize.model_to_json(fixtures.grid_product(3, 4)),
+    "fixture_b_product()":
+        lambda: serialize.model_to_json(fixtures.fixture_b_product()),
+    "factor_inclusion(2)":
+        lambda: serialize.embedding_to_json(fixtures.factor_inclusion(2)),
+    "hagen(4)": lambda: serialize.embedding_to_json(fixtures.hagen(4)),
+}
+
+
+@pytest.mark.parametrize("args", sorted(FILE_GOLDEN), ids=" ".join)
+def test_file_command_output_unchanged(tmp_path, args):
+    command, name, *extra = args
+    path = tmp_path / "doc.json"
+    path.write_text(serialize.dumps(DOCUMENTS[name]()))
+    assert _run([command, str(path), *extra]) == FILE_GOLDEN[args], \
+        "output of `hhspace %s` on %s changed" % (command, name)
 
 
 # `hhspace product FILE` on the path a - b - c with cyclic(2) bases at radius

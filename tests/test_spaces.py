@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hhspace import spaces
@@ -446,7 +446,144 @@ def test_quasi_inverse_is_computed_once(case):
     inv = f.quasi_inverse()
     assert f.quasi_inverse() is inv
     assert inv.domain is f.codomain and inv.codomain is f.domain
-    assert inv.images == _quasi_inverse_reference(f)
+    assert {y: inv(y) for y in inv.domain.vertices} == _quasi_inverse_reference(f)
+
+
+class _DictMap:
+    """The dict-based CoarseMap that the image-set table replaced: one
+    frozenset per domain point, canonicalised into distinct sets on demand."""
+
+    def __init__(self, domain, codomain, images, name=""):
+        self.domain = domain
+        self.codomain = codomain
+        self.name = name
+        self.images = {}
+        for v in domain.vertices:
+            img = images[v]
+            if not img:
+                raise ValueError("coarse map image must be nonempty at %r" % (v,))
+            self.images[v] = frozenset(img)
+        self._sets = None
+
+    def image_of_set(self, S):
+        out = set()
+        for v in S:
+            out |= self.images[v]
+        return frozenset(out)
+
+    def image(self):
+        return self.image_of_set(self.domain.vertices)
+
+    @classmethod
+    def single(cls, domain, codomain, fn, name=""):
+        return cls(domain, codomain, {v: frozenset([fn(v)]) for v in domain.vertices},
+                   name=name)
+
+    def compose(self, other):
+        imgs = {v: other.image_of_set(self.images[v]) for v in self.domain.vertices}
+        return _DictMap(self.domain, other.codomain, imgs,
+                        name="%s;%s" % (self.name, other.name))
+
+    def quasi_inverse(self):
+        cod = self.codomain
+        gaps = cod.per_set(self.image_sets(), cod.idx(list(cod.vertices)),
+                           np.minimum)[self.image_sets().sids]
+        best = gaps.argmin(axis=0)
+        imgs = {y: frozenset([self.domain.vertices[i]])
+                for y, i in zip(self.codomain.vertices, best)}
+        return _DictMap(self.codomain, self.domain, imgs, name="inv:" + self.name)
+
+    def image_sets(self):
+        if self._sets is None:
+            canon = {}
+            sids = np.empty(len(self.domain), dtype=np.int64)
+            sets = []
+            for i, v in enumerate(self.domain.vertices):
+                img = self.images[v]
+                if img not in canon:
+                    canon[img] = len(sets)
+                    sets.append(img)
+                sids[i] = canon[img]
+            self._sets = spaces.ImageSets(sids, *self.codomain.set_family(sets))
+        return self._sets
+
+
+def _assert_same_map(f, ref):
+    assert f.domain is ref.domain and f.codomain is ref.codomain
+    assert f.name == ref.name
+    assert [f(v) for v in f.domain.vertices] == [ref.images[v] for v in ref.domain.vertices]
+    got, want = f.image_sets(), ref.image_sets()
+    assert got.sets == want.sets
+    for field in ("sids", "flat", "starts", "diams"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@st.composite
+def map_chains(draw):
+    """Two composable maps, as dicts of images: a space A into a space B
+    and B into C, where B and C may be metric subspaces of a random graph.
+    Each map draws its images from a small pool of overlapping sets, so
+    images repeat."""
+    def space():
+        g = draw(connected_graphs())
+        if draw(st.booleans()):
+            g = g.subspace(draw(st.frozensets(st.sampled_from(g.vertices), min_size=1)))
+        return g
+
+    def images(dom, cod):
+        points = st.sampled_from(cod.vertices)
+        pool = draw(st.lists(st.frozensets(points, min_size=1, max_size=3),
+                             min_size=1, max_size=4))
+        return {v: draw(st.sampled_from(pool)) for v in dom.vertices}
+
+    A, B, C = draw(connected_graphs()), space(), space()
+    S = draw(st.frozensets(st.sampled_from(A.vertices), max_size=4))
+    return A, B, C, images(A, B), images(B, C), S
+
+
+@seed(20)
+@settings(max_examples=150, deadline=None)
+@given(map_chains())
+def test_coarse_map_matches_the_dict_reference(case):
+    A, B, C, fi, gi, S = case
+    f, g = CoarseMap(A, B, fi, name="f"), CoarseMap(B, C, gi, name="g")
+    rf, rg = _DictMap(A, B, fi, name="f"), _DictMap(B, C, gi, name="g")
+    _assert_same_map(f, rf)
+    _assert_same_map(g, rg)
+    _assert_same_map(f.compose(g), rf.compose(rg))
+    _assert_same_map(f.quasi_inverse(), rf.quasi_inverse())
+    _assert_same_map(g.quasi_inverse().compose(f.quasi_inverse()),
+                     rg.quasi_inverse().compose(rf.quasi_inverse()))
+    assert f.image() == rf.image() and g.image() == rg.image()
+    assert f.image_of_set(S) == rf.image_of_set(S)
+    assert f.compose(g).image_of_set(S) == rf.compose(rg).image_of_set(S)
+    h, rh = (CoarseMap.single(B, A, lambda v: A.vertices[hash(v) % len(A)]),
+             _DictMap.single(B, A, lambda v: A.vertices[hash(v) % len(A)]))
+    _assert_same_map(h, rh)
+    _assert_same_map(h.compose(f), rh.compose(rf))
+
+
+def test_compose_maps_each_distinct_image_set_once():
+    a, b = path_graph(0, 11), path_graph(0, 3)
+    f = CoarseMap.single(a, b, lambda v: v // 4)
+    calls = []
+    g = CoarseMap.identity(b)
+    image_of_set = g.image_of_set
+    g.image_of_set = lambda S: calls.append(S) or image_of_set(S)
+    h = f.compose(g)
+    assert calls == f.sets and len(calls) == 3
+    assert [h(v) for v in a.vertices] == [frozenset([v // 4]) for v in a.vertices]
+
+
+def test_coarse_map_rejects_images_outside_the_codomain():
+    g = path_graph(0, 3)
+    sub = g.subspace([0, 1])
+    with pytest.raises(ValueError, match="leaves the codomain"):
+        CoarseMap(g, sub, {v: {min(v, 2)} for v in g.vertices})
+    with pytest.raises(ValueError, match="leaves the codomain"):
+        CoarseMap.single(g, sub, lambda v: v)
+    with pytest.raises(ValueError, match="is empty"):
+        CoarseMap(g, g, {v: set() if v == 2 else {v} for v in g.vertices})
 
 
 def _bfs_reference(n, adj):
