@@ -17,8 +17,8 @@ import numpy as np
 
 from .indexmaps import IndexMap, verify_fullness, verify_index_map
 from .lattice import ValidationReport
-from .model import (HHSModel, _audit_bgi, _least_grid_fit, _linear_need,
-                    audit_axioms, gate_map, hq_check, product_region)
+from .model import (HHSModel, _audit_bgi, _clipped_class_sum, _least_grid_fit,
+                    _linear_need, audit_axioms, gate_map, hq_check, product_region)
 from .spaces import CoarseMap, coarse_map_constants, qi_constants
 
 
@@ -109,17 +109,14 @@ def clipped_sum_compare(e, s, s2):
     """Tightest (K, C) with source-side clipped sum at threshold s bounded by
     K * (image-side clipped sum at threshold s2) + C, and the same for the
     reverse direction. Returns {"forward": (K, C), "reverse": (K, C)}."""
-    src = np.zeros((len(e.source.space),) * 2, dtype=np.int64)
-    for U in e.source.elements:
-        T = e.source.pair_matrix(U)
-        src = src + np.where(T >= s, T, 0)
+    ids, total = _clipped_class_sum(e.source, e.source.elements, s)
+    src = total[ids[:, None], ids]
     # image side, evaluated at the least image point of each source vertex
     index = e.target.space.index
     idx = [min(index[p] for p in e.space_map(x)) for x in e.source.space.vertices]
-    img = np.zeros_like(src)
-    for U in e.source.elements:
-        T = e.target.pair_matrix(e.index_map(U))[np.ix_(idx, idx)]
-        img = img + np.where(T >= s2, T, 0)
+    ids, total = _clipped_class_sum(e.target, list(map(e.index_map, e.source.elements)), s2)
+    ids = ids[idx]
+    img = total[ids[:, None], ids]
     return {"forward": _fit_linear(src, img), "reverse": _fit_linear(img, src)}
 
 

@@ -559,14 +559,11 @@ def distance_formula_fit(model, s):
     projection distances, over all vertex pairs; C ranges over the integer
     grid, K is minimized first. Also returns the pair attaining the worst
     ratio at the chosen constants."""
-    total = np.zeros((len(model.space),) * 2, dtype=np.int64)
-    for U in model.elements:
-        T = model.pair_matrix(U)
-        total += np.where(T >= s, T, 0)
+    ids, total = _clipped_class_sum(model, model.elements, s)
     D = model.space.dist
     iu = np.triu_indices(len(model.space), k=1)
     d_flat = D[iu].astype(np.float64)
-    t_flat = total[iu].astype(np.float64)
+    t_flat = total[ids[iu[0]], ids[iu[1]]].astype(np.float64)
     if len(d_flat) == 0:
         return DistanceFormulaFit(s, 1.0, 0.0, (model.basepoint, model.basepoint))
 
@@ -580,6 +577,18 @@ def distance_formula_fit(model, s):
     K, C, j = _least_grid_fit(need, int(D.max()) + 1)
     return DistanceFormulaFit(s, K, C, (model.space.vertices[iu[0][j]],
                                         model.space.vertices[iu[1][j]]))
+
+
+def _clipped_class_sum(model, elements, s):
+    """(ids, total): the coordinate class of each base vertex under the
+    elements, and the class-pair table of the s-clipped sum of their
+    projection distances (each d_U >= s counts, the others count 0)."""
+    ids, reps = model.coordinate_classes(elements)
+    total = np.zeros((len(reps),) * 2, dtype=np.int64)
+    for U in elements:
+        T = model.class_table(U, reps)
+        total += np.where(T >= s, T, 0)
+    return ids, total
 
 
 def _linear_need(lhs, rhs, C):

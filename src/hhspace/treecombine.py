@@ -16,6 +16,11 @@ it, and transverse to the rest. Hyperbolic models for supports and for
 the top are the corresponding trees with every properly contained
 support coned off.
 
+Relative projections follow two rules (_CombinedBuilder). A marker in a
+class comes from a common vertex; in a support tree or the top it is the
+subtree met with that tree, or the nearest vertex when they are disjoint.
+A downward map is a comparison map or a closest-point projection.
+
 The two hypothesis failures of the combination are first-class errors:
 edge maps that are not full/quasiconvex/finite-lipschitz raise
 HypothesisFailure, and comparison maps exceeding the declared uniformity
@@ -25,7 +30,7 @@ what detects the exponential-distortion counterexample windows).
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations, product
 from operator import itemgetter
 
 import numpy as np
@@ -39,6 +44,11 @@ from .spaces import (CoarseMap, FiniteSpace, check_distinct, cone_off,
 
 # support ids ("T", rank) in rank order
 _rank = itemgetter(1)
+
+
+def _both_ways(pairs):
+    """Each pair (a, b), then (b, a)."""
+    return (p for a, b in pairs for p in ((a, b), (b, a)))
 
 
 class HypothesisFailure(Exception):
@@ -600,12 +610,12 @@ def build_combined(t):
                             % (sid, len(owner)))
     decorated = all(len(o) == 1 for o in owners.values())
 
-    builder = _CombinedBuilder(t, classes, supports, owners, comp_maps,
+    class_of = {c.id: c for c in classes}
+    builder = _CombinedBuilder(t, class_of, supports, owners, comp_maps,
                                warnings)
     model = builder.build()
     return CombinedStructure(
-        tree=t, model=model, classes=classes,
-        class_of={c.id: c for c in classes},
+        tree=t, model=model, classes=classes, class_of=class_of,
         class_at={m: c for c in classes for m in c.members},
         supports=supports, support_id=support_id, support_of=support_of,
         owners=owners, coned=builder.coned,
@@ -637,14 +647,41 @@ def _torn_vertex(t, edges):
 
 
 class _CombinedBuilder:
-    def __init__(self, t, classes, supports, owners, comp_maps, warnings):
+    """The combined model of a tree of models (BHS II, arXiv 1509.00632,
+    section 8); its relative projections are two rules.
+
+    The subtree of a class is its support, of a support tree itself, and of
+    That the whole tree; a support's class is its first owner. For x
+    properly nested in y, or transverse to it:
+
+    - marker rho_set[(x, y)]: if y is a class, the class_marker of x's
+      class in y; else x's subtree met with y's or, when they are
+      disjoint, the end in y of t.bridge;
+    - downward map rho_map[(x, y)], x properly nested in y only: if y is a
+      class, _class_rho_map through the witness vertex in self.rels; if x
+      is a support, _support_point_map(y, x); else _class_point_map(x, y).
+
+    Only a transverse pair falls to the bridge. A support nested in y lies
+    in y's subtree. A class nested in a support tree is orthogonal to the
+    tree's owner, so they share a vertex; or it is nested in a smaller
+    support tree, or in a class that meets the tree and whose support lies,
+    by the support laws, in its own.
+    """
+
+    def __init__(self, t, class_of, supports, owners, comp_maps, warnings):
         self.t = t
-        self.classes = classes
+        self.class_of = class_of
+        self.classes = list(class_of.values())
         self.supports = supports
+        self.sup_ids = sorted(supports, key=_rank)
+        self.subtree = {**{k: c.support for k, c in class_of.items()}, **supports,
+                        THAT: frozenset(t.vertices)}
         self.owners = owners
         self.comp = comp_maps
         self.warnings = warnings
         self.coned = {}
+        self.lattice = None   # set by build, before the rules run
+        self.rho_set, self.rho_map = {}, {}
         self.rels = {}   # (c1.id, c2.id) -> rel_classes(c1, c2), both orders
         self.entries = {}   # class id -> t.entry_edges(support), filled on use
         self.entry_values = {}   # (class id, entry edge) -> entry_value, on use
@@ -734,26 +771,19 @@ class _CombinedBuilder:
             raise HypothesisFailure("vertex space is a metric table, not a graph",
                                     (_torn_vertex(t, edges),)) from None
 
-        cls_ids = [c.id for c in self.classes]
-        sup_ids = sorted(self.supports, key=_rank)
-        elements = cls_ids + sup_ids + [THAT]
+        sup_ids = self.sup_ids
+        elements = list(self.class_of) + sup_ids + [THAT]
 
         nested, orth = [], []
-        for i, c1 in enumerate(self.classes):
-            for c2 in self.classes[i + 1:]:
-                r, v, oriented = self.rels[(c1.id, c2.id)] = self.rel_classes(c1, c2)
-                self.rels[(c2.id, c1.id)] = (r, v, None if oriented is None else not oriented)
-                if r == "nested":
-                    if oriented:
-                        nested.append((c1.id, c2.id))
-                    else:
-                        nested.append((c2.id, c1.id))
-                elif r == "orth":
-                    orth.append((c1.id, c2.id))
-        for s1 in sup_ids:
-            for s2 in sup_ids:
-                if s1 != s2 and self.supports[s1] < self.supports[s2]:
-                    nested.append((s1, s2))
+        for c1, c2 in combinations(self.classes, 2):
+            r, v, oriented = self.rels[(c1.id, c2.id)] = self.rel_classes(c1, c2)
+            self.rels[(c2.id, c1.id)] = (r, v, None if oriented is None else not oriented)
+            if r == "nested":
+                nested.append((c1.id, c2.id) if oriented else (c2.id, c1.id))
+            elif r == "orth":
+                orth.append((c1.id, c2.id))
+        nested += [(s1, s2) for s1 in sup_ids for s2 in sup_ids
+                   if self.supports[s1] < self.supports[s2]]
         for cls in self.classes:
             for sid in sup_ids:
                 owner = self.owners[sid][0]
@@ -768,37 +798,35 @@ class _CombinedBuilder:
                         orth.append((cls.id, sid))
                 elif r == "orth":
                     nested.append((cls.id, sid))
-        for e in elements:
-            if e != THAT:
-                nested.append((e, THAT))
-        lattice = IndexLattice(elements, THAT, nested, orth, name=t.name + "|S")
+        nested += [(e, THAT) for e in elements[:-1]]
+        self.lattice = IndexLattice(elements, THAT, nested, orth, name=t.name + "|S")
 
         # hyperbolic models
-        hyp = {}
-        for cls in self.classes:
-            hyp[cls.id] = t.vertex_models[cls.favorite_vertex].hyp[cls.favorite_rep]
-        proper = {sid: [s2 for s2 in sup_ids
-                        if self.supports[s2] < self.supports[sid]]
-                  for sid in sup_ids}
+        hyp = {cls.id: t.vertex_models[cls.favorite_vertex].hyp[cls.favorite_rep]
+               for cls in self.classes}
         for sid in sup_ids:
-            base_edges = [(a, b) for (a, b) in t.edges
-                          if a in self.supports[sid] and b in self.supports[sid]]
-            graph = FiniteSpace(self.supports[sid], base_edges)
-            cones = {s2: frozenset(self.supports[s2]) for s2 in proper[sid]}
+            sup = self.supports[sid]
+            graph = FiniteSpace(sup, [(a, b) for a, b in t.edges if a in sup and b in sup])
+            cones = {s2: self.supports[s2] for s2 in sup_ids if self.supports[s2] < sup}
             coned = cone_off(graph, cones, name="%r^" % (sid,))
             self.coned[sid] = ConedTree(cones, coned)
             hyp[sid] = coned
-        all_cones = {sid: frozenset(self.supports[sid]) for sid in sup_ids}
+        all_cones = {sid: self.supports[sid] for sid in sup_ids}
         that_coned = cone_off(t.space, all_cones, name="That")
         self.coned[THAT] = ConedTree(all_cones, that_coned)
         hyp[THAT] = that_coned
+
+        # relative projections
+        self._rho_classes()
+        self._rho_supports()
+        self._rho_cross()
+        self._rho_that()
 
         # projections
         proj = {}
         proj[THAT] = CoarseMap.single(X, that_coned, lambda x: x[0], name="pi:That")
         for sid in sup_ids:
-            proj[sid] = proj[THAT].compose(
-                self._support_point_map(THAT, self.supports[sid], hyp[sid]))
+            proj[sid] = proj[THAT].compose(self.rho_map[(sid, THAT)])
             proj[sid].name = "pi:%r" % (sid,)
         # X sorts (v, p) by v first: the points over v are a run (v, start, length)
         runs = [(v, X.index[(v, sp.vertices[0])], len(sp))
@@ -817,15 +845,53 @@ class _CombinedBuilder:
                     vals.append(self.entry_value(cls, v))
             proj[cls.id] = CoarseMap.from_ids(X, hyp[cls.id], ids, vals, name="pi:%r" % (cls.id,))
 
-        # relative projections
-        rho_set, rho_map = {}, {}
-        self._rho_classes(lattice, rho_set, rho_map)
-        self._rho_supports(lattice, hyp, rho_set, rho_map, sup_ids)
-        self._rho_cross(lattice, rho_set, rho_map, sup_ids)
-        self._rho_that(hyp, rho_set, rho_map, sup_ids)
-
-        return HHSModel(X, lattice, hyp, proj, rho_set, rho_map,
+        return HHSModel(X, self.lattice, hyp, proj, self.rho_set, self.rho_map,
                         name=t.name + "|combined")
+
+    # ---- the rules
+
+    def _rho_classes(self):
+        self._rho(_both_ways(combinations(self.class_of, 2)))
+
+    def _rho_supports(self):
+        self._rho(_both_ways(combinations(self.sup_ids, 2)))
+
+    def _rho_cross(self):
+        self._rho(_both_ways(product(self.class_of, self.sup_ids)))
+
+    def _rho_that(self):
+        self._rho((x, THAT) for x in chain(self.class_of, self.sup_ids))
+
+    def _rho(self, pairs):
+        """Both rules on each ordered pair (x, y) where x is properly nested
+        in y or transverse to it; other pairs are skipped."""
+        lat = self.lattice
+        for x, y in pairs:
+            r = lat.rel(x, y)
+            if r == "orth" or (r == "nested" and not lat.properly_nested(x, y)):
+                continue
+            if r == "nested":
+                self.rho_map[(x, y)] = self._down(x, y)
+            self.rho_set[(x, y)] = self._marker(x, y)
+
+    def _marker(self, x, y):
+        """The marker rule of the class docstring."""
+        if y in self.class_of:
+            src = self.class_of[x] if x in self.class_of else self.owners[x][0]
+            return self.class_marker(src, self.class_of[y])
+        sx, sy = self.subtree[x], self.subtree[y]
+        return sx & sy or frozenset([self.t.bridge(sx, sy)[1]])
+
+    def _down(self, x, y):
+        """The downward-map rule of the class docstring."""
+        if x in self.supports:
+            return self._support_point_map(y, x)
+        if y not in self.class_of:
+            return self._class_point_map(self.class_of[x], y)
+        r, v, _ = self.rels[(x, y)]
+        if r != "nested":
+            raise HypothesisFailure("no vertex witnesses the nesting", (x, y))
+        return self._class_rho_map(self.class_of[x], self.class_of[y], v)
 
     def _class_rho_map(self, small, big, v):
         """rho map C[big] -> C[small] through a common vertex v with nested
@@ -838,25 +904,6 @@ class _CombinedBuilder:
         fwd = self.comp[(small.id, v)]
         return back.compose(down).compose(fwd)
 
-    def _rho_classes(self, lattice, rho_set, rho_map):
-        for i, c1 in enumerate(self.classes):
-            for c2 in self.classes[i + 1:]:
-                r = lattice.rel(c1.id, c2.id)
-                if r == "orth":
-                    continue
-                if r == "nested":
-                    small, big = (c1, c2) if lattice.properly_nested(c1.id, c2.id) \
-                        else (c2, c1)
-                    r_cls, v, _ = self.rels[(small.id, big.id)]
-                    if r_cls != "nested":
-                        raise HypothesisFailure("no vertex witnesses the nesting",
-                                                (small.id, big.id))
-                    rho_set[(small.id, big.id)] = self.class_marker(small, big)
-                    rho_map[(small.id, big.id)] = self._class_rho_map(small, big, v)
-                else:
-                    rho_set[(c1.id, c2.id)] = self.class_marker(c1, c2)
-                    rho_set[(c2.id, c1.id)] = self.class_marker(c2, c1)
-
     def _bases(self, key):
         """Per point of the coned tree ``key`` (a support id or THAT), the
         index of a tree vertex: cone points ("cone", support id) go to the
@@ -865,56 +912,13 @@ class _CombinedBuilder:
         return [index[p] if p in index else min(map(index.__getitem__, self.supports[p[1]]))
                 for p in self.coned[key].space.vertices]
 
-    def _support_point_map(self, from_sid, to_set, to_space):
-        """Closest-point projection between support trees, cone points going
-        through the least vertex of their coned subtree."""
-        return CoarseMap.from_ids(self.coned[from_sid].space, to_space,
-                                  self.t.space.nearest(to_set)[self._bases(from_sid)],
+    def _support_point_map(self, key, sid):
+        """Closest-point projection from the coned tree ``key`` (a support id
+        or THAT) to the support tree sid, cone points going through the least
+        vertex of their coned subtree."""
+        return CoarseMap.from_ids(self.coned[key].space, self.coned[sid].space,
+                                  self.t.space.nearest(self.supports[sid])[self._bases(key)],
                                   [(v,) for v in self.t.vertices])
-
-    def _rho_supports(self, lattice, hyp, rho_set, rho_map, sup_ids):
-        for s1 in sup_ids:
-            for s2 in sup_ids:
-                if s1 == s2:
-                    continue
-                r = lattice.rel(s1, s2)
-                if r == "nested" and lattice.properly_nested(s1, s2):
-                    rho_set[(s1, s2)] = frozenset(self.supports[s1])
-                    rho_map[(s1, s2)] = self._support_point_map(
-                        s2, self.supports[s1], hyp[s1])
-                elif r == "trans" and _rank(s1) < _rank(s2):
-                    inter = self.supports[s1] & self.supports[s2]
-                    if inter:
-                        rho_set[(s1, s2)] = frozenset(inter)
-                        rho_set[(s2, s1)] = frozenset(inter)
-                    else:
-                        # the bridge between disjoint subtrees is unique, so
-                        # each endpoint is the closest vertex to the other
-                        a, b = self.t.bridge(self.supports[s1], self.supports[s2])
-                        rho_set[(s1, s2)] = frozenset([b])
-                        rho_set[(s2, s1)] = frozenset([a])
-
-    def _rho_cross(self, lattice, rho_set, rho_map, sup_ids):
-        for cls in self.classes:
-            for sid in sup_ids:
-                r = lattice.rel(cls.id, sid)
-                sup = self.supports[sid]
-                if r == "orth":
-                    continue
-                if r == "nested":
-                    # cls nested in the support (it is orthogonal to the owner)
-                    inter = sup & cls.support
-                    rho_set[(cls.id, sid)] = frozenset(inter)
-                    rho_map[(cls.id, sid)] = self._class_point_map(cls, sid)
-                else:
-                    inter = sup & cls.support
-                    if inter:
-                        rho_set[(cls.id, sid)] = frozenset(inter)
-                    else:
-                        _, b = self.t.bridge(cls.support, sup)
-                        rho_set[(cls.id, sid)] = frozenset([b])
-                    owner = self.owners[sid][0]
-                    rho_set[(sid, cls.id)] = self.class_marker(owner, cls)
 
     def _class_point_map(self, cls, key):
         """rho map from the coned tree ``key`` (a support id or THAT) down to
@@ -928,15 +932,6 @@ class _CombinedBuilder:
                 for v in self.t.vertices]
         return CoarseMap.from_ids(self.coned[key].space, vm.hyp[cls.favorite_rep],
                                   self._bases(key), vals)
-
-    def _rho_that(self, hyp, rho_set, rho_map, sup_ids):
-        for cls in self.classes:
-            rho_set[(cls.id, THAT)] = frozenset(cls.support)
-            rho_map[(cls.id, THAT)] = self._class_point_map(cls, THAT)
-        for sid in sup_ids:
-            rho_set[(sid, THAT)] = frozenset(self.supports[sid])
-            rho_map[(sid, THAT)] = self._support_point_map(
-                THAT, self.supports[sid], hyp[sid])
 
 
 # -- combined-structure verification ------------------------------------------
@@ -1098,15 +1093,12 @@ def audit_combined(c):
     rep.entries.append(AxiomEntry(
         "far-side-projection-exactness", exact.ok, {}, exact.violations[:8]))
 
-    cone_ok = True
-    worst = 0
-    for key, coned in c.coned.items():
-        for label, sub in coned.cones.items():
-            d = coned.space.diam_set(sub)
-            worst = max(worst, d)
-            if d > 2:
-                cone_ok = False
-    rep.entries.append(AxiomEntry("coning", cone_ok, {"max_coned_diam": worst}))
+    cones = [(key, label, coned.space.diam_set(sub))
+             for key, coned in c.coned.items() for label, sub in coned.cones.items()]
+    wide = [w for w in cones if w[2] > 2]
+    rep.entries.append(AxiomEntry(
+        "coning", not wide, {"max_coned_diam": max([0] + [d for _, _, d in cones])},
+        wide[:8]))
 
     rho_worst = 0
     for (a, b), S in c.model.rho_set.items():

@@ -53,6 +53,15 @@ def test_examples_hagen(tmp_path):
     assert all(r["segment_lengths_exact"] for r in rows)
 
 
+def test_examples_hagen_with_a_failing_embedding_check_exits_1(tmp_path, monkeypatch, capsys):
+    from hhspace.lattice import ValidationReport
+    failing = ValidationReport("embedding")
+    failing.add("planted", ("hagen",))
+    monkeypatch.setattr(cli, "verify_embedding", lambda emb: failing)
+    assert run(["--out", tmp_path, "examples", "hagen-f2", "--radius", 2]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_audit_command_roundtrip(tmp_path):
     model = grid_product(3, 4)
     path = tmp_path / "model.json"

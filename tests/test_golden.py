@@ -1,8 +1,9 @@
 """Golden outputs: every `hhspace examples NAME` report at its default
 arguments, the radius-7 bs12 failure, `hhspace combine` on two tree
 documents, `hhspace product` on three specs, `audit`, `distance-formula`
-and `probe-theorem-b` on fixture documents and the product recipe on
-three pairs of factors must stay byte-identical.
+and `probe-theorem-b` on fixture documents, the product recipe on three
+pairs of factors and the combined model of `raag_path(1)` must stay
+byte-identical.
 
 The tables hold the exit status and the SHA-256 of stdout of each run.
 A change that is meant to alter an output updates its row and says why."""
@@ -186,3 +187,15 @@ def test_product_recipe_unchanged(name):
     doc = serialize.dumps(serialize.model_to_json(direct_product_structure(*factors())))
     assert hashlib.sha256(doc.encode()).hexdigest() == golden, \
         "direct_product_structure on %s changed" % name
+
+
+# the serialized combined model of raag_path(1) (about 6.4 MB): its rho sets
+# and rho maps, which the audit reports above pin only through what they read
+RAAG_PATH_1_COMBINED_GOLDEN = \
+    "99fd46fedb03540c67f75bf77f139cc8901564f6be28f9aa44303fa469799454"
+
+
+def test_raag_path_1_combined_model_unchanged():
+    doc = serialize.dumps(serialize.combined_to_json(fixtures.raag_path(1).combined))
+    assert hashlib.sha256(doc.encode()).hexdigest() == RAAG_PATH_1_COMBINED_GOLDEN, \
+        "the combined model of raag_path(1) changed"

@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hhspace
-from hhspace import fixtures
+from hhspace import cli, fixtures, serialize
 from hhspace.lattice import IndexLattice
-from hhspace.model import (HHSModel, _audit_large_links, _innermost_big, _theta_table)
+from hhspace.embedding import clipped_sum_compare
+from hhspace.model import (HHSModel, _audit_large_links, _clipped_class_sum, _innermost_big,
+                           _theta_table, distance_formula_fit)
 from hhspace.spaces import CoarseMap, cycle_graph, path_graph, single_point, vkey
 from hhspace.treecombine import THAT, _support_large_links, audit_combined
 from test_model import nested_pairs, orthogonal_pairs
@@ -224,6 +226,27 @@ def test_raag_window_build_and_audit_fill_no_pair_matrix(monkeypatch):
     res = fixtures.raag_path(2)
     assert res.cert.ok and audit_combined(res.combined).ok
     assert filled == []
+
+
+@pytest.mark.parametrize("name", ["grid_product(5, 7)", "raag_path(1)"])
+def test_clipped_class_sums_match_pair_matrix_sums(name):
+    m = {"grid_product(5, 7)": lambda: fixtures.grid_product(5, 7),
+         "raag_path(1)": lambda: fixtures.raag_path(1).combined.model}[name]()
+    for s in (1, 2, 3):
+        ids, total = _clipped_class_sum(m, m.elements, s)
+        ref = sum(np.where(m.pair_matrix(U) >= s, m.pair_matrix(U), 0) for U in m.elements)
+        assert np.array_equal(total[ids[:, None], ids], ref)
+
+
+def test_distance_formula_and_clipped_sums_fill_no_pair_matrix(monkeypatch, tmp_path):
+    def pair_matrix(self, U):
+        raise AssertionError("pair_matrix filled")
+    monkeypatch.setattr(HHSModel, "pair_matrix", pair_matrix)
+    assert distance_formula_fit(fixtures.raag_path(1).combined.model, 1).K >= 1
+    assert clipped_sum_compare(fixtures.hagen(3), 1, 1)["forward"][0] >= 1
+    path = tmp_path / "model.json"
+    path.write_text(serialize.dumps(serialize.model_to_json(fixtures.grid_product(3, 4))))
+    assert cli.main(["distance-formula", str(path), "--s", "2"]) == 0
 
 
 def test_raag_path_3_audit_peak_rss_under_200_mb():

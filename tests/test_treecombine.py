@@ -370,19 +370,34 @@ def grid_chain():
     return TreeOfHHS(["a", "b", "c"], edges, vm, em, emap, name="grid-chain")
 
 
-def test_rho_markers_across_disjoint_supports_are_nearest_vertices():
-    c = build_combined(grid_chain())
-    t, lat, rho = c.tree, c.model.lattice, c.model.rho_set
-    supports = {**c.supports, **{cls.id: cls.support for cls in c.classes}}
-    checked = set()
-    for (u, sid), marker in rho.items():
-        if sid in c.supports and u in supports and not supports[u] & c.supports[sid] \
-                and lat.transverse(u, sid):
-            near = t.space.gap(supports[u], c.supports[sid])
-            assert marker == {y for y in c.supports[sid]
-                              if t.space.gap(supports[u], [y]) == near}
-            checked.add("support" if u in c.supports else "class")
-    assert checked == {"support", "class"}
+# combined structure, and the kinds of small side that meet a tree disjointly
+MARKER_CASES = {
+    "grid_chain": (lambda: build_combined(grid_chain()), {"support", "class"}),
+    "raag_path(1)": (lambda: raag_path(1).combined, set()),
+    "free_product_z2_z3(2)": (lambda: free_product_z2_z3(2).combined, set()),
+}
+
+
+@pytest.mark.parametrize("name", list(MARKER_CASES))
+def test_rho_markers_in_trees_are_intersections_or_nearest_vertices(name):
+    combined, disjoint = MARKER_CASES[name]
+    c = combined()
+    t = c.tree
+    subtree = {**c.supports, **{cls.id: cls.support for cls in c.classes},
+               THAT: frozenset(t.vertices)}
+    checked, far = 0, set()
+    for (u, y), marker in c.model.rho_set.items():
+        if y not in c.supports and y != THAT:
+            continue
+        checked += 1
+        if subtree[u] & subtree[y]:
+            assert marker == subtree[u] & subtree[y]
+            continue
+        assert c.model.lattice.transverse(u, y)
+        near = t.space.gap(subtree[u], subtree[y])
+        assert marker == {w for w in subtree[y] if t.space.gap(subtree[u], [w]) == near}
+        far.add("support" if u in c.supports else "class")
+    assert checked > 0 and far == disjoint
 
 
 # -- table lookups against loop-based searches -----------------------------------
