@@ -20,10 +20,10 @@ Layout:
   serialize     JSON schemas and DOT export
   cli           the batch front door
 
-Models are immutable after construction; lattice wedge/join caches and
-model-level scan tables fill on first use. Audits
-decompose into independent read-only passes per axiom and reports are
-assembled in sorted order, so results are deterministic.
+Models are immutable after construction; model-level scan tables fill
+on first use. Audits decompose into independent read-only passes per
+axiom and reports are assembled in sorted order, so results are
+deterministic.
 """
 
 from .embedding import Embedding, clipped_sum_compare, probe_embedding, verify_embedding

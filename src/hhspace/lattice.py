@@ -8,10 +8,19 @@ the wedge (unique maximal common lower bound), the join (unique minimal
 common upper bound), orthogonal containers, and validators for the
 structural rules, the wedge axioms and clean containers.
 
+A lattice is stored as two boolean tables over element positions, ``le``
+(nesting, reflexive and transitively closed) and ``orth`` (symmetric), that
+every query, wedge, join and validator reads. Position order is vkey order,
+so a row-major scan of a table lists pairs in vkey order.
+
 The empty wedge is the sentinel EMPTY, never an element of the lattice.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
+
+import numpy as np
 
 from .spaces import sort_key, vkey
 
@@ -98,129 +107,134 @@ class IndexLattice:
       nested_pairs  iterable of (a, b) meaning a is properly nested in b
       orth_pairs    iterable of unordered orthogonal pairs
       strict_total  when True, every distinct pair must appear in
-                    nested_pairs or orth_pairs or trans_pairs, otherwise
-                    MissingRelation is raised (the JSON loading path);
-                    when False the remaining pairs default to transverse.
+                    nested_pairs or orth_pairs or trans_pairs (or follow
+                    from the nesting closure), otherwise MissingRelation
+                    is raised, and no pair may appear twice (the JSON
+                    loading path); when False the remaining pairs default
+                    to transverse.
+    A pair naming a label that is not an element is a ValueError.
 
-    The orthogonal containers {(Z, U): W}, W the unique minimal element
-    below Z above all orthogonal partners of U, are computed here.
+    The relations are the tables le (le[i, j]: elements[i] nested in
+    elements[j]) and orth. The orthogonal containers {(Z, U): W}, W the
+    unique minimal element below Z above all orthogonal partners of U, are
+    computed here; the wedge and join of every pair on first use.
     """
 
     def __init__(self, elements, maximal, nested_pairs=(), orth_pairs=(),
                  trans_pairs=(), strict_total=False, name=""):
-        self.name = name
-        self.elements = tuple(sorted(set(elements), key=sort_key()))
-        self.pos = {e: i for i, e in enumerate(self.elements)}
+        elements = tuple(sorted(set(elements), key=sort_key()))
+        pos = {e: i for i, e in enumerate(elements)}
+        try:
+            nest, orth, trans = ([(pos[a], pos[b]) for a, b in pairs]
+                                 for pairs in (nested_pairs, orth_pairs, trans_pairs))
+        except KeyError as exc:
+            raise ValueError("a relation names %r, not an element" % (exc.args[0],)) from None
+        k = len(elements)
+        le, sym = np.eye(k, dtype=bool), np.zeros((k, k), dtype=bool)
+        for i, j in nest:
+            le[i, j] = True
+        for i, j in orth:
+            sym[i, j] = sym[j, i] = True
+        # Warshall closure; only an element above and below others is a middle
+        for m in {i for i, _ in nest} & {j for _, j in nest}:
+            le |= le[:, m, None] & le[m]
+        if strict_total:
+            declared = sorted((min(p), max(p)) for p in nest + orth + trans)
+            for i, j in [p for p, q in zip(declared, declared[1:]) if p == q][:1]:
+                raise ValueError("pair (%r, %r) is declared more than once"
+                                 % (elements[i], elements[j]))
+            for i, j in sorted(set(combinations(range(k), 2)).difference(declared)):
+                if not (le[i, j] or le[j, i]):
+                    raise MissingRelation("pair (%r, %r) has no declared relation"
+                                          % (elements[i], elements[j]))
+        self._set_tables(name, elements, maximal, le, sym)
+
+    def _set_tables(self, name, elements, maximal, le, orth):
+        self.name, self.elements, self.maximal = name, elements, maximal
+        self.pos = {e: i for i, e in enumerate(elements)}
         if maximal not in self.pos:
             raise ValueError("maximal element %r not among elements" % (maximal,))
-        self.maximal = maximal
-
-        self._nest = set()  # (a, b) with a properly nested in b
-        for a, b in nested_pairs:
-            if a != b:
-                self._nest.add((a, b))
-        self._close_nesting()
-        self._orth = set()
-        for a, b in orth_pairs:
-            self._orth.add(frozenset((a, b)))
-        declared = {frozenset(p) for p in trans_pairs}
-
-        if strict_total:
-            seen = {frozenset((a, b)) for a, b in self._nest} | self._orth | declared
-            for i, a in enumerate(self.elements):
-                for b in self.elements[i + 1:]:
-                    if frozenset((a, b)) not in seen:
-                        raise MissingRelation("pair (%r, %r) has no declared relation" % (a, b))
-
-        self._wedge_cache = {}
-        self._join_cache = {}
-        self._below = {e: frozenset(x for x in self.elements if self.nested(x, e))
-                       for e in self.elements}
-        self._above = {e: frozenset(x for x in self.elements if self.nested(e, x))
-                       for e in self.elements}
-
-        self.container_problems = []
-        self.containers = self._compute_containers()
+        le.flags.writeable = orth.flags.writeable = False
+        self.le, self.orth = le, orth
+        self._bounds = None
+        self.containers, self.container_problems = self._compute_containers()
 
     # -- relations ---------------------------------------------------------
 
-    def _close_nesting(self):
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(self._nest):
-                for (c, d) in list(self._nest):
-                    if b == c and a != d and (a, d) not in self._nest:
-                        self._nest.add((a, d))
-                        changed = True
+    def _strict(self):
+        """Proper nesting: le without its diagonal."""
+        return self.le > np.eye(len(self.elements), dtype=bool)
+
+    def _labels(self, mask):
+        return [self.elements[i] for i in np.flatnonzero(mask).tolist()]
+
+    def _pairs(self, mask):
+        return [(self.elements[i], self.elements[j]) for i, j in np.argwhere(mask).tolist()]
 
     def nested(self, a, b):
-        """a nested in b, reflexively."""
-        return a == b or (a, b) in self._nest
+        """a nested in b, reflexively; a label outside is nested only in itself."""
+        i, j = self.pos.get(a), self.pos.get(b)
+        return a == b if i is None or j is None else bool(self.le[i, j])
 
     def properly_nested(self, a, b):
-        return (a, b) in self._nest
+        return a != b and self.nested(a, b)
 
     def orthogonal(self, a, b):
-        return frozenset((a, b)) in self._orth
+        """a orthogonal to b; a label outside is orthogonal to nothing."""
+        i, j = self.pos.get(a), self.pos.get(b)
+        return i is not None and j is not None and bool(self.orth[i, j])
 
     def rel(self, a, b):
         if a == b:
             return EQUAL
-        if (a, b) in self._nest or (b, a) in self._nest:
+        if self.nested(a, b) or self.nested(b, a):
             return NESTED
-        if frozenset((a, b)) in self._orth:
-            return ORTH
-        return TRANS
+        return ORTH if self.orthogonal(a, b) else TRANS
 
     def transverse(self, a, b):
         return self.rel(a, b) == TRANS
 
     def below(self, e):
         """All elements nested in e (including e itself)."""
-        return self._below[e]
+        return frozenset(self._labels(self.le[:, self.pos[e]]))
 
     def above(self, e):
-        return self._above[e]
+        return frozenset(self._labels(self.le[self.pos[e]]))
 
     def nest_pairs(self):
         """The properly nested pairs (a, b), in vkey order."""
-        return sorted(self._nest, key=lambda p: (vkey(p[0]), vkey(p[1])))
+        return self._pairs(self._strict())
 
     def orth_pairs(self):
         """The orthogonal pairs as frozensets, in vkey order."""
-        return sorted(self._orth, key=lambda p: sorted(map(vkey, p)))
+        return [frozenset(p) for p in self._pairs(np.triu(self.orth))]
 
     def relations_by_position(self):
-        """(maximal, nested, orth) by element position: with the number of
-        elements they fix the lattice up to relabelling. nested holds the
-        properly nested pairs, orth the orthogonal pairs as frozensets."""
-        pos = self.pos
-        return (pos[self.maximal],
-                frozenset((pos[a], pos[b]) for a, b in self._nest),
-                frozenset(frozenset(map(pos.__getitem__, p)) for p in self._orth))
+        """The size, the maximal position and the two tables' bytes: equal
+        exactly for lattices that are equal up to relabelling by position."""
+        return (len(self.elements), self.pos[self.maximal], self.le.tobytes(), self.orth.tobytes())
 
     # -- containers --------------------------------------------------------
 
     def _compute_containers(self):
-        out = {}
-        for z in self.elements:
-            zone = self.below(z)
-            for u in sorted(zone, key=vkey):
-                partners = [v for v in zone if self.orthogonal(u, v)]
-                if not partners:
-                    continue
-                cands = [w for w in zone if w != z
-                         and all(self.nested(v, w) for v in partners)]
-                minimal = [w for w in cands
-                           if not any(c != w and self.nested(c, w) for c in cands)]
-                if len(minimal) == 1:
-                    out[(z, u)] = minimal[0]
-                else:
-                    self.container_problems.append(
-                        Violation("container-ambiguous" if minimal else "container-none",
-                                  (z, u), "candidates %s" % sorted(minimal, key=vkey)))
-        return out
+        """(containers, problems) in (z, u) position order."""
+        if not self.orth.any():     # no orthogonal pair, no container
+            return {}, []
+        E, le, lt = self.elements, self.le, self._strict()
+        # [z, u, v]: u and v nested in z and orthogonal
+        partners = le.T[:, :, None] & le.T[:, None, :] & self.orth
+        z, u = np.nonzero(partners.any(-1))
+        # candidates: properly nested in z and above every partner of u
+        cands = lt.T[z] & ~_through(partners[z, u], ~le)
+        out, problems = {}, []
+        for zi, ui, least in zip(z.tolist(), u.tolist(), _least(cands, lt)):
+            found = self._labels(least)
+            if len(found) == 1:
+                out[(E[zi], E[ui])] = found[0]
+            else:
+                problems.append(Violation("container-ambiguous" if found else "container-none",
+                                          (E[zi], E[ui]), "candidates %s" % found))
+        return out, problems
 
     def top_container(self, u):
         """cont(u) in the whole lattice (container within the maximal element)."""
@@ -231,39 +245,24 @@ class IndexLattice:
     def validate_relations(self):
         """Check the structural rules; every failure is listed with witnesses."""
         rep = ValidationReport("lattice:%s" % self.name)
-        nest = self.nest_pairs()
-        for a, b in nest:
-            if (b, a) in self._nest:
-                rep.add("nesting-antisymmetry", (a, b))
-        for (a, b) in nest:
-            for c in self.elements:
-                if (b, c) in self._nest and a != c and (a, c) not in self._nest:
-                    rep.add("nesting-transitivity", (a, b, c))
-        for e in self.elements:
-            if e != self.maximal and (e, self.maximal) not in self._nest:
-                rep.add("unique-maximal", (e,), "not nested in %r" % (self.maximal,))
-        for p in self.orth_pairs():
-            if len(p) == 1:
-                rep.add("orthogonality-antireflexive", tuple(p))
-        for a in self.elements:
-            for b in self.elements:
-                if a != b and self.orthogonal(a, b) and self.rel(a, b) == NESTED:
-                    rep.add("relation-exclusive", (a, b), "both nested and orthogonal")
-        # orthogonality inheritance: v nested in w and w orth u force v orth u
-        for (v, w) in nest:
-            for u in self.elements:
-                if self.orthogonal(w, u) and not self.orthogonal(v, u) and v != u:
-                    rep.add("orthogonality-inheritance", (v, w, u))
-        for prob in self.container_problems:
-            rep.violations.append(prob)
-        for (z, u), w in sorted(self.containers.items(), key=lambda kv: vkey(kv[0])):
+        E, pos, le, orth, lt = self.elements, self.pos, self.le, self.orth, self._strict()
+        _add_all(rep, E, "nesting-antisymmetry", lt & lt.T)
+        _add_all(rep, E, "nesting-transitivity", lt[:, :, None] & lt & ~le[:, None, :])
+        _add_all(rep, E, "unique-maximal", ~le[:, pos[self.maximal]],
+                 "not nested in %r" % (self.maximal,))
+        _add_all(rep, E, "orthogonality-antireflexive", np.diag(orth))
+        _add_all(rep, E, "relation-exclusive", orth & (lt | lt.T), "both nested and orthogonal")
+        # orthogonality inheritance: v nested in w and w orth u force v orth u (v != u)
+        _add_all(rep, E, "orthogonality-inheritance",
+                 lt[:, :, None] & orth & ~(orth | np.eye(len(E), dtype=bool))[:, None, :])
+        rep.violations.extend(self.container_problems)
+        for (z, u), w in self.containers.items():
             if w == z:
                 rep.add("container-equals-ambient", (z, u))
-            if not self.nested(w, z):
+            if not le[pos[w], pos[z]]:
                 rep.add("container-not-nested", (z, u, w))
-            for v in self.below(z):
-                if self.orthogonal(v, u) and not self.nested(v, w):
-                    rep.add("container-misses-partner", (z, u, v), "container %r" % (w,))
+            for v in self._labels(le[:, pos[z]] & orth[:, pos[u]] & ~le[:, pos[w]]):
+                rep.add("container-misses-partner", (z, u, v), "container %r" % (w,))
         return rep
 
     def complexity(self):
@@ -273,98 +272,96 @@ class IndexLattice:
     def longest_chain(self, subset):
         """Length of the longest chain of pairwise nested elements of subset
         (0 when it is empty)."""
-        subset = frozenset(subset)
-        order = sorted(subset, key=lambda e: (len(self.below(e) & subset), vkey(e)))
-        longest = {}
-        for e in order:
-            longest[e] = 1 + max((longest[x] for x in self.below(e) & subset
-                                  if x != e), default=0)
-        return max(longest.values(), default=0)
+        idx = sorted({self.pos[e] for e in subset})
+        # reach[a, b]: a chain of length + 1 elements from a up to b
+        reach = step = self._strict()[idx][:, idx]
+        for length in range(1, len(idx) + 1):
+            if not reach.any():
+                return length
+            reach = _through(reach, step)
+        return len(idx)     # only a nesting cycle gets here
 
     # -- wedge / join ------------------------------------------------------
 
+    def _bound_sets(self, kind, i, j):
+        """The common lower (wedge) or upper (join) bounds of positions i
+        and j, and the greatest (least) of them; i and j broadcast."""
+        le, lt = self.le, self._strict()
+        if kind == "wedge":     # the wedge is the join of the reversed order
+            le, lt = le.T, lt.T
+        common = le[i] & le[j]
+        return common, _least(common, lt)
+
+    def bound_tables(self):
+        """{"wedge": W, "join": J} over pairs of positions: the position of
+        the pair's unique bound, k when it has no common lower bound (the
+        wedge is EMPTY), -1 when no bound is unique. Built on first call."""
+        if self._bounds is None:
+            k, bounds = len(self.elements), {}
+            for kind in ("wedge", "join"):
+                common, best = self._bound_sets(kind, *np.ogrid[:k, :k])
+                table = np.where(best.sum(-1) == 1, best.argmax(-1), -1)
+                if kind == "wedge":
+                    table[~common.any(-1)] = k
+                table.flags.writeable = False
+                bounds[kind] = table
+            self._bounds = bounds
+        return self._bounds
+
+    def _not_unique(self, kind, i, j):
+        return NotALattice(kind, (self.elements[i], self.elements[j]),
+                           self._labels(self._bound_sets(kind, i, j)[1]))
+
+    def _bound(self, kind, u, v):
+        i, j = self.pos[u], self.pos[v]
+        b = int(self.bound_tables()[kind][i, j])
+        if b < 0:
+            raise self._not_unique(kind, i, j)
+        return EMPTY if b == len(self.elements) else self.elements[b]
+
     def wedge(self, u, v):
         """The unique maximal common lower bound, or EMPTY."""
-        key = frozenset((u, v))
-        if key in self._wedge_cache:
-            return self._wedge_cache[key]
-        commons = self.below(u) & self.below(v)
-        if not commons:
-            out = EMPTY
-        else:
-            maximal = [w for w in commons
-                       if not any(c != w and self.nested(w, c) for c in commons)]
-            if len(maximal) != 1:
-                raise NotALattice("wedge", (u, v), maximal)
-            out = maximal[0]
-        self._wedge_cache[key] = out
-        return out
+        return self._bound("wedge", u, v)
 
     def join(self, u, v):
         """The unique minimal common upper bound (the maximal element is always
         an upper bound, so the join always exists when unique)."""
-        key = frozenset((u, v))
-        if key in self._join_cache:
-            return self._join_cache[key]
-        commons = self.above(u) & self.above(v)
-        minimal = [w for w in commons
-                   if not any(c != w and self.nested(c, w) for c in commons)]
-        if len(minimal) != 1:
-            raise NotALattice("join", (u, v), minimal)
-        self._join_cache[key] = minimal[0]
-        return minimal[0]
+        return self._bound("join", u, v)
 
     def join_all(self, elems):
         elems = sorted(set(elems), key=vkey)
-        if not elems:
-            return EMPTY
-        out = elems[0]
-        for e in elems[1:]:
-            out = self.join(out, e)
-        return out
-
-    def wedge_sentinel(self, u, v):
-        """Wedge extended to the EMPTY sentinel."""
-        if u is EMPTY or v is EMPTY:
-            return EMPTY
-        return self.wedge(u, v)
+        return reduce(self.join, elems) if elems else EMPTY
 
     def verify_intersection_property(self):
         """Check the wedge axioms for the computed wedge: commutativity,
         associativity, nestedness of the wedge, and that common lower bounds
         are nested in the wedge. Non-unique wedges are reported, not raised."""
         rep = ValidationReport("intersection-property:%s" % self.name)
-        table = {}
-        for i, u in enumerate(self.elements):
-            for v in self.elements[i:]:
-                try:
-                    table[(u, v)] = table[(v, u)] = self.wedge(u, v)
-                except NotALattice as exc:
-                    rep.add("wedge-not-unique", (u, v), str(exc))
+        E, le, k = self.elements, self.le, len(self.elements)
+        wedge = self.bound_tables()["wedge"]
+        for i, j in np.argwhere(np.triu(wedge < 0)).tolist():
+            rep.add("wedge-not-unique", (E[i], E[j]), str(self._not_unique("wedge", i, j)))
         if not rep.ok:
             return rep
-        for u in self.elements:
-            for v in self.elements:
-                w = table[(u, v)]
-                if w is not EMPTY:
-                    if not (self.nested(w, u) and self.nested(w, v)):
-                        rep.add("wedge-not-nested", (u, v, w))
-                if self.orthogonal(u, v) and w is not EMPTY:
-                    rep.add("wedge-orthogonal-nonempty", (u, v, w))
-                if self.nested(v, u) and w != v:
-                    rep.add("wedge-of-nested", (u, v), "expected %r, got %r" % (v, w))
-                for z in self.elements:
-                    if self.nested(z, u) and self.nested(z, v):
-                        if w is EMPTY or not self.nested(z, w):
-                            rep.add("wedge-misses-lower-bound", (u, v, z))
-        for u in self.elements:
-            for v in self.elements:
-                for w in self.elements:
-                    left = self.wedge_sentinel(table[(u, v)], w)
-                    right = self.wedge_sentinel(u, table[(v, w)])
-                    if left is not right and left != right:
-                        rep.add("wedge-associativity", (u, v, w),
-                                "%r vs %r" % (left, right))
+        labels, (u, v) = E + (EMPTY,), np.ogrid[:k, :k]
+        lower = self._bound_sets("wedge", u, v)[0]      # [u, v, z]: z nested in u and v
+        is_wedge = wedge[..., None] == np.arange(k)     # [u, v, w]: w is the wedge of u, v
+        _add_all(rep, E, "wedge-not-nested", is_wedge & ~lower)
+        _add_all(rep, E, "wedge-orthogonal-nonempty", is_wedge & self.orth[..., None])
+        for a, b in np.argwhere(le.T & (wedge != v)).tolist():
+            rep.add("wedge-of-nested", (E[a], E[b]),
+                    "expected %r, got %r" % (E[b], labels[wedge[a, b]]))
+        # z nested in u and v but not in their wedge (in nothing when EMPTY)
+        _add_all(rep, E, "wedge-misses-lower-bound",
+                 lower & ~np.vstack([le.T, np.zeros(k, dtype=bool)])[wedge])
+        # each pair's entries together, in pair order, keeping the rule order
+        rep.violations.sort(key=lambda x: (self.pos[x.witness[0]], self.pos[x.witness[1]]))
+        # EMPTY (position k) meets everything in EMPTY
+        pad = np.pad(wedge, (0, 1), constant_values=k)
+        left, right = pad[wedge[..., None], v], pad[u[..., None], wedge]    # (u^v)^w, u^(v^w)
+        for a, b, c in np.argwhere(left != right).tolist():
+            rep.add("wedge-associativity", (E[a], E[b], E[c]),
+                    "%r vs %r" % (labels[left[a, b, c]], labels[right[a, b, c]]))
         return rep
 
     def verify_clean_containers(self):
@@ -372,80 +369,82 @@ class IndexLattice:
         formula cont^U(V) = U ^ cont(V) holds; orthogonality is closed under
         joins: u orth w and v orth w imply (u v-join) orth w."""
         rep = ValidationReport("clean-containers:%s" % self.name)
-        for (z, u), w in sorted(self.containers.items(), key=lambda kv: vkey(kv[0])):
-            if not self.orthogonal(u, w):
+        E, pos, le, orth, k = self.elements, self.pos, self.le, self.orth, len(self.elements)
+        cont = np.full((k, k), -1)
+        for (z, u), w in self.containers.items():
+            cont[pos[z], pos[u]] = pos[w]
+            if not orth[pos[u], pos[w]]:
                 rep.add("container-not-clean", (z, u, w))
-        for u in self.elements:
-            for v in self.below(u):
-                top = self.top_container(v)
-                low = self.containers.get((u, v))
-                if top is None:
-                    if low is not None:
-                        rep.add("lower-container-formula", (u, v),
-                                "lower container exists but no top container")
-                    continue
-                try:
-                    expect = self.wedge(u, top)
-                except NotALattice as exc:
-                    rep.add("lower-container-formula", (u, v), str(exc))
-                    continue
-                if low is None:
-                    if expect is not EMPTY and any(
-                            self.orthogonal(v, x) for x in self.below(u)):
-                        rep.add("lower-container-formula", (u, v),
-                                "expected %r, container missing" % (expect,))
-                elif expect != low:
-                    rep.add("lower-container-formula", (u, v),
-                            "expected %r, got %r" % (expect, low))
-        for w in self.elements:
-            orth_w = [x for x in self.elements if self.orthogonal(x, w)]
-            for i, u in enumerate(orth_w):
-                for v in orth_w[i:]:
-                    try:
-                        j = self.join(u, v)
-                    except NotALattice:
-                        continue
-                    if not self.orthogonal(j, w):
-                        rep.add("join-orthogonality-closure", (u, v, w),
-                                "join %r not orthogonal to %r" % (j, w))
+        # for v nested in u: the lower container cont^u(v) against u ^ cont(v)
+        tables, top = self.bound_tables(), cont[pos[self.maximal]]
+        partnered = _through(orth, le)      # [v, u]: v orth an element nested in u
+        for u, v in np.argwhere(le.T).tolist():
+            t, low, expect = top[v], cont[u, v], tables["wedge"][u, top[v]]
+            if t < 0:
+                bad = low >= 0 and "lower container exists but no top container"
+            elif expect < 0:
+                bad = str(self._not_unique("wedge", u, t))
+            elif low < 0:
+                bad = expect < k and partnered[v, u] and (
+                    "expected %r, container missing" % (E[expect],))
+            else:
+                bad = expect != low and "expected %r, got %r" % ((E + (EMPTY,))[expect], E[low])
+            if bad:
+                rep.add("lower-container-formula", (E[u], E[v]), bad)
+        join, joined = tables["join"], np.triu(tables["join"] >= 0)
+        # [w, u, v]: u and v orthogonal to w and their join is not
+        for w, a, b in np.argwhere(orth[:, :, None] & orth[:, None, :] & joined
+                                   & ~orth[np.where(joined, join, 0)].transpose(2, 0, 1)).tolist():
+            rep.add("join-orthogonality-closure", (E[a], E[b], E[w]),
+                    "join %r not orthogonal to %r" % (E[join[a, b]], E[w]))
         return rep
 
     # -- derived -----------------------------------------------------------
 
     def restrict(self, keep, maximal=None, name=""):
-        """Sublattice on a nesting-closed subset."""
-        keep = frozenset(keep)
-        top = maximal
-        if top is None:
-            tops = [e for e in keep
-                    if all(self.nested(x, e) for x in keep)]
+        """Sublattice on a nesting-closed subset: the sub-tables of its
+        positions."""
+        kept = sorted({self.pos[e] for e in keep})
+        idx = np.ix_(kept, kept)
+        le, elements = self.le[idx], tuple(self.elements[i] for i in kept)
+        if maximal is None:
+            tops = [e for e, top in zip(elements, le.all(axis=0)) if top]
             if len(tops) != 1:
                 raise ValueError("restriction has no unique maximal element")
-            top = tops[0]
-        nested = [(a, b) for (a, b) in self._nest if a in keep and b in keep]
-        orth = [tuple(p) for p in self._orth if all(x in keep for x in p)]
-        return IndexLattice(keep, top, nested, orth, name=name or self.name + "|sub")
+            maximal = tops[0]
+        sub = IndexLattice.__new__(IndexLattice)
+        sub._set_tables(name or self.name + "|sub", elements, maximal, le, self.orth[idx])
+        return sub
 
     def hasse_pairs(self):
         """Covering pairs of the nesting order, for Hasse-diagram export."""
-        out = []
-        for (a, b) in self.nest_pairs():
-            if not any((a, c) in self._nest and (c, b) in self._nest
-                       for c in self.elements):
-                out.append((a, b))
-        return out
+        lt = self._strict()
+        return self._pairs(lt & ~_through(lt, lt))
 
     def hasse_dot(self):
-        lines = ["digraph {", "  rankdir=BT;"]
-        for e in self.elements:
-            lines.append('  "%s";' % (e,))
-        for a, b in self.hasse_pairs():
-            lines.append('  "%s" -> "%s";' % (a, b))
-        for p in self.orth_pairs():
-            a, b = sorted(p, key=vkey)
-            lines.append('  "%s" -> "%s" [dir=none, style=dashed];' % (a, b))
-        lines.append("}")
-        return "\n".join(lines)
+        return "\n".join(
+            ["digraph {", "  rankdir=BT;"] + ['  "%s";' % (e,) for e in self.elements]
+            + ['  "%s" -> "%s";' % p for p in self.hasse_pairs()]
+            + ['  "%s" -> "%s" [dir=none, style=dashed];' % p
+               for p in self._pairs(np.triu(self.orth))] + ["}"])
+
+
+def _through(a, b):
+    """Boolean product: [..., i, j] when a[..., i, c] and b[c, j] for some c.
+    Counted in float32, exact to 2**24 (a uint8 count wraps past 255)."""
+    return np.matmul(a, b, dtype=np.float32) > 0
+
+
+def _least(sets, order):
+    """The members w of each set (boolean rows) with no member c where
+    order[c, w]: minimal for proper nesting, maximal for its transpose."""
+    return sets & ~_through(sets, order)
+
+
+def _add_all(rep, labels, rule, mask, detail=""):
+    """One violation per true entry of mask, in row-major order."""
+    for idx in np.argwhere(mask).tolist():
+        rep.add(rule, [labels[i] for i in idx], detail)
 
 
 def singleton_lattice(element="S", name=""):

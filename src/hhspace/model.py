@@ -623,8 +623,8 @@ def _least_grid_fit(need, c_end):
 def _orthogonal_families(lat):
     """Every nonempty set of pairwise orthogonal elements, as a list in
     element order; families come by size, then in element order."""
-    later = {a: [b for b in lat.elements[i + 1:] if lat.orthogonal(a, b)]
-             for i, a in enumerate(lat.elements)}
+    later = {a: [lat.elements[j] for j in np.flatnonzero(row).tolist()]
+             for a, row in zip(lat.elements, np.triu(lat.orth, 1))}
     queue = deque(([a], later[a]) for a in lat.elements)
     while queue:
         base, common = queue.popleft()

@@ -945,18 +945,16 @@ def combined_wedge_table(c):
     support intersection. Mismatches are report entries."""
     lat = c.model.lattice
     rep = ValidationReport("combined-wedge:%s" % c.model.name)
-    wedges, joins = {}, {}
-    elements = lat.elements
-    for i, x in enumerate(elements):
-        for y in elements[i:]:
+    elements, tables = lat.elements, lat.bound_tables()
+    for i, j in np.argwhere(np.triu((tables["wedge"] < 0) | (tables["join"] < 0))).tolist():
+        for kind in ("wedge", "join"):
             try:
-                wedges[(x, y)] = wedges[(y, x)] = lat.wedge(x, y)
+                getattr(lat, kind)(elements[i], elements[j])
             except NotALattice as exc:
-                rep.add("wedge-not-unique", (x, y), str(exc))
-            try:
-                joins[(x, y)] = joins[(y, x)] = lat.join(x, y)
-            except NotALattice as exc:
-                rep.add("join-not-unique", (x, y), str(exc))
+                rep.add(kind + "-not-unique", (elements[i], elements[j]), str(exc))
+    wedges, joins = ({(x, y): labels[b] for x, row in zip(elements, tables[kind].tolist())
+                      for y, b in zip(elements, row) if b >= 0}
+                     for kind, labels in (("wedge", elements + (EMPTY,)), ("join", elements)))
     if not rep.ok:
         return wedges, joins, rep
 

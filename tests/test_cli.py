@@ -223,6 +223,29 @@ def test_bad_coarse_map_rows_are_schema_errors(tmp_path, capsys, edit):
     assert "schema error" in capsys.readouterr().err
 
 
+def _with_extra_relation(rels, kind):
+    """The first relation of the kind again, declared transverse; or, with
+    no kind, a relation naming a label that is not an element."""
+    if kind is None:
+        rels.append([["zzz"], ["S"], "nested"])
+    else:
+        a, b, _ = next(r for r in rels if r[2] == kind)
+        rels.append([a, b, "trans"])
+
+
+@pytest.mark.parametrize("fixture", [grid_product, fixture_b_product])
+@pytest.mark.parametrize("kind", [None, "orth", "nested"],
+                         ids=["unknown-label", "orth-and-trans", "nested-and-trans"])
+def test_bad_lattice_relations_are_schema_errors(tmp_path, capsys, fixture, kind):
+    # both are rejected when the lattice loads, before any audit runs
+    doc = serialize.model_to_json(fixture())
+    _with_extra_relation(doc["lattice"]["relations"], kind)
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(doc))
+    assert run(["audit", path]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
 def test_missing_relation_is_schema_error(tmp_path):
     doc = serialize.model_to_json(fixture_b_product())
     del doc["lattice"]["relations"][0]
