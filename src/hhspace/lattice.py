@@ -109,9 +109,10 @@ class IndexLattice:
       strict_total  when True, every distinct pair must appear in
                     nested_pairs or orth_pairs or trans_pairs (or follow
                     from the nesting closure), otherwise MissingRelation
-                    is raised, and no pair may appear twice (the JSON
-                    loading path); when False the remaining pairs default
-                    to transverse.
+                    is raised, no pair may appear twice and no pair
+                    declared transverse may be nested by the closure
+                    (the JSON loading path); when False the remaining
+                    pairs default to transverse.
     A pair naming a label that is not an element is a ValueError.
 
     The relations are the tables le (le[i, j]: elements[i] nested in
@@ -143,6 +144,10 @@ class IndexLattice:
             for i, j in [p for p, q in zip(declared, declared[1:]) if p == q][:1]:
                 raise ValueError("pair (%r, %r) is declared more than once"
                                  % (elements[i], elements[j]))
+            for i, j in trans:
+                if le[i, j] or le[j, i]:
+                    raise ValueError("pair (%r, %r) is declared transverse but is nested"
+                                     % (elements[i], elements[j]))
             for i, j in sorted(set(combinations(range(k), 2)).difference(declared)):
                 if not (le[i, j] or le[j, i]):
                     raise MissingRelation("pair (%r, %r) has no declared relation"

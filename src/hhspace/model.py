@@ -856,7 +856,8 @@ def _theta_table(model):
     m = None
     for U in model.elements:
         T = model.class_table(U, reps)
-        m = T if m is None else np.maximum(m, T, out=m)
+        # no out=m: a later T may come in a wider type than m
+        m = T if m is None else np.maximum(m, T)
     D = model.space.block_table(*groups(ids, len(reps)), np.maximum)
     table = {}
     for kappa in range(0, int(m.max()) + 2):

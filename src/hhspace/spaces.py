@@ -5,9 +5,10 @@ A FiniteSpace is either a connected graph with the shortest-path metric
 carry the restricted ambient metric rather than the induced path metric).
 All distance conventions used by the auditors live here:
 
-- point distances are exact shortest-path integers (int64, n x n): a tree
-  takes a closed form over its DFS preorder, any other graph one
-  breadth-first search from all sources at once over bitsets,
+- point distances are exact shortest-path integers (n x n, in the type of
+  the dtype rule below): a tree takes a closed form over its DFS preorder,
+  any other graph one breadth-first search from all sources at once over
+  bitsets,
 - the distance between two point-sets A, B is diam(A | B), the diameter of
   their union (the usual convention for projection distances),
 - ``gap`` is the minimal distance between sets, used for neighborhoods,
@@ -19,6 +20,27 @@ Labels are ordered here once, in ``vkey`` order: ``vertices`` follows it
 and ``index`` holds that order, so other modules compare indices, not
 labels. Each sort of labels takes a fresh ``sort_key()``, whose keys equal
 ``vkey``'s but which keys a tuple or frozenset shared between labels once.
+
+The dtype rule. A distance table is stored in ``dist_dtype(diam)``, the
+narrowest signed integer type that holds 2 * diam + 1: int8 up to diameter
+63, int16 up to 16383, and so on; ``from_matrix`` rejects an entry of
+2**62 or more, so int64 always suffices. The BFS kernels return int64 and
+the table is narrowed once, when a space stores it. Every table read from
+``dist`` keeps its type: the set diameters and set tables, block tables and
+rows of distances to a set. Under the rule:
+
+- the sum of two distances, and a distance plus one, stay exact in the
+  table's type, and so do the interval tests d(a, x) + d(x, b) = d(a, b)
+  and a negation;
+- a table never meets a Python integer that is not a distance as a
+  sentinel, fill value or ``np.minimum`` / ``np.maximum`` operand: NumPy
+  turns ``np.where(mask, T, 2**63 - 1)`` into -1 on an int8 T and raises
+  ``OverflowError`` on ``np.minimum(T, 300)`` (comparisons with any Python
+  number are exact). A site that needs such a value, a count or a sum of
+  more than two distances works in int64 or float: ``four_point_delta``
+  and ``steps`` pick their own types, the ratio tables are float;
+- an ``out=`` argument never receives a wider type, as the result would
+  wrap there: tables of two spaces may differ in type.
 """
 
 from collections import namedtuple
@@ -104,8 +126,16 @@ def check_distinct(labels, what="label"):
         seen.add(v)
 
 
+def dist_dtype(diam):
+    """The dtype of a distance table of diameter diam: the narrowest signed
+    integer type that holds 2 * diam + 1 (see the module docstring)."""
+    return np.min_scalar_type(-(2 * diam + 1))
+
+
 class FiniteSpace:
-    """A finite connected metric space with integer distances."""
+    """A finite connected metric space with integer distances: ``dist`` is
+    the n x n table over vertex indices, in ``dist_dtype`` of the space's
+    diameter."""
 
     def __init__(self, vertices, edges=None, dist=None, name=""):
         """A graph (``edges`` between labels) or a metric table ``dist``
@@ -133,7 +163,8 @@ class FiniteSpace:
 
     def _store(self, vertices, edges, dist, name):
         """Keep the labels in the given order, and the table, whose rows
-        follow that order, or the graph's BFS metric."""
+        follow that order, or the graph's BFS metric, in the dtype of its
+        diameter; a table already in that dtype is kept, not copied."""
         self.name = name
         self.vertices = vertices
         self.index = {v: i for i, v in enumerate(vertices)}
@@ -143,8 +174,8 @@ class FiniteSpace:
         self._steps = None
         if dist is not None:
             self.edges = tuple(edges) if edges is not None else None
-            self.dist = np.asarray(dist, dtype=np.int64)
-            if self.dist.shape != (n, n):
+            dist = np.asarray(dist)
+            if dist.shape != (n, n):
                 raise ValueError("distance table shape mismatch")
         else:
             es = set()
@@ -157,15 +188,19 @@ class FiniteSpace:
             for ia, ib in self.edges:
                 adj[ia].append(ib)
                 adj[ib].append(ia)
-            self.dist = _bfs_all_pairs(n, adj)
-            if (self.dist < 0).any():
+            dist = _bfs_all_pairs(n, adj)
+            if (dist < 0).any():
                 raise ValueError("graph is not connected")
+        self.dist = dist.astype(dist_dtype(int(dist.max())), copy=False)
 
     @classmethod
     def from_matrix(cls, vertices, table, name=""):
         """Build from an explicit metric; ``table`` rows follow ``vertices`` order.
         Raises ValueError on a repeated vertex, and unless the table is a square
-        integer metric: non-negative, zero diagonal, symmetric, triangle inequality."""
+        integer metric: non-negative, zero diagonal, every entry below 2**62
+        (so that the sum of two fits int64), symmetric, triangle inequality.
+        The table is converted to the dtype of its diameter once, before the
+        symmetry and triangle tests."""
         src = list(vertices)
         n = len(src)
         m = np.asarray(table)
@@ -173,9 +208,12 @@ class FiniteSpace:
             raise ValueError("distance table must be square, one row per vertex")
         if not np.issubdtype(m.dtype, np.integer):
             raise ValueError("distance table must hold integers")
-        m = m.astype(np.int64)
         if (m < 0).any() or m.diagonal().any():
             raise ValueError("distance table must be non-negative with a zero diagonal")
+        top = int(m.max(initial=0))
+        if top >= 2 ** 62:
+            raise ValueError("distance table entry %d is not below 2**62" % top)
+        m = m.astype(dist_dtype(top))
         if (m != m.T).any():
             raise ValueError("distance table must be symmetric")
         for k in range(n):
@@ -370,7 +408,7 @@ class FiniteSpace:
         sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
         flat = self.idx(list(chain.from_iterable(sets)))
         starts = np.cumsum(sizes) - sizes
-        diams = np.zeros(len(sets), dtype=np.int64)
+        diams = np.zeros(len(sets), dtype=self.dist.dtype)
         multi = np.flatnonzero(sizes > 1)
         if len(multi):
             flat = flat[np.lexsort((flat, np.repeat(np.arange(len(sets)), sizes)))]

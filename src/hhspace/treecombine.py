@@ -1125,7 +1125,8 @@ def _support_large_links(c, threshold):
             continue
         _, reps = c.model.coordinate_classes([S] + nested)
         dS = c.model.class_table(S, reps)
-        count = np.zeros_like(dS)
+        # a count, not a distance: int64, not dS's narrow type
+        count = np.zeros(dS.shape, dtype=np.int64)
         for _, mask in _innermost_big(lat, nested,
                                       lambda X: c.model.class_table(X, reps) > threshold):
             count += mask

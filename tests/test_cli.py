@@ -10,6 +10,7 @@ from hhspace import cli, serialize
 from hhspace.cli import main
 from hhspace.fixtures import (bs_window, factor_inclusion, fixture_b_product,
                               free_product_z2_z3, grid_product, raag_path)
+from hhspace.model import trivial_model
 from hhspace.spaces import FiniteSpace
 from hhspace.graphproduct import ProductSpec
 
@@ -244,6 +245,31 @@ def test_bad_lattice_relations_are_schema_errors(tmp_path, capsys, fixture, kind
     path.write_text(serialize.dumps(doc))
     assert run(["audit", path]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture", [grid_product, fixture_b_product])
+def test_transverse_pair_the_nesting_closure_nests_is_schema_error(tmp_path, capsys, fixture):
+    # (l, S1) < (V, (r, S2)) < S nests (l, S1) in S whatever the document
+    # declares, so a "trans" line for that pair is a contradiction
+    doc = serialize.model_to_json(fixture())
+    rels = doc["lattice"]["relations"]
+    rels[rels.index([["l", "S1"], ["S"], "nested"])][2] = "trans"
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(doc))
+    assert run(["audit", path]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and "declared transverse but is nested" in err
+
+
+def test_distance_table_entry_of_two_to_the_62_is_schema_error(tmp_path, capsys):
+    doc = serialize.model_to_json(trivial_model(FiniteSpace.from_matrix("ab", [[0, 1], [1, 0]])))
+    for space in [doc["space"]] + [space for _, space in doc["hyp"]]:
+        space["dist"] = [[0, 2 ** 62], [2 ** 62, 0]]
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(doc))
+    assert run(["audit", path]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and "is not below 2**62" in err
 
 
 def test_missing_relation_is_schema_error(tmp_path):

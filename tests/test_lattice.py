@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -179,6 +180,23 @@ def test_relations_naming_non_elements_or_declared_twice_are_value_errors():
     lat = IndexLattice(["A", "B", "S"], "S", nested_pairs=[("A", "B"), ("B", "S")],
                        strict_total=True)
     assert lat.nested("A", "S")
+
+
+def test_transverse_declaration_of_a_pair_the_closure_nests_is_a_value_error():
+    # A < B < S nests A in S, so a strict "A trans S" contradicts the closure
+    for pair in (("A", "S"), ("S", "A")):
+        with pytest.raises(ValueError, match=re.escape(
+                "pair %r is declared transverse but is nested" % (pair,))):
+            IndexLattice(["A", "B", "S"], "S", nested_pairs=[("A", "B"), ("B", "S")],
+                         trans_pairs=[pair], strict_total=True)
+    # two steps of the chain A < B < C < S nest A in C as well
+    with pytest.raises(ValueError, match=re.escape("pair ('A', 'C') is declared transverse")):
+        IndexLattice("ABCS", "S", nested_pairs=[("A", "B"), ("B", "C"), ("C", "S")],
+                     trans_pairs=[("A", "C")], strict_total=True)
+    # the lenient path ignores transverse declarations, as before
+    lat = IndexLattice(["A", "B", "S"], "S", nested_pairs=[("A", "B"), ("B", "S")],
+                       trans_pairs=[("A", "S")])
+    assert lat.rel("A", "S") == NESTED
 
 
 def test_restrict():

@@ -383,12 +383,13 @@ def _audit_bgi_reference(model):
         CW = model.hyp[w]
         rho = sorted(model.rho_set[(v, w)], key=vkey)
         rho_idx = CW.idx(rho)
-        to_rho = CW.dist[:, rho_idx].min(axis=1)
+        # int64, as the int64 sentinel below would wrap in a narrow table type
+        to_rho = CW.dist[:, rho_idx].min(axis=1).astype(np.int64)
         sids, _, M2 = model.rho_map[(v, w)].set_table()
         k = len(M2)
         sidmask = np.zeros((k, len(CW)), dtype=bool)
         sidmask[sids, np.arange(len(CW))] = True
-        D = CW.dist
+        D = CW.dist.astype(np.int64)
         for a in range(len(CW)):
             on = D[a][None, :] + D == D[a][:, None]   # on[b, v]: v on a geodesic a..b
             gapv = np.where(on, to_rho[None, :], np.iinfo(np.int64).max).min(axis=1)

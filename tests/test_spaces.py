@@ -101,6 +101,28 @@ def test_from_matrix_rejects_non_metrics():
             FiniteSpace.from_matrix([0, 1, 2], table)
 
 
+def test_from_matrix_rejects_entries_of_two_to_the_62():
+    # 2**62 + 2**62 wraps in int64, so the triangle test cannot take such a
+    # table: it is rejected before that test, with its own message
+    for top in (2 ** 62, 2 ** 63 - 1, 2 ** 64 - 1):
+        for rows in ([[0, top], [top, 0]], [[0, top, top], [top, 0, top], [top, top, 0]],
+                     [[0, top, 1], [top, 0, top], [1, top, 0]]):
+            # uint64 holds every top; a list holding 2**64 - 1 is no integer array
+            for table in [np.array(rows, dtype=np.uint64)] + [rows] * (top < 2 ** 63):
+                with pytest.raises(ValueError, match="entry %d is not below 2\\*\\*62" % top):
+                    FiniteSpace.from_matrix("abc"[:len(rows)], table)
+    # 2**62 - 1 is the largest entry that loads, and the metric with every
+    # distance 2**61 loads; sums of such entries are exact in int64
+    top = 2 ** 62 - 1
+    big = FiniteSpace.from_matrix("ab", [[0, top], [top, 0]])
+    assert big.dist.dtype == np.int64 and big.d("a", "b") == top
+    third = 2 ** 61
+    big = FiniteSpace.from_matrix("abc", np.full((3, 3), third) - third * np.eye(3, dtype=int))
+    assert big.diam() == third and big.dist.dtype == np.int64
+    with pytest.raises(ValueError, match="triangle inequality through vertex 'b'"):
+        FiniteSpace.from_matrix("abc", [[0, 1, top], [1, 0, 1], [top, 1, 0]])
+
+
 def test_from_matrix_rejects_repeated_vertices():
     with pytest.raises(ValueError, match="repeated vertex 'a'"):
         FiniteSpace.from_matrix(["a", "b", "a"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -1025,6 +1047,7 @@ def test_set_family_matches_per_set_reference(case):
     g, sets = case
     got, want = g.set_family(sets), _set_family_reference(g, sets)
     assert got.sets is sets
+    assert got.flat.dtype == got.starts.dtype == np.int64
+    assert got.diams.dtype == g.dist.dtype
     for a, b in zip(got[1:], want[1:]):
-        assert a.dtype == b.dtype == np.int64
         assert a.tolist() == b.tolist()
