@@ -17,7 +17,7 @@ The empty wedge is the sentinel EMPTY, never an element of the lattice.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -116,9 +116,11 @@ class IndexLattice:
     A pair naming a label that is not an element is a ValueError.
 
     The relations are the tables le (le[i, j]: elements[i] nested in
-    elements[j]) and orth. The orthogonal containers {(Z, U): W}, W the
-    unique minimal element below Z above all orthogonal partners of U, are
-    computed here; the wedge and join of every pair on first use.
+    elements[j]) and orth; lt (proper nesting) and orth_up (each orthogonal
+    pair once) are read from them once, on first use. The orthogonal
+    containers {(Z, U): W}, W the unique minimal element below Z above all
+    orthogonal partners of U, are computed here; the wedge and join of
+    every pair on first use.
     """
 
     def __init__(self, elements, maximal, nested_pairs=(), orth_pairs=(),
@@ -166,9 +168,19 @@ class IndexLattice:
 
     # -- relations ---------------------------------------------------------
 
-    def _strict(self):
+    @cached_property
+    def lt(self):
         """Proper nesting: le without its diagonal."""
-        return self.le > np.eye(len(self.elements), dtype=bool)
+        lt = self.le > np.eye(len(self.elements), dtype=bool)
+        lt.flags.writeable = False
+        return lt
+
+    @cached_property
+    def orth_up(self):
+        """orth above its diagonal: each orthogonal pair once."""
+        up = np.triu(self.orth, 1)
+        up.flags.writeable = False
+        return up
 
     def _labels(self, mask):
         return [self.elements[i] for i in np.flatnonzero(mask).tolist()]
@@ -208,7 +220,7 @@ class IndexLattice:
 
     def nest_pairs(self):
         """The properly nested pairs (a, b), in vkey order."""
-        return self._pairs(self._strict())
+        return self._pairs(self.lt)
 
     def orth_pairs(self):
         """The orthogonal pairs as frozensets, in vkey order."""
@@ -225,7 +237,7 @@ class IndexLattice:
         """(containers, problems) in (z, u) position order."""
         if not self.orth.any():     # no orthogonal pair, no container
             return {}, []
-        E, le, lt = self.elements, self.le, self._strict()
+        E, le, lt = self.elements, self.le, self.lt
         # [z, u, v]: u and v nested in z and orthogonal
         partners = le.T[:, :, None] & le.T[:, None, :] & self.orth
         z, u = np.nonzero(partners.any(-1))
@@ -250,7 +262,7 @@ class IndexLattice:
     def validate_relations(self):
         """Check the structural rules; every failure is listed with witnesses."""
         rep = ValidationReport("lattice:%s" % self.name)
-        E, pos, le, orth, lt = self.elements, self.pos, self.le, self.orth, self._strict()
+        E, pos, le, orth, lt = self.elements, self.pos, self.le, self.orth, self.lt
         _add_all(rep, E, "nesting-antisymmetry", lt & lt.T)
         _add_all(rep, E, "nesting-transitivity", lt[:, :, None] & lt & ~le[:, None, :])
         _add_all(rep, E, "unique-maximal", ~le[:, pos[self.maximal]],
@@ -279,7 +291,7 @@ class IndexLattice:
         (0 when it is empty)."""
         idx = sorted({self.pos[e] for e in subset})
         # reach[a, b]: a chain of length + 1 elements from a up to b
-        reach = step = self._strict()[idx][:, idx]
+        reach = step = self.lt[idx][:, idx]
         for length in range(1, len(idx) + 1):
             if not reach.any():
                 return length
@@ -291,7 +303,7 @@ class IndexLattice:
     def _bound_sets(self, kind, i, j):
         """The common lower (wedge) or upper (join) bounds of positions i
         and j, and the greatest (least) of them; i and j broadcast."""
-        le, lt = self.le, self._strict()
+        le, lt = self.le, self.lt
         if kind == "wedge":     # the wedge is the join of the reversed order
             le, lt = le.T, lt.T
         common = le[i] & le[j]
@@ -423,7 +435,7 @@ class IndexLattice:
 
     def hasse_pairs(self):
         """Covering pairs of the nesting order, for Hasse-diagram export."""
-        lt = self._strict()
+        lt = self.lt
         return self._pairs(lt & ~_through(lt, lt))
 
     def hasse_dot(self):

@@ -12,7 +12,6 @@ Distance conventions: d_U(x, y) is the diameter of the union of the two
 projection sets; distances from a point to a subspace use the min-gap.
 """
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -122,6 +121,12 @@ class HHSModel:
     model of B; it must exist whenever A is properly nested in B or A and B
     are transverse. rho_map[(V, W)] is the downward coarse map from the
     model of W to the model of V, for V properly nested in W.
+
+    A model is not changed after construction: xi() and basics() keep
+    their first result, and dist_to_set_array keeps each row it computes,
+    so a changed space, lattice, projection or rho datum would be read
+    against stale values. A variant of a model (a planted defect, a
+    restriction) is built as a new HHSModel.
     """
 
     def __init__(self, space, lattice, hyp, proj, rho_set=None, rho_map=None, name=""):
@@ -133,6 +138,7 @@ class HHSModel:
         self.rho_map = dict(rho_map or {})
         self.name = name
         self._pair = {}
+        self._rows = {}
         self._xi = None
         self._basics = None
 
@@ -178,7 +184,20 @@ class HHSModel:
         return M[s[:, None], s]
 
     def dist_to_set_array(self, U, S):
-        """array over base vertices: sup-distance from the projection to S."""
+        """Read-only array over base vertices: the sup-distance from the
+        projection to U's model to the set S. Each row is computed once
+        per model and (U, S); the consistency scan, the nested-consistency
+        pass, measure_alpha and the large-links audit share them."""
+        key = (U, frozenset(S))
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._dist_row(U, key[1])
+            row.flags.writeable = False
+        return row
+
+    def _dist_row(self, U, S):
+        """dist_to_set_array without the memo, for sets S that are not
+        the model's own markers (realize takes any tuple)."""
         m = self.proj[U]
         return m.dset_row(S)[m.sids]
 
@@ -363,7 +382,7 @@ def realize(model, coords, kappa=None):
         if worst > kappa or diam > kappa:
             raise NoConsistentTuple("defect %s, coordinate diameter %s exceed kappa=%s"
                                     % (worst, diam, kappa))
-    stack = np.stack([model.dist_to_set_array(U, S) for U, S in coords.items()])
+    stack = np.stack([model._dist_row(U, S) for U, S in coords.items()])
     mins = stack.max(axis=0)
     i = int(mins.argmin())
     return model.space.vertices[i], int(mins[i])
@@ -624,7 +643,7 @@ def _orthogonal_families(lat):
     """Every nonempty set of pairwise orthogonal elements, as a list in
     element order; families come by size, then in element order."""
     later = {a: [lat.elements[j] for j in np.flatnonzero(row).tolist()]
-             for a, row in zip(lat.elements, np.triu(lat.orth, 1))}
+             for a, row in zip(lat.elements, lat.orth_up)}
     queue = deque(([a], later[a]) for a in lat.elements)
     while queue:
         base, common = queue.popleft()
@@ -639,34 +658,47 @@ ALPHA_SCAN_BUDGET = 500000   # choices per family before ScanBudgetExceeded
 def measure_alpha(model):
     """Minimal partial-realization constant: over every family of pairwise
     orthogonal elements and every choice of image points, the best witness
-    point's worst error."""
+    point's worst error.
+
+    Each family's choices are scanned in chunks of about _CHUNK_CELLS
+    cells, so its product of choices is never held whole: per chunk, one
+    np.maximum of the pin row and the members' point rows at each choice,
+    reduced with min over base points and max over the choices. The base
+    points scanned are one representative of each coordinate class of all
+    the elements. This is exact: a pin row or a point row of V reads a
+    vertex only through its image-set ids (of V, or of the W whose marker
+    pins V), and vertices of one class share every image-set id, so every
+    row is constant on a class and its minimum over the representatives
+    is its minimum over all vertices."""
     lat = model.lattice
-    n = len(model.space)
-    alpha = 0
+    _, reps = model.coordinate_classes(lat.elements)
     # per element V: the pin row (the worst distance to a rho marker of V
-    # over the elements above or transverse to V) and one row per point p
-    # of the projection image, dset(pi_V(x), {p}) over base vertices x
-    pin_row, point_rows = {}, {}
+    # over the elements W above or transverse to V) and one row per point
+    # p of the projection image, dset(pi_V(x), {p}), over representatives x
+    pin_row = {V: np.zeros(len(reps), dtype=np.int64) for V in lat.elements}
+    for i, j in np.argwhere(lat.lt | ~(lat.le | lat.le.T | lat.orth)).tolist():
+        V, W = lat.elements[i], lat.elements[j]
+        np.maximum(pin_row[V], model.dist_to_set_array(W, model.rho_set[(V, W)])[reps],
+                   out=pin_row[V])
+    point_rows = {}
     for V in lat.elements:
-        pin = np.zeros(n, dtype=np.int64)
-        for W in lat.elements:
-            if lat.properly_nested(V, W) or lat.transverse(V, W):
-                pin = np.maximum(pin, model.dist_to_set_array(W, model.rho_set[(V, W)]))
-        pin_row[V] = pin
         m = model.proj[V]
-        pts = m.codomain.ordered(m.image())
-        point_rows[V] = m.dset_points(pts).T[:, m.sids]
+        point_rows[V] = m.dset_points(m.codomain.ordered(m.image())).T[:, m.sids[reps]]
+    step = max(1, spaces._CHUNK_CELLS // len(reps))
+    alpha = 0
     for Vs in _orthogonal_families(lat):
-        pin = np.maximum.reduce([pin_row[Vj] for Vj in Vs])
-        sizes = [len(point_rows[Vj]) for Vj in Vs]
+        rows = [point_rows[Vj] for Vj in Vs]
+        sizes = [len(r) for r in rows]
         count = math.prod(sizes)
         if count > ALPHA_SCAN_BUDGET:
             raise ScanBudgetExceeded("partial-realization scan exceeds budget: %d choices" % count)
-        for choice in itertools.product(*(range(sz) for sz in sizes)):
-            req = pin.copy()
-            for Vj, ci in zip(Vs, choice):
-                req = np.maximum(req, point_rows[Vj][ci])
-            alpha = max(alpha, int(req.min()))
+        pin = np.maximum.reduce([pin_row[Vj] for Vj in Vs])
+        for c0 in range(0, count, step):
+            req = pin
+            choice = np.unravel_index(np.arange(c0, min(c0 + step, count)), sizes)
+            for r, c in zip(rows, choice):
+                req = np.maximum(req, r[c])
+            alpha = max(alpha, int(req.min(axis=1).max()))
     return alpha
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hhspace
-from hhspace import fixtures, model as model_module, serialize
+from hhspace import fixtures, model as model_module, serialize, spaces, treecombine
 from hhspace.fixtures import (bounded_factor_product, fixture_b_product, grid_product,
                               random_valid_lattice)
 from hhspace.lattice import IndexLattice
@@ -614,23 +615,30 @@ def _orthogonal_families_reference(lat):
                 yield list(family)
 
 
+def _dist_row(model, U, S):
+    """dist_to_set_array computed afresh, not read from the model's memo."""
+    m = model.proj[U]
+    return m.dset_row(S)[m.sids]
+
+
 def _measure_alpha_reference(model, budget=500000):
     """The scan that recomputed pin rows per family and built point rows
-    with one dist_to_set_array call per projection-image point."""
+    with one distance row per projection-image point; every row is
+    computed here, so a fault in the model's row memo cannot reach it."""
     lat = model.lattice
     n = len(model.space)
     alpha = 0
     point_rows = {}
     for V in lat.elements:
         pts = sorted(model.proj[V].image(), key=vkey)
-        rows = np.stack([model.dist_to_set_array(V, [p]) for p in pts])
+        rows = np.stack([_dist_row(model, V, [p]) for p in pts])
         point_rows[V] = (pts, rows)
     for Vs in _orthogonal_families_reference(lat):
         pin = np.zeros(n, dtype=np.int64)
         for Vj in Vs:
             for W in lat.elements:
                 if lat.properly_nested(Vj, W) or lat.transverse(Vj, W):
-                    pin = np.maximum(pin, model.dist_to_set_array(W, model.rho_set[(Vj, W)]))
+                    pin = np.maximum(pin, _dist_row(model, W, model.rho_set[(Vj, W)]))
         sizes = [len(point_rows[Vj][0]) for Vj in Vs]
         count = 1
         for sz in sizes:
@@ -651,7 +659,7 @@ def test_measure_alpha_matches_reference_on_raag_window(raag_window):
     assert measure_alpha(raag_window) == _measure_alpha_reference(raag_window) == 2
 
 
-@pytest.mark.parametrize("r", [2, 5, 8])
+@pytest.mark.parametrize("r", range(2, 13))
 def test_measure_alpha_matches_reference_on_hagen(r):
     target = fixtures.hagen(r).target
     assert measure_alpha(target) == _measure_alpha_reference(target)
@@ -693,6 +701,84 @@ def test_measure_alpha_matches_reference_on_random_orthogonal_pairs(m):
     assert measure_alpha(m) == _measure_alpha_reference(m)
 
 
+@st.composite
+def orthogonal_cliques(draw):
+    """Three or four pairwise orthogonal elements V0.., T transverse to
+    them and, when drawn, U nested in V0 and so orthogonal to the other
+    Vj, all below S, over a random base graph with random set-valued
+    projections and rho sets: families of three or four members, each
+    member with up to four image points, and marker pins on every
+    element."""
+    X = draw(connected_graphs(max_n=12))
+    vs = ["V%d" % j for j in range(draw(st.integers(3, 4)))]
+    below_v0 = ["U"] if draw(st.booleans()) else []
+    elems = vs + below_v0 + ["T", "S"]
+    hyp = {U: draw(connected_graphs(max_n=4)) for U in elems}
+
+    def subset(U):
+        return draw(st.frozensets(st.sampled_from(hyp[U].vertices), min_size=1, max_size=3))
+    proj = {U: CoarseMap(X, hyp[U], {x: subset(U) for x in X.vertices}) for U in elems}
+    lat = IndexLattice(elems, "S", nested_pairs=[(U, "S") for U in elems[:-1]]
+                       + [(U, "V0") for U in below_v0],
+                       orth_pairs=list(itertools.combinations(vs, 2))
+                       + [(U, V) for U in below_v0 for V in vs[1:]])
+    rho = {(a, b): subset(b) for a in elems for b in elems
+           if lat.properly_nested(a, b) or lat.transverse(a, b)}
+    return HHSModel(X, lat, hyp, proj, rho, name="random-clique")
+
+
+@settings(max_examples=80, deadline=None)
+@given(orthogonal_cliques(), st.integers(1, 64))
+def test_measure_alpha_matches_reference_on_random_cliques(m, cells):
+    # at the default chunk each family is one chunk here; a chunk of a few
+    # cells splits every family, down to one choice per chunk
+    assert max(map(len, _orthogonal_families(m.lattice))) >= 3
+    want = _measure_alpha_reference(m)
+    assert measure_alpha(m) == want
+    with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
+        assert measure_alpha(HHSModel(m.space, m.lattice, m.hyp, m.proj, m.rho_set)) == want
+
+
+def test_measure_alpha_reads_the_last_chunk():
+    # pi_V(x) = {3x} on a 3-point path X, and V's marker pins x at d(x, 0),
+    # so the choice p scores min over x of max(x, |3x - p|): 0, 1 and 2
+    # for p = 0, 3, 6, and only the last choice reaches 2; X has three
+    # classes, so these budgets give chunks of one to three choices
+    X, C = path_graph(3), path_graph(7)
+    lat = IndexLattice(["V", "S"], "S", nested_pairs=[("V", "S")])
+    m = HHSModel(X, lat, {"V": C, "S": X},
+                 {"V": CoarseMap.single(X, C, lambda x: 3 * x), "S": CoarseMap.identity(X)},
+                 {("V", "S"): {0}})
+    assert _measure_alpha_reference(m) == 2
+    for cells in range(1, 10):
+        with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
+            assert measure_alpha(m) == 2
+
+
+def _wide_family_model():
+    """V and W orthogonal below S, over a 300-vertex path X: pi_V(i) =
+    {i mod 100} and pi_W(i) = {i // 3} on two 100-vertex paths, so {V, W}
+    has 10^4 choices and every vertex is its own coordinate class."""
+    X, C = path_graph(300), path_graph(100)
+    hyp = {"V": C, "W": C, "S": X}
+    proj = {"V": CoarseMap.single(X, C, lambda i: i % 100),
+            "W": CoarseMap.single(X, C, lambda i: i // 3), "S": CoarseMap.identity(X)}
+    lat = IndexLattice(list(hyp), "S", nested_pairs=[("V", "S"), ("W", "S")],
+                       orth_pairs=[("V", "W")])
+    return HHSModel(X, lat, hyp, proj, {("V", "S"): {0}, ("W", "S"): {299}}, name="wide")
+
+
+def test_measure_alpha_allocates_chunks_not_products():
+    # the whole product of {V, W}'s choices over the 300 classes would be
+    # 10^4 x 300 int64 cells, 24 MB; a chunk is about 32 k cells
+    m = _wide_family_model()
+    assert len(m.coordinate_classes(m.elements)[1]) == 300
+    assert max(math.prod(len(m.proj[U].image()) for U in f)
+               for f in _orthogonal_families(m.lattice)) == 10 ** 4
+    assert _traced_peak(measure_alpha, m) < 1.5e6
+    assert measure_alpha(m) == _measure_alpha_reference(m)
+
+
 def test_orthogonal_families_match_brute_force(raag_window):
     lattices = [fixture_b_product().lattice, raag_window.lattice]
     lattices += [fixtures.hagen(r).target.lattice for r in (2, 5, 8)]
@@ -715,6 +801,43 @@ def test_measure_alpha_budget_is_typed(monkeypatch):
         with pytest.raises(ScanBudgetExceeded) as got:
             measure_alpha(m)
         assert str(got.value) == str(want.value)
+
+
+def test_dist_to_set_rows_are_computed_once_and_read_only():
+    m = fixture_b_product()
+    S = sorted(m.hyp[L1].vertices, key=vkey)[:2]
+    row = m.dist_to_set_array(L1, S)
+    assert m.dist_to_set_array(L1, S) is row
+    assert m.dist_to_set_array(L1, frozenset(reversed(S))) is row
+    assert np.array_equal(row, m.proj[L1].dset_row(S)[m.proj[L1].sids])
+    with pytest.raises(ValueError):
+        row[0] = 0
+
+
+def test_audit_combined_computes_each_marker_row_once(monkeypatch):
+    c = fixtures.raag_path(2).combined
+    calls = {}
+    dset_row = CoarseMap.dset_row
+
+    def counted(self, S):
+        key = (self, frozenset(S))
+        calls[key] = calls.get(key, 0) + 1
+        return dset_row(self, S)
+    monkeypatch.setattr(CoarseMap, "dset_row", counted)
+    rep = treecombine.audit_combined(c)
+    assert rep.entry("partial-realization").constants == {"alpha_pr": 2.0}
+    assert len(calls) > 1 and max(calls.values()) == 1
+    # every row the audit read from the memo is the row computed afresh
+    for (U, S), row in c.model._rows.items():
+        assert np.array_equal(row, _dist_row(c.model, U, S))
+
+
+def test_realize_leaves_the_row_memo_alone():
+    # realize takes any tuple, so its rows are not kept per model
+    m = grid_product(3, 4)
+    for x in m.space.vertices:
+        assert realize(m, m.coords_of(x)) == (x, 0)
+    assert m._rows == {}
 
 
 def test_import_loads_numpy_as_its_only_dependency():

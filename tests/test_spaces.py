@@ -585,6 +585,17 @@ def test_coarse_map_matches_the_dict_reference(case):
     _assert_same_map(h.compose(f), rh.compose(rf))
 
 
+@settings(max_examples=100, deadline=None)
+@given(map_chains(), st.data())
+def test_image_of_set_matches_the_dict_reference_on_any_subset(case, data):
+    # one point, a list with repeats, a set, the whole domain
+    A, B, _, fi, _, _ = case
+    f, rf = CoarseMap(A, B, fi), _DictMap(A, B, fi)
+    S = data.draw(st.lists(st.sampled_from(A.vertices), max_size=2 * len(A)))
+    for T in (S, frozenset(S), S[:1], S * 16, A.vertices):
+        assert f.image_of_set(T) == rf.image_of_set(T)
+
+
 def test_compose_maps_each_distinct_image_set_once():
     a, b = path_graph(0, 11), path_graph(0, 3)
     f = CoarseMap.single(a, b, lambda v: v // 4)
