@@ -82,27 +82,28 @@ def verify_embedding(e):
             out.add("hyp-map-spaces", (U,), "domain or codomain mismatch")
             continue
         # first diagram: project then map vs map then project
-        src, via = e.source.proj[U], e.space_map
-        CU = e.target.hyp[Ui]
-        a = CU.set_family([fU.image_of_set(A) for A in src.sets])
-        b = CU.set_family([e.target.proj[Ui].image_of_set(B) for B in via.sets])
-        defect = max(defect, int(CU.dset_table(a, b)[src.sids, via.sids].max()))
+        defect = max(defect, _diagram_defect(e.target.hyp[Ui], e.source.proj[U], fU,
+                                             e.space_map, e.target.proj[Ui]))
     rho_defect = 0.0
     for (v, w), rmap in e.source.rho_map.items():
         vi, wi = e.index_map(v), e.index_map(w)
         if (vi, wi) not in e.target.rho_map:
             out.add("missing-target-rho-map", (v, w))
             continue
-        tmap = e.target.rho_map[(vi, wi)]
-        down, across = rmap, e.hyp_maps[w]
-        CV = e.target.hyp[vi]
-        a = CV.set_family([e.hyp_maps[v].image_of_set(A) for A in down.sets])
-        b = CV.set_family([tmap.image_of_set(B) for B in across.sets])
-        rho_defect = max(rho_defect,
-                         int(CV.dset_table(a, b)[down.sids, across.sids].max()))
+        rho_defect = max(rho_defect, _diagram_defect(
+            e.target.hyp[vi], rmap, e.hyp_maps[v], e.hyp_maps[w], e.target.rho_map[(vi, wi)]))
     out.measured = {"diagram_defect": defect, "rho_diagram_defect": rho_defect,
                     "hyp_qi": hyp_qi}
     return out
+
+
+def _diagram_defect(codomain, f, f_then, g, g_then):
+    """Largest set distance in codomain between f_then(f(x)) and g_then(g(x))
+    over the common domain of f and g: one distance per pair of distinct
+    image sets."""
+    a = codomain.set_family([f_then.image_of_set(A) for A in f.sets])
+    b = codomain.set_family([g_then.image_of_set(B) for B in g.sets])
+    return int(codomain.dset_table(a, b)[f.sids, g.sids].max())
 
 
 def clipped_sum_compare(e, s, s2):
@@ -229,8 +230,8 @@ def probe_embedding(e):
 
     rho_co = []
     worst = 0.0
-    for U in tgt.elements:
-        if tgt.lattice.properly_nested(s_img, U) or tgt.lattice.transverse(s_img, U):
+    for U, pinned in zip(tgt.elements, tgt.lattice.rho[tgt.lattice.pos[s_img]].tolist()):
+        if pinned:
             h = tgt.hyp[U].hausdorff(tgt.rho_set[(s_img, U)],
                                      tgt.proj[U].image_of_set(image))
             rho_co.append((U, float(h)))

@@ -94,16 +94,17 @@ def direct_product_structure(a, b, name=""):
     for m, tag in ((a, _l), (b, _r)):
         rho_set.update({(tag(x), tag(y)): S for (x, y), S in m.rho_set.items()})
         rho_map.update({(tag(x), tag(y)): mp for (x, y), mp in m.rho_map.items()})
-    base = space.vertices[0]
+    base, pos = space.vertices[0], lattice.pos
     for y in points:
         for x in elements:
-            below, trans = lattice.properly_nested(x, y), lattice.transverse(x, y)
-            if below or trans:
-                rho_set[(x, y)] = frozenset(hyp[y].vertices)
-            if below:
+            i, j = pos[x], pos[y]
+            if not lattice.rho[i, j]:
+                continue
+            rho_set[(x, y)] = frozenset(hyp[y].vertices)
+            if lattice.lt[i, j]:
                 rho_map[(x, y)] = CoarseMap.constant(hyp[y], hyp[x], proj[x](base),
                                                      name="rho:%s<-%s" % (x, y))
-            if trans and x in sides:
+            elif x in sides:
                 rho_set[(y, x)] = _complement_marker(sides, x, y[1], proj[x](base))
     return HHSModel(space, lattice, hyp, proj, rho_set, rho_map, name=name)
 
@@ -115,13 +116,10 @@ def _complement_marker(sides, e, f, fallback):
     complement in e when it exists and is placed correctly; otherwise fall
     back to the base-vertex marker."""
     m, _, U = sides[e]
-    cont = m.lattice.top_container(sides[f][2])
-    if cont is not None and cont != U:
-        r = m.lattice.rel(cont, U)
-        if (r == "nested" and m.lattice.properly_nested(cont, U)) or r == "trans":
-            got = m.rho_set.get((cont, U))
-            if got is not None:
-                return got
+    lat = m.lattice
+    cont = lat.top_container(sides[f][2])
+    if cont is not None and lat.rho[lat.pos[cont], lat.pos[U]]:
+        return m.rho_set.get((cont, U), frozenset(fallback))
     return frozenset(fallback)
 
 
@@ -164,7 +162,8 @@ class ProductSpec:
     """Finite simplicial graph with a base group per vertex.
 
     bases values are ("cyclic", n) or ("z", ball_radius); window_radius
-    controls the Bass-Serre windows; budget caps the total glued size."""
+    (an int >= 0) controls the Bass-Serre windows; budget (an int >= 1)
+    caps the total glued size."""
     vertices: tuple
     edges: frozenset
     bases: dict
@@ -187,6 +186,10 @@ class ProductSpec:
                     and base[1] >= (1 if base[0] == "cyclic" else 0)):
                 raise ValueError("vertex %r needs a base ('cyclic', n >= 1) "
                                  "or ('z', r >= 0), not %r" % (v, base))
+        for field, least in (("window_radius", 0), ("budget", 1)):
+            value = getattr(self, field)
+            if type(value) is not int or value < least:
+                raise ValueError("%s must be an integer >= %d, not %r" % (field, least, value))
 
     def adjacent(self, u, v):
         return frozenset((u, v)) in self.edges

@@ -11,7 +11,9 @@ structural rules, the wedge axioms and clean containers.
 A lattice is stored as two boolean tables over element positions, ``le``
 (nesting, reflexive and transitively closed) and ``orth`` (symmetric), that
 every query, wedge, join and validator reads. Position order is vkey order,
-so a row-major scan of a table lists pairs in vkey order.
+so a row-major scan of a table lists pairs in vkey order. The table rho,
+read from those two, holds the pairs that carry relative projections: i
+properly nested in j, or transverse to it.
 
 The empty wedge is the sentinel EMPTY, never an element of the lattice.
 """
@@ -116,11 +118,11 @@ class IndexLattice:
     A pair naming a label that is not an element is a ValueError.
 
     The relations are the tables le (le[i, j]: elements[i] nested in
-    elements[j]) and orth; lt (proper nesting) and orth_up (each orthogonal
-    pair once) are read from them once, on first use. The orthogonal
-    containers {(Z, U): W}, W the unique minimal element below Z above all
-    orthogonal partners of U, are computed here; the wedge and join of
-    every pair on first use.
+    elements[j]) and orth; lt (proper nesting), rho (proper nesting or
+    transversality) and orth_up (each orthogonal pair once) are read from
+    them once, on first use. The orthogonal containers {(Z, U): W}, W the
+    unique minimal element below Z above all orthogonal partners of U, are
+    computed here; the wedge and join of every pair on first use.
     """
 
     def __init__(self, elements, maximal, nested_pairs=(), orth_pairs=(),
@@ -174,6 +176,14 @@ class IndexLattice:
         lt = self.le > np.eye(len(self.elements), dtype=bool)
         lt.flags.writeable = False
         return lt
+
+    @cached_property
+    def rho(self):
+        """rho[i, j]: elements[i] properly nested in, or transverse to,
+        elements[j]; exactly the pairs that carry relative projections."""
+        rho = self.lt | ~(self.le | self.le.T | self.orth)
+        rho.flags.writeable = False
+        return rho
 
     @cached_property
     def orth_up(self):

@@ -267,20 +267,17 @@ class HHSModel:
                 rep.add("missing-hyp", (U,))
             if U not in self.proj:
                 rep.add("missing-projection", (U,))
-        for i, a in enumerate(lat.elements):
-            for j, b in enumerate(lat.elements):
-                if a == b:
-                    continue
-                r = lat.rel(a, b)
-                if r == "trans" and i < j:
-                    for (p, q) in ((a, b), (b, a)):
-                        if (p, q) not in self.rho_set:
-                            rep.add("missing-rho-set", (p, q), "transverse pair")
-                if r == "nested" and lat.properly_nested(a, b):
-                    if (a, b) not in self.rho_set:
-                        rep.add("missing-rho-set", (a, b), "nested pair")
-                    if (a, b) not in self.rho_map:
-                        rep.add("missing-rho-map", (a, b), "nested pair")
+        for i, j in np.argwhere(lat.rho).tolist():
+            a, b = lat.elements[i], lat.elements[j]
+            if lat.lt[i, j]:
+                if (a, b) not in self.rho_set:
+                    rep.add("missing-rho-set", (a, b), "nested pair")
+                if (a, b) not in self.rho_map:
+                    rep.add("missing-rho-map", (a, b), "nested pair")
+            elif i < j:     # a transverse pair, both orders at once
+                for (p, q) in ((a, b), (b, a)):
+                    if (p, q) not in self.rho_set:
+                        rep.add("missing-rho-set", (p, q), "transverse pair")
         for (a, b), S in self.rho_set.items():
             CB = self.hyp.get(b)
             if CB is not None and any(p not in CB for p in S):
@@ -319,15 +316,13 @@ def _consistency_scan(model):
                 if m > kappa0:
                     kappa0, wit = m, ("nested", v, w, x)
     coherence, cwit = 0, None
-    for (v, w) in lat.nest_pairs():
-        for U in lat.elements:
-            if U in (v, w):
-                continue
-            ok = lat.properly_nested(w, U) or (
-                lat.transverse(w, U) and not lat.orthogonal(U, v))
-            if not ok:
-                continue
-            if (v, U) not in model.rho_set or (w, U) not in model.rho_set:
+    E, rho, lt, orth = lat.elements, lat.rho, lat.lt, lat.orth
+    for i, j in np.argwhere(lt).tolist():
+        v, w = E[i], E[j]
+        # U with w properly nested in it, or transverse to it and U not orthogonal to v
+        for k in np.flatnonzero(rho[j] & (lt[j] | ~orth[:, i])).tolist():
+            U = E[k]
+            if U == v or (v, U) not in model.rho_set or (w, U) not in model.rho_set:
                 continue
             d = model.hyp[U].dset(model.rho_set[(v, U)], model.rho_set[(w, U)])
             if d > coherence:
@@ -409,8 +404,8 @@ def product_region(model, U, kappa):
     lat = model.lattice
     n = len(model.space)
     pinned = np.zeros(n, dtype=np.int64)
-    for V in lat.elements:
-        if lat.transverse(U, V) or lat.properly_nested(U, V):
+    for V, pin in zip(lat.elements, lat.rho[lat.pos[U]].tolist()):
+        if pin:
             pinned = np.maximum(pinned, model.gap_to_set_array(V, model.rho_set[(U, V)]))
     P_idx = (pinned <= kappa).nonzero()[0]
     P = frozenset(model.space.vertices[i] for i in P_idx)
@@ -676,7 +671,7 @@ def measure_alpha(model):
     # over the elements W above or transverse to V) and one row per point
     # p of the projection image, dset(pi_V(x), {p}), over representatives x
     pin_row = {V: np.zeros(len(reps), dtype=np.int64) for V in lat.elements}
-    for i, j in np.argwhere(lat.lt | ~(lat.le | lat.le.T | lat.orth)).tolist():
+    for i, j in np.argwhere(lat.rho).tolist():
         V, W = lat.elements[i], lat.elements[j]
         np.maximum(pin_row[V], model.dist_to_set_array(W, model.rho_set[(V, W)])[reps],
                    out=pin_row[V])

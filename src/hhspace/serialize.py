@@ -236,8 +236,8 @@ def spec_from_json(doc):
                       for a, b in graph.get("edges", []))
     bases = {v: tuple(doc["bases"][str(v)]) for v in verts}
     return ProductSpec(tuple(verts), edges, bases,
-                       window_radius=int(doc.get("window_radius", 2)),
-                       budget=int(doc.get("budget", 6000)))
+                       window_radius=doc.get("window_radius", 2),
+                       budget=doc.get("budget", 6000))
 
 
 def combined_to_json(c):

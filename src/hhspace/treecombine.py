@@ -611,8 +611,7 @@ def build_combined(t):
     decorated = all(len(o) == 1 for o in owners.values())
 
     class_of = {c.id: c for c in classes}
-    builder = _CombinedBuilder(t, class_of, supports, owners, comp_maps,
-                               warnings)
+    builder = _CombinedBuilder(t, class_of, supports, owners, comp_maps)
     model = builder.build()
     return CombinedStructure(
         tree=t, model=model, classes=classes, class_of=class_of,
@@ -666,9 +665,18 @@ class _CombinedBuilder:
     tree's owner, so they share a vertex; or it is nested in a smaller
     support tree, or in a class that meets the tree and whose support lies,
     by the support laws, in its own.
+
+    Two classes relate as their representatives do at the least common
+    vertex of their supports, where their class marker and class-to-class
+    downward map are read too (rel_classes, self.rels). Every common vertex
+    gives the same relation and orientation: two supports meet in a
+    subtree; a class crosses each edge of its support through one edge
+    element; check_hypotheses runs verify_index_map on every edge map after
+    decoration, so none changes a relation or its orientation; and the
+    concretized maps are restrictions of checked maps.
     """
 
-    def __init__(self, t, class_of, supports, owners, comp_maps, warnings):
+    def __init__(self, t, class_of, supports, owners, comp_maps):
         self.t = t
         self.class_of = class_of
         self.classes = list(class_of.values())
@@ -678,7 +686,6 @@ class _CombinedBuilder:
                         THAT: frozenset(t.vertices)}
         self.owners = owners
         self.comp = comp_maps
-        self.warnings = warnings
         self.coned = {}
         self.lattice = None   # set by build, before the rules run
         self.rho_set, self.rho_map = {}, {}
@@ -689,42 +696,24 @@ class _CombinedBuilder:
     # ---- helpers
 
     def rel_classes(self, c1, c2):
-        """nested / orth / trans between two classes via common-vertex reps."""
-        lat_rel = None
-        commons = self.t.space.ordered(c1.support & c2.support)
-        for v in commons:
-            lat = self.t.vertex_models[v].lattice
-            r = lat.rel(c1.rep_at[v], c2.rep_at[v])
-            if lat_rel is None:
-                lat_rel = r
-            elif lat_rel != r:
-                self.warnings.append("inconsistent relation of %r, %r at %r"
-                                     % (c1.id, c2.id, v))
-            if r == "nested":
-                return ("nested", v, lat.nested(c1.rep_at[v], c2.rep_at[v]))
-        if lat_rel == "orth":
-            return ("orth", commons[0], None)
-        if lat_rel is not None:
-            return ("trans", commons[0], None)
-        return ("trans", None, None)
+        """(relation, witness vertex, c1 nested in c2) of two classes at the
+        least common vertex of their supports; the orientation is None unless
+        nested, and disjoint supports give ("trans", None, None)."""
+        commons = c1.support & c2.support
+        if not commons:
+            return ("trans", None, None)
+        v = min(commons, key=self.t.space.index.__getitem__)
+        a, b, lat = c1.rep_at[v], c2.rep_at[v], self.t.vertex_models[v].lattice
+        r = lat.rel(a, b)
+        return (r, v, lat.nested(a, b) if r == "nested" else None)
 
     def class_marker(self, src, dst):
         """The bounded marker of class src inside the favorite model of dst,
-        for src properly nested in dst or transverse to it."""
-        t = self.t
-        commons = t.space.ordered(src.support & dst.support)
-        if commons:
-            v = None
-            for w in commons:
-                lat = t.vertex_models[w].lattice
-                if lat.rel(src.rep_at[w], dst.rep_at[w]) != "orth":
-                    v = w
-                    break
-            if v is None:
-                raise HypothesisFailure("marker requested for orthogonal classes",
-                                        (src.id, dst.id))
-            vm = t.vertex_models[v]
-            marker = vm.rho_set[(src.rep_at[v], dst.rep_at[v])]
+        for src properly nested in dst or transverse to it: the vertex
+        marker at their witness vertex, compared into dst's favorite."""
+        _, v, _ = self.rels[(src.id, dst.id)]
+        if v is not None:
+            marker = self.t.vertex_models[v].rho_set[(src.rep_at[v], dst.rep_at[v])]
             return self.comp[(dst.id, v)].image_of_set(marker)
         # disjoint supports: the image of the edge space across the last
         # edge of the bridge, projected and compared into the favorite model
@@ -867,10 +856,10 @@ class _CombinedBuilder:
         in y or transverse to it; other pairs are skipped."""
         lat = self.lattice
         for x, y in pairs:
-            r = lat.rel(x, y)
-            if r == "orth" or (r == "nested" and not lat.properly_nested(x, y)):
+            i, j = lat.pos[x], lat.pos[y]
+            if not lat.rho[i, j]:
                 continue
-            if r == "nested":
+            if lat.lt[i, j]:
                 self.rho_map[(x, y)] = self._down(x, y)
             self.rho_set[(x, y)] = self._marker(x, y)
 
@@ -888,10 +877,7 @@ class _CombinedBuilder:
             return self._support_point_map(y, x)
         if y not in self.class_of:
             return self._class_point_map(self.class_of[x], y)
-        r, v, _ = self.rels[(x, y)]
-        if r != "nested":
-            raise HypothesisFailure("no vertex witnesses the nesting", (x, y))
-        return self._class_rho_map(self.class_of[x], self.class_of[y], v)
+        return self._class_rho_map(self.class_of[x], self.class_of[y], self.rels[(x, y)][1])
 
     def _class_rho_map(self, small, big, v):
         """rho map C[big] -> C[small] through a common vertex v with nested

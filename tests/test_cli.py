@@ -171,6 +171,21 @@ def test_product_command_malformed_base_is_schema_error(tmp_path, capsys, bases)
     assert not (tmp_path / "product.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [("window_radius", 2.7), ("window_radius", True),
+                                          ("window_radius", -3), ("budget", 0)])
+def test_product_command_malformed_radius_or_budget_is_schema_error(
+        tmp_path, capsys, field, value):
+    doc = serialize.spec_to_json(ProductSpec(("a", "b"), frozenset(),
+                                             {"a": ("cyclic", 2), "b": ("cyclic", 3)}))
+    doc[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert run(["--out", tmp_path, "product", path]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and field in err
+    assert not (tmp_path / "product.json").exists()
+
+
 @pytest.mark.parametrize("vertices", [["a", "a"], []], ids=["repeated", "empty"])
 def test_product_command_repeated_or_missing_vertex_is_schema_error(
         tmp_path, capsys, vertices):

@@ -41,6 +41,20 @@ def test_spec_rejects_repeated_or_missing_vertex(vertices, message):
         ProductSpec(vertices, frozenset(), {"a": ("cyclic", 2)})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("window_radius", 2.7), ("window_radius", True), ("window_radius", -3),
+    ("window_radius", "2"), ("budget", 0), ("budget", False), ("budget", 1.5)])
+def test_spec_rejects_malformed_radius_or_budget(field, value):
+    with pytest.raises(ValueError, match=field):
+        ProductSpec(("a", "b"), frozenset(), {"a": ("cyclic", 2), "b": ("cyclic", 3)},
+                    **{field: value})
+
+
+def test_spec_takes_the_least_radius_and_budget():
+    spec = spec_of("ab", [], {"a": ("cyclic", 2), "b": ("cyclic", 3)}, radius=0, budget=1)
+    assert (spec.window_radius, spec.budget) == (0, 1)
+
+
 PATH3 = spec_of("abc", [("a", "b"), ("b", "c")],
                 {"a": ("z", 1), "b": ("z", 1), "c": ("z", 1)})
 

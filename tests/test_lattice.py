@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hhspace.fixtures import free_product_z2_z3, random_valid_lattice
+from hhspace.fixtures import fixture_b_product, free_product_z2_z3, random_valid_lattice
 from hhspace.indexmaps import IndexMap, verify_wedge_join_commute
 from hhspace.lattice import (EMPTY, NESTED, ORTH, TRANS, EQUAL, IndexLattice,
                              MissingRelation, NotALattice, ValidationReport,
@@ -831,3 +831,35 @@ def test_relations_by_position_equal_exactly_when_the_pair_set_triple_is():
         assert (key == other) == (ref == other_ref)
         equal_pairs += key == other
     assert equal_pairs >= 20
+
+
+# -- the relative-projection table ---------------------------------------------------
+
+
+def _rho_lattices():
+    lattices = [random_valid_lattice(seed) for seed in range(50)]
+    lattices += [product_of_points_lattice(), fixture_b_product().lattice]
+    # two lattices that fail validate_relations: a nesting cycle, and a pair
+    # both nested and orthogonal
+    lattices.append(IndexLattice(["A", "B", "C", "S"], "S",
+                                 [("A", "B"), ("B", "A"), ("A", "S"), ("B", "S"), ("C", "S")]))
+    lattices.append(IndexLattice(["A", "B", "C", "S"], "S",
+                                 [("A", "B"), ("A", "S"), ("B", "S"), ("C", "S")],
+                                 orth_pairs=[("A", "B")]))
+    return lattices
+
+
+def test_rho_is_properly_nested_or_transverse():
+    lattices = _rho_lattices()
+    assert [lat.validate_relations().ok for lat in lattices[-2:]] == [False, False]
+    for lat in lattices:
+        E = lat.elements
+        assert lat.rho.tolist() == [[lat.properly_nested(a, b) or lat.transverse(a, b)
+                                     for b in E] for a in E]
+
+
+def test_rho_is_read_only():
+    lat = random_valid_lattice(0)
+    assert lat.rho is lat.rho
+    with pytest.raises(ValueError):
+        lat.rho[0, 0] = True

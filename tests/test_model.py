@@ -16,7 +16,7 @@ import hhspace
 from hhspace import fixtures, model as model_module, serialize, spaces, treecombine
 from hhspace.fixtures import (bounded_factor_product, fixture_b_product, grid_product,
                               random_valid_lattice)
-from hhspace.lattice import IndexLattice
+from hhspace.lattice import IndexLattice, ValidationReport
 from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceeded,
                            _audit_bgi, _consistency_scan, _nested_consistency,
                            _orthogonal_families,
@@ -856,3 +856,72 @@ def test_audit_unchanged_by_json_round_trip(m):
     back = serialize.model_from_json(json.loads(serialize.dumps(serialize.model_to_json(m))))
     assert serialize.dumps(audit_axioms(back).as_dict()) == \
         serialize.dumps(audit_axioms(m).as_dict())
+
+
+# -- relative projections on the rho pairs -------------------------------------------
+
+
+def _validate_structure_reference(m):
+    """validate_structure as a loop over ordered pairs of elements, deciding
+    each pair by its relation."""
+    rep = ValidationReport("model:%s" % m.name)
+    lat = m.lattice
+    for U in lat.elements:
+        if U not in m.hyp:
+            rep.add("missing-hyp", (U,))
+        if U not in m.proj:
+            rep.add("missing-projection", (U,))
+    for i, a in enumerate(lat.elements):
+        for j, b in enumerate(lat.elements):
+            if a == b:
+                continue
+            r = lat.rel(a, b)
+            if r == "trans" and i < j:
+                for (p, q) in ((a, b), (b, a)):
+                    if (p, q) not in m.rho_set:
+                        rep.add("missing-rho-set", (p, q), "transverse pair")
+            if r == "nested" and lat.properly_nested(a, b):
+                if (a, b) not in m.rho_set:
+                    rep.add("missing-rho-set", (a, b), "nested pair")
+                if (a, b) not in m.rho_map:
+                    rep.add("missing-rho-map", (a, b), "nested pair")
+    for (a, b), S in m.rho_set.items():
+        CB = m.hyp.get(b)
+        if CB is not None and any(p not in CB for p in S):
+            rep.add("rho-set-outside-model", (a, b))
+    return rep
+
+
+@pytest.fixture(scope="module", params=["fixture-b", "raag-path-1"])
+def rho_model(request):
+    if request.param == "fixture-b":
+        return fixture_b_product()
+    return fixtures.raag_path(1).combined.model
+
+
+def _pairs_of(lat, table):
+    return {(lat.elements[i], lat.elements[j]) for i, j in np.argwhere(table).tolist()}
+
+
+def test_rho_data_sits_on_the_rho_pairs(rho_model):
+    lat = rho_model.lattice
+    assert set(rho_model.rho_set) == _pairs_of(lat, lat.rho)
+    assert set(rho_model.rho_map) == _pairs_of(lat, lat.lt)
+
+
+def test_validate_structure_matches_the_pair_loop(rho_model):
+    m, lat = rho_model, rho_model.lattice
+    E = lat.elements
+    i, j = np.argwhere(lat.lt)[0].tolist()
+    nested = (E[i], E[j])
+    i, j = np.argwhere(np.triu(lat.rho & ~lat.lt))[0].tolist()
+    variants = [(m.rho_set, m.rho_map), ({}, {})]
+    for key in (nested, (E[i], E[j]), (E[j], E[i])):
+        variants.append(({k: S for k, S in m.rho_set.items() if k != key}, m.rho_map))
+    variants.append((m.rho_set, {k: f for k, f in m.rho_map.items() if k != nested}))
+    for rho_set, rho_map in variants:
+        v = HHSModel(m.space, lat, m.hyp, m.proj, rho_set, rho_map, name=m.name)
+        got, want = v.validate_structure(), _validate_structure_reference(v)
+        assert [(x.rule, x.witness, x.detail) for x in got.violations] == \
+            [(x.rule, x.witness, x.detail) for x in want.violations]
+        assert got.ok == (rho_set is m.rho_set and rho_map is m.rho_map)

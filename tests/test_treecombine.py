@@ -1,5 +1,6 @@
 import dataclasses
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -260,14 +261,15 @@ def test_build_combined_decorates_its_tree():
     assert c.tree.name == w.name + "~"
 
 
-def _cyclic2_amalgam_window():
-    """The amalgam window of the path a - b - c with cyclic(2) bases at
-    radius 4, decorated: the one known window where concretize_edges
-    restricts an edge (its two amalgam edges, from three elements to one)."""
+def _cyclic2_amalgam_window(radius=4):
+    """The amalgam window of the path a - b - c with cyclic(2) bases,
+    decorated. At radius 4 it is the one known window where
+    concretize_edges restricts an edge (its two amalgam edges, from three
+    elements to one)."""
     from hhspace.graphproduct import (ProductSpec, amalgam_star_window,
                                       base_group_model, build)
     side = build(ProductSpec(("a", "c"), frozenset(),
-                             {"a": ("cyclic", 2), "c": ("cyclic", 2)}, window_radius=4))
+                             {"a": ("cyclic", 2), "c": ("cyclic", 2)}, window_radius=radius))
     return decorate(amalgam_star_window(side.model, base_group_model(("cyclic", 2), "b"),
                                         name="amalgam:b"))
 
@@ -1048,3 +1050,78 @@ def test_an_embedding_key_mutant_is_a_class_of_its_own(field):
     mutant = _copied_embedding(emb)
     EMBEDDING_MUTANTS[field](mutant)
     assert not _same_embedding_class(emb, mutant)
+
+
+# -- one relation per pair of classes --------------------------------------------
+#
+# The combined builder reads the relation of two classes, and their
+# markers, at the least common vertex of their supports. That is sound
+# because the screen rejects every edge map that changes a relation.
+
+
+def _combined_structures(build):
+    """Every combined structure that build_combined returns while build()
+    runs the graph-product recursion."""
+    from hhspace import graphproduct
+    out, real = [], graphproduct.build_combined
+
+    def record(t):
+        out.append(real(t))
+        return out[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphproduct, "build_combined", record)
+        build()
+    return out
+
+
+ACCEPTED = {
+    "raag_path(1)": lambda: _combined_structures(lambda: raag_path(1)),
+    "free_product_z2_z3(2)": lambda: _combined_structures(lambda: free_product_z2_z3(2)),
+    **{"cyclic(2) radius %d" % r: lambda r=r: [build_combined(_cyclic2_amalgam_window(r))]
+       for r in (3, 4)},
+    "bs_window(2, 1)": lambda: [build_combined(bs_window(2, 1))]}
+
+
+@pytest.mark.parametrize("name", ACCEPTED)
+def test_classes_relate_alike_at_every_common_vertex(name):
+    structures = ACCEPTED[name]()
+    assert len(structures) == (2 if name == "raag_path(1)" else 1)
+    shared = 0
+    for c in structures:
+        for c1, c2 in combinations(c.classes, 2):
+            commons = c.tree.space.ordered(c1.support & c2.support)
+            seen = set()
+            for v in commons:
+                lat = c.tree.vertex_models[v].lattice
+                a, b = c1.rep_at[v], c2.rep_at[v]
+                seen.add((lat.rel(a, b), lat.nested(a, b)))
+            assert len(seen) <= 1, (c1.id, c2.id, seen)
+            shared += len(commons) > 1
+            if commons:     # and the combined lattice relates them so too
+                lat = c.model.lattice
+                assert seen == {(lat.rel(c1.id, c2.id), lat.nested(c1.id, c2.id))}
+    # in the free-product windows and bs_window(2, 1) no two classes share
+    # more than one vertex, so the check there holds at once
+    assert (shared > 0) == name.startswith(("raag", "cyclic"))
+
+
+def _relation_swapped(emb):
+    """emb with the images of two elements exchanged, the first two that
+    relate differently to a third: the index map changes a relation."""
+    lat = emb.source.lattice
+    a, b = next((a, b) for a, b in combinations(lat.elements, 2)
+                if any(lat.rel(a, x) != lat.rel(b, x) for x in lat.elements if x not in (a, b)))
+    mapping = {**emb.index_map.mapping, a: emb.index_map(b), b: emb.index_map(a)}
+    return dataclasses.replace(emb, index_map=IndexMap(lat, emb.index_map.target, mapping))
+
+
+def test_an_edge_map_that_changes_a_relation_is_rejected():
+    t = _raag_amalgam_window()
+    e = t.edges[0]
+    pair = (e, e[0])
+    assert len(t.edge_maps[pair].source.elements) == 3
+    with pytest.raises(HypothesisFailure) as exc:
+        build_combined(_with_edge_map(t, pair, _relation_swapped(t.edge_maps[pair])))
+    assert exc.value.reason == "edge map fails structure checks"
+    assert exc.value.witness[:2] == pair
+    assert exc.value.witness[2][0].rule in ("relation-changed", "nesting-orientation-flipped")
