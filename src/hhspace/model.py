@@ -118,9 +118,10 @@ class HHSModel:
     """A finite model: space, lattice, hyperbolic models, projections, rho data.
 
     rho_set[(A, B)] is the bounded marker set of A inside the hyperbolic
-    model of B; it must exist whenever A is properly nested in B or A and B
-    are transverse. rho_map[(V, W)] is the downward coarse map from the
-    model of W to the model of V, for V properly nested in W.
+    model of B; it must exist exactly when A is properly nested in B or A
+    and B are transverse. rho_map[(V, W)] is the downward coarse map from
+    the model of W to the model of V, exactly for V properly nested in W.
+    validate_structure reports a missing key and an unexpected one.
 
     A model is not changed after construction: xi() and basics() keep
     their first result, and dist_to_set_array keeps each row it computes,
@@ -278,6 +279,17 @@ class HHSModel:
                 for (p, q) in ((a, b), (b, a)):
                     if (p, q) not in self.rho_set:
                         rep.add("missing-rho-set", (p, q), "transverse pair")
+        # rho data on a pair that carries no relative projection; a label
+        # outside the lattice takes position k, after every element
+        k = len(lat.elements)
+        for rule, keys, table, why in (
+                ("unexpected-rho-set", self.rho_set, lat.rho, "no relative projection"),
+                ("unexpected-rho-map", self.rho_map, lat.lt, "not a properly nested pair")):
+            at = {key: tuple(lat.pos.get(e, k) for e in key) for key in keys}
+            for key in sorted(keys, key=at.__getitem__):
+                i, j = at[key]
+                if k in (i, j) or not table[i, j]:
+                    rep.add(rule, key, why)
         for (a, b), S in self.rho_set.items():
             CB = self.hyp.get(b)
             if CB is not None and any(p not in CB for p in S):
@@ -489,7 +501,13 @@ def gate_map(model, target):
     """The gate onto a vertex set as a map of the space: each x goes to the
     target point whose projections best realize the closest-point
     projections of the projections of x; ties break to the least vertex.
-    The target is not checked for hierarchical quasiconvexity here."""
+    The target is not checked for hierarchical quasiconvexity here.
+
+    Per U, one np.nonzero lists the (image set, closest point) pairs
+    grouped by set, each group nonempty; np.maximum.reduceat over the
+    group columns of far reduces each group at once, and the diagonal of
+    the group block table (a reduceat over rows, then over columns) is
+    each group's diameter."""
     target = frozenset(target)
     t_idx = np.sort(model.space.idx(list(target)))
     # worst[t, x]: max over U of the distance from pi_U(t) to the points of
@@ -498,16 +516,13 @@ def gate_map(model, target):
     for U in model.elements:
         m = model.proj[U]
         A = m.codomain.ordered(m.image_of_set(target))
-        A_idx = m.codomain.idx(A)
         gaps = m.per_set(A, np.minimum)
-        closest = gaps == gaps.min(axis=1, keepdims=True)
+        s, near = np.nonzero(gaps == gaps.min(axis=1, keepdims=True))
+        starts = np.flatnonzero(np.diff(s, prepend=-1))
         # far[t, p] = dset(pi_U(t), {p}) for target points t and p in A
         far = m.dset_points(A)[m.sids[t_idx]]
-        col = np.empty((len(t_idx), len(m.sets)), dtype=np.int64)
-        for a, near in enumerate(closest):
-            pts = A_idx[near]
-            diam = m.codomain.dist[pts[:, None], pts].max()
-            col[:, a] = np.maximum(far[:, near].max(axis=1), diam)
+        diam = m.codomain.block_table(m.codomain.idx(A)[near], starts, np.maximum).diagonal()
+        col = np.maximum(np.maximum.reduceat(far[:, near], starts, axis=1), diam)
         np.maximum(worst, col[:, m.sids], out=worst)
     return CoarseMap.from_ids(model.space, model.space, t_idx[worst.argmin(axis=0)],
                               [(x,) for x in model.space.vertices], name="gate")
@@ -810,8 +825,20 @@ def _audit_bgi(model):
     One FiniteSpace.interval_reduce pass per w serves every v nested in it,
     through the recursion I(a, b) = {b} | U I(a, c) over the steps (c, b)
     on geodesics from a: it reduces each v's rho distances with np.minimum
-    and its one-hot image-set bits (uint64 words) with np.bitwise_or, and
-    the image diameter is read once per distinct mask from the set table.
+    and its one-hot image-set bits (uint64 words) with np.bitwise_or.
+
+    Per chunk, one array pass over all the vs settles every endpoint pair
+    whose interval image is a single image set s: the popcounts of the
+    OR-ed words, summed over each v's words, count the sets; the lone bit
+    of a word is popcount(word - 1), in exact integers; and the value is
+    min(gap, M[s, s]), read from one diagonal of all the vs' set tables.
+    A pair of two or more sets is measured by _mask_diams only when its
+    gap exceeds its v's running best, the largest value of the chunks
+    before. This is exact: a pair left out has a value at most its gap, so
+    at most that best, and so does the placeholder min(gap, ...) it keeps,
+    so it can neither beat that best strictly nor come before the witness
+    that set it.
+
     Witness rule: each v keeps its largest value with the first (a, b) in
     row-major order that reaches it; the pairs are then taken in
     nest_pairs() order, and a pair replaces the witness only with a
@@ -823,25 +850,54 @@ def _audit_bgi(model):
     best = {}
     for w, vs in by_w.items():
         CW = model.hyp[w]
+        n, J = len(CW), len(vs)
         to_rho = np.stack([CW.dist[:, CW.idx(list(model.rho_set[(v, w)]))].min(axis=1)
                            for v in vs], axis=1)
         tables = [model.rho_map[(v, w)].set_table() for v in vs]
-        words = np.cumsum([0] + [(len(M) + 63) // 64 for _, _, M in tables])
-        bits = np.zeros((len(CW), words[-1]), dtype=np.uint64)
-        ends = np.arange(len(CW))
+        sizes = [len(M) for _, _, M in tables]
+        words = np.cumsum([0] + [(k + 63) // 64 for k in sizes])
+        bits = np.zeros((n, words[-1]), dtype=np.uint64)
         for (sids, _, _), w0 in zip(tables, words):
-            bits[ends, w0 + sids // 64] = np.uint64(1) << (sids % 64).astype(np.uint64)
-        run = [(0, None)] * len(vs)
-        for a0, (gap, mask) in CW.interval_reduce(ends, [(to_rho, np.minimum),
-                                                         (bits, np.bitwise_or)]):
-            for j, (_, _, M) in enumerate(tables):
-                masks = mask[:, :, words[j]:words[j + 1]].reshape(-1, words[j + 1] - words[j])
-                vals = np.minimum(gap[:, :, j].reshape(-1), _mask_diams(masks, M))
-                p = int(vals.argmax())
-                if vals[p] > run[j][0]:
-                    run[j] = (int(vals[p]), (a0 + p // len(CW), p % len(CW)))
-        for v, r in zip(vs, run):
-            best[v, w] = r
+            bits[np.arange(n), w0 + sids // 64] = np.uint64(1) << (sids % 64).astype(np.uint64)
+        # word c of v's words holds v's sets 64 c .. 64 c + 63; base[c] is
+        # the place of the first of them in the diagonal of all the tables
+        diag = np.concatenate([M.diagonal() for _, _, M in tables])
+        owner = np.repeat(np.arange(J), np.diff(words))
+        place = np.min_scalar_type(len(diag) + 64)
+        base = (np.cumsum([0] + sizes)[owner]
+                + 64 * (np.arange(words[-1]) - words[owner])).astype(place)
+        heads, count_t = words[:-1], np.min_scalar_type(max(sizes))
+        top, wit = np.zeros(J, dtype=np.int64), [None] * J
+        for a0, (gap, mask) in CW.interval_reduce(np.arange(n), [(to_rho, np.minimum),
+                                                                 (bits, np.bitwise_or)]):
+            ones = np.bitwise_count(mask)
+            single = np.add.reduceat(ones, heads, axis=2, dtype=count_t) == 1
+            # a word less one has as many ones as the index of its lowest
+            # bit, and 64 if the word is 0, which & 63 clears (taken in place
+            # and undone: no uint64 temporary the size of mask). With the
+            # base of each word that holds a set, the sum over v's words is
+            # the place of a lone set; only a single-set pair's sum is a
+            # place, clip keeps the others in range, and their values are
+            # measured below or stay at most their gap
+            mask -= np.uint64(1)
+            ones = ones * base + (np.bitwise_count(mask) & 63)
+            mask += np.uint64(1)
+            at = np.add.reduceat(ones, heads, axis=2, dtype=place)
+            vals = np.minimum(gap, diag.take(at, mode="clip"))
+            vals, gap = vals.reshape(-1, J), gap.reshape(-1, J)
+            multi = ~single.reshape(-1, J) & (gap > top)
+            for j in np.flatnonzero(multi.any(axis=0)).tolist():
+                rows = np.flatnonzero(multi[:, j])
+                masks = mask.reshape(len(vals), -1)[rows, words[j]:words[j + 1]]
+                vals[rows, j] = np.minimum(gap[rows, j], _mask_diams(masks, tables[j][2]))
+            p = vals.argmax(axis=0)
+            got = vals[p, np.arange(J)]
+            for j in np.flatnonzero(got > top).tolist():
+                top[j], wit[j] = got[j], (a0 + int(p[j]) // n, int(p[j]) % n)
+            # drop this chunk's arrays before interval_reduce makes the next
+            del gap, mask, ones, single, at, vals, multi
+        for v, val, ab in zip(vs, top.tolist(), wit):
+            best[v, w] = (val, ab)
     e_bgi, witness = 0, None
     for v, w in pairs:
         val, ab = best[v, w]

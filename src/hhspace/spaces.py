@@ -24,10 +24,13 @@ labels. Each sort of labels takes a fresh ``sort_key()``, whose keys equal
 The dtype rule. A distance table is stored in ``dist_dtype(diam)``, the
 narrowest signed integer type that holds 2 * diam + 1: int8 up to diameter
 63, int16 up to 16383, and so on; ``from_matrix`` rejects an entry of
-2**62 or more, so int64 always suffices. The BFS kernels return int64 and
-the table is narrowed once, when a space stores it. Every table read from
-``dist`` keeps its type: the set diameters and set tables, block tables and
-rows of distances to a set. Under the rule:
+2**62 or more, so int64 always suffices. The BFS kernels fill a table of
+the stored type directly, as each knows the largest distance before it
+fills a cell (the tree kernel from a second search out of a deepest
+vertex, the bitset search from its last level), so a space stores that
+table without a copy and a build never holds an int64 n x n table. Every
+table read from ``dist`` keeps its type: the set diameters and set tables,
+block tables and rows of distances to a set. Under the rule:
 
 - the sum of two distances, and a distance plus one, stay exact in the
   table's type, and so do the interval tests d(a, x) + d(x, b) = d(a, b)
@@ -491,9 +494,10 @@ def _bfs_all_pairs(n, adj):
       an empty segment. As the graph is undirected, the row of x decoded
       from the planes is also the row of distances from x.
 
-    Both kernels fill dist in row chunks of about _CHUNK_CELLS cells, and
-    the bitset search gathers neighbour words in pieces of that size, so
-    they make no n x n temporary besides dist."""
+    Both kernels fill dist, in ``dist_dtype`` of the largest distance, in
+    row chunks of about _CHUNK_CELLS cells, and the bitset search gathers
+    neighbour words in pieces of that size, so they make no n x n temporary
+    besides dist."""
     dist = _tree_all_pairs(n, adj)
     return _bitset_all_pairs(n, adj) if dist is None else dist
 
@@ -502,23 +506,17 @@ def _tree_all_pairs(n, adj):
     """The closed form of _bfs_all_pairs, or None if the graph is no tree."""
     if sum(map(len, adj)) != 2 * (n - 1):
         return None
-    order, depth = [], [-1] * n
-    depth[0] = 0
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in adj[x]:
-            if depth[y] < 0:
-                depth[y] = depth[x] + 1
-                stack.append(y)
+    order, depth = _preorder(adj, 0)
     if len(order) < n:
         return None
+    # a deepest vertex from 0 ends a longest path of the tree, so the depths
+    # from it give the diameter, and so the dtype of dist
+    diam = max(_preorder(adj, depth.index(max(depth)))[1])
     o = np.array(order, dtype=np.int64)
     q = np.array(depth, dtype=np.int64)[o]
     pos = np.empty(n, dtype=np.int64)
     pos[o] = np.arange(n)
-    dist = np.empty((n, n), dtype=np.int64)
+    dist = np.empty((n, n), dtype=dist_dtype(diam))
     after = np.append(q[1:], n)
     cols = np.arange(n)
     step = max(1, _CHUNK_CELLS // n)
@@ -540,18 +538,28 @@ def _tree_all_pairs(n, adj):
     return dist
 
 
+def _preorder(adj, root):
+    """(order, depth): the stack-DFS preorder of the vertices reached from
+    root, and the depth of each vertex in that search, -1 if unreached."""
+    order, depth = [], [-1] * len(adj)
+    depth[root] = 0
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in adj[x]:
+            if depth[y] < 0:
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    return order, depth
+
+
 def _bitset_all_pairs(n, adj):
     """The bitset search of _bfs_all_pairs, for any graph."""
     deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-    dist = np.empty((n, n), dtype=np.int64)
     # only vertices of positive degree take part: reduceat over an empty
     # segment would return the next element, not the identity
     live = np.flatnonzero(deg)
-    lone = np.flatnonzero(deg == 0)
-    dist[lone] = -1
-    dist[lone, lone] = 0
-    if not len(live):
-        return dist
     words = (n + 63) // 64
     slot = np.cumsum(deg > 0) - 1
     nbr = slot[np.fromiter(chain.from_iterable(adj), dtype=np.int64,
@@ -587,13 +595,18 @@ def _bitset_all_pairs(n, adj):
         for b, plane in enumerate(planes):
             if level >> b & 1:
                 plane |= G
+    # the last level that reached a vertex is the largest distance
+    dist = np.empty((n, n), dtype=dist_dtype(level - 1))
+    lone = np.flatnonzero(deg == 0)
+    dist[lone] = -1
+    dist[lone, lone] = 0
     step = max(1, _CHUNK_CELLS // n)
     for r0 in range(0, len(live), step):
         rows = slice(r0, r0 + step)
         # unreached cells are 0 in every plane and 1 in nV
-        d = np.negative(_bits(nV[rows], n), dtype=np.int64)
+        d = np.negative(_bits(nV[rows], n), dtype=dist.dtype)
         for b, plane in enumerate(planes):
-            d |= np.left_shift(_bits(plane[rows], n), b, dtype=np.int64)
+            d |= np.left_shift(_bits(plane[rows], n), b, dtype=dist.dtype)
         dist[live[rows]] = d
     return dist
 

@@ -15,6 +15,9 @@ from hhspace.spaces import FiniteSpace
 from hhspace.graphproduct import ProductSpec
 
 
+ORTH = (("V", ("l", "S1")), ("l", "S1"))
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -285,6 +288,26 @@ def test_distance_table_entry_of_two_to_the_62_is_schema_error(tmp_path, capsys)
     assert run(["audit", path]) == 2
     err = capsys.readouterr().err
     assert "schema error" in err and "is not below 2**62" in err
+
+
+@pytest.mark.parametrize("key", ["rho_sets", "rho_maps"])
+def test_rho_data_on_a_pair_without_relative_projection_fails_structure(tmp_path, key):
+    # (V, (l, S1)) is orthogonal to (l, S1): the file loads, and the audit
+    # fails its structure entry with the pair as the witness
+    doc = serialize.model_to_json(fixture_b_product())
+    a, b = serialize._thaw(ORTH)
+    hyp = {json.dumps(U): sp["vertices"] for U, sp in doc["hyp"]}
+    on_b, on_a = hyp[json.dumps(b)], hyp[json.dumps(a)]
+    doc[key].append([a, b, on_b[:2] if key == "rho_sets" else
+                     {"images": [[p, on_a[:1]] for p in on_b]}])
+    path = tmp_path / "extra.json"
+    path.write_text(serialize.dumps(doc))
+    assert run(["--out", tmp_path, "audit", path]) == 1
+    entry = json.loads((tmp_path / "audit.json").read_text())["entries"][0]
+    assert entry["name"] == "structure" and not entry["ok"]
+    rule = "unexpected-rho-set" if key == "rho_sets" else "unexpected-rho-map"
+    (w,) = entry["witnesses"]
+    assert w.startswith("Violation(rule=%r, witness=%r" % (rule, ORTH))
 
 
 def test_missing_relation_is_schema_error(tmp_path):

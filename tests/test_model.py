@@ -156,6 +156,52 @@ def test_gate_map_has_no_guard(grid):
         gate(grid, diag, (4, 0))
 
 
+def _gate_map_reference(model, target):
+    """The per-set loop the grouped reductions replaced."""
+    target = frozenset(target)
+    t_idx = np.sort(model.space.idx(list(target)))
+    worst = np.zeros((len(t_idx), len(model.space)), dtype=np.int64)
+    for U in model.elements:
+        m = model.proj[U]
+        A = m.codomain.ordered(m.image_of_set(target))
+        A_idx = m.codomain.idx(A)
+        gaps = m.per_set(A, np.minimum)
+        closest = gaps == gaps.min(axis=1, keepdims=True)
+        far = m.dset_points(A)[m.sids[t_idx]]
+        col = np.empty((len(t_idx), len(m.sets)), dtype=np.int64)
+        for a, near in enumerate(closest):
+            pts = A_idx[near]
+            diam = m.codomain.dist[pts[:, None], pts].max()
+            col[:, a] = np.maximum(far[:, near].max(axis=1), diam)
+        np.maximum(worst, col[:, m.sids], out=worst)
+    return t_idx[worst.argmin(axis=0)]
+
+
+def _assert_gate_map_matches(m, target):
+    g = gate_map(m, target)
+    want = [m.space.vertices[t] for t in _gate_map_reference(m, target)]
+    assert [g(x) for x in m.space.vertices] == [frozenset([t]) for t in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gate_map_matches_reference_on_random_models(data):
+    m = data.draw(st.one_of(nested_pairs(), bgi_models()))
+    target = data.draw(st.frozensets(st.sampled_from(m.space.vertices), min_size=1))
+    _assert_gate_map_matches(m, target)
+
+
+@pytest.mark.parametrize("r", range(2, 13))
+def test_gate_map_matches_reference_on_hagen(r):
+    # the two targets the embedding probe gates onto
+    e = fixtures.hagen(r)
+    tgt, image = e.target, e.space_map.image()
+    s_img = e.index_map(e.source.lattice.maximal)
+    region = product_region(tgt, s_img, max(1.0, *tgt.basics())).F
+    for target in (image, region or [min(image, key=tgt.space.index.__getitem__)]):
+        _assert_gate_map_matches(tgt, target)
+
+
 def test_hq_check(grid):
     assert hq_check(grid, grid.space.vertices).passed
     assert hq_check(grid, [(i, 0) for i in range(5)]).passed
@@ -395,13 +441,9 @@ def _audit_bgi_reference(model):
             on = D[a][None, :] + D == D[a][:, None]   # on[b, v]: v on a geodesic a..b
             gapv = np.where(on, to_rho[None, :], np.iinfo(np.int64).max).min(axis=1)
             present = (on @ sidmask.T) > 0            # present[b, s]
-            diam = np.zeros(len(CW), dtype=np.int64)
-            for s in range(k):
-                for t in range(s, k):
-                    if M2[s, t] > 0:
-                        both = present[:, s] & present[:, t]
-                        if both.any():
-                            diam[both] = np.maximum(diam[both], M2[s, t])
+            # diam[b]: the largest M2[s, t] over the sets s, t both present
+            both = present[:, :, None] & present[:, None, :]
+            diam = np.where(both, M2, 0).max(axis=(1, 2)).astype(np.int64)
             vals = np.minimum(gapv, diam)
             m = int(vals.max())
             if m > e_bgi:
@@ -467,6 +509,10 @@ def _bgi_model(hyp, top, nested, rho_set, rho_map):
     return HHSModel(hyp[top], lat, hyp, proj, rho_set, rho_map, name="bgi")
 
 
+def _subsets(C, most):
+    return st.frozensets(st.sampled_from(C.vertices), min_size=1, max_size=most)
+
+
 @st.composite
 def bgi_models(draw):
     """One to three elements V0.. under W, and W under T when drawn:
@@ -478,10 +524,8 @@ def bgi_models(draw):
     nested = [(v, "W") for v in vs] + [("W", "T")] * (len(tops) - 1)
     pairs = IndexLattice(list(hyp), tops[-1], nested_pairs=nested).nest_pairs()
 
-    def subsets(C, most):
-        return st.frozensets(st.sampled_from(C.vertices), min_size=1, max_size=most)
-    rho_set = {(v, w): draw(subsets(hyp[w], 3)) for v, w in pairs}
-    rho_map = {(v, w): CoarseMap(hyp[w], hyp[v], {p: draw(subsets(hyp[v], 2))
+    rho_set = {(v, w): draw(_subsets(hyp[w], 3)) for v, w in pairs}
+    rho_map = {(v, w): CoarseMap(hyp[w], hyp[v], {p: draw(_subsets(hyp[v], 2))
                                                   for p in hyp[w].vertices})
                for v, w in pairs}
     return _bgi_model(hyp, tops[-1], nested, rho_set, rho_map)
@@ -549,6 +593,100 @@ def test_audit_bgi_long_path_with_two_mask_words():
     m = _bgi_model({"V": P, "W": P}, "W", [("V", "W")], {("V", "W"): {0}},
                    {("V", "W"): CoarseMap.identity(P)})
     assert _audit_bgi(m) == _audit_bgi_reference(m) == (32, ("V", "W", 32, 64))
+
+
+@st.composite
+def wide_bgi_models(draw):
+    """V0 and V1 under W, where C_W is a path of 66 to 80 points with a few
+    chords, cut into 65 or more runs, and rho(V0, W) sends each run to its
+    own set of one or two points of C_V0: so V0's sets take two mask words,
+    set 63 and a set of the second word are in use, and (b, b) and every
+    interval inside a run have a single image set. V1 is drawn as in
+    bgi_models, one word of sets after V0's two."""
+    n = draw(st.integers(66, 80))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=4))
+    CW = FiniteSpace(range(n), [(i, i + 1) for i in range(n - 1)] + chords)
+    # 13 + 78 sets of one or two points, one for each of up to 80 runs
+    CV0, CV1 = path_graph(13), draw(metric_spaces(max_n=5))
+    pool = [(p,) for p in range(13)] + list(itertools.combinations(range(13), 2))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=64)))
+    sets = draw(st.permutations(pool))
+    run = np.searchsorted(cuts, np.arange(n), side="right")
+    hyp = {"V0": CV0, "V1": CV1, "W": CW}
+    nested = [("V0", "W"), ("V1", "W")]
+
+    rho_set = {pair: draw(_subsets(CW, 3)) for pair in nested}
+    rho_map = {("V0", "W"): CoarseMap.from_ids(CW, CV0, run, sets),
+               ("V1", "W"): CoarseMap(CW, CV1, {p: draw(_subsets(CV1, 2))
+                                                 for p in CW.vertices})}
+    assert len(rho_map[("V0", "W")].sets) == len(cuts) + 1 > 64
+    return _bgi_model(hyp, "W", nested, rho_set, rho_map)
+
+
+@settings(max_examples=20, deadline=None)
+@given(wide_bgi_models())
+def test_audit_bgi_matches_reference_past_one_mask_word(m):
+    assert _audit_bgi(m) == _audit_bgi_reference(m)
+
+
+@pytest.mark.parametrize("q", [63, 64, 65, 69])
+def test_audit_bgi_single_set_witness_at_each_bit(q):
+    # the identity map of a 70-point path, but for the point q, which goes
+    # to the two ends of C_V: set q, bit q % 64 of word q // 64, has
+    # diameter 79, so (q, q) scores min(q, 79) = q with the rho set at 0;
+    # an earlier row scores at most a, and a later one at most 69 - a
+    P, CV = path_graph(70), path_graph(80)
+    down = CoarseMap.from_ids(P, CV, None, [(p,) if p != q else (0, 79) for p in range(70)])
+    m = _bgi_model({"V": CV, "W": P}, "W", [("V", "W")], {("V", "W"): {0}},
+                   {("V", "W"): down})
+    assert down.sids[q] == q
+    assert _audit_bgi(m) == _audit_bgi_reference(m) == (q, ("V", "W", q, q))
+
+
+def test_mask_diams_measures_only_multi_set_pairs_above_the_running_best(raag_window):
+    # every interval image of the hagen family is a single set
+    with mock.patch.object(model_module, "_mask_diams",
+                           side_effect=AssertionError("a mask was measured")):
+        for r in range(2, 13):
+            _audit_bgi(fixtures.hagen(r).target)
+    # on the raag window: replay each chunk that interval_reduce yields and
+    # check that _mask_diams gets exactly the rows of each v that hold two
+    # or more sets and whose gap is above v's best over the chunks before
+    m, chunks, calls = raag_window, [], []
+    reduce, measure = FiniteSpace.interval_reduce, model_module._mask_diams
+
+    def spy_reduce(space, rows, columns):
+        for r0, outs in reduce(space, rows, columns):
+            chunks.append((r0, [o.copy() for o in outs]))
+            yield r0, outs
+
+    def spy_measure(masks, M):
+        calls.append((len(chunks) - 1, masks.copy()))
+        return measure(masks, M)
+    with mock.patch.object(FiniteSpace, "interval_reduce", spy_reduce), \
+            mock.patch.object(model_module, "_mask_diams", spy_measure):
+        assert _audit_bgi(m) == _audit_bgi_reference(m)
+    pairs = m.lattice.nest_pairs()
+    passes = iter(dict.fromkeys(w for _, w in pairs))
+    want = []
+    for c, (r0, (gap, mask)) in enumerate(chunks):
+        if r0 == 0:
+            w = next(passes)
+            Ms = [m.rho_map[(v, w)].set_table()[2] for v, w2 in pairs if w2 == w]
+            words = np.cumsum([0] + [(len(M) + 63) // 64 for M in Ms])
+            top = [0] * len(Ms)
+        for j, M in enumerate(Ms):
+            masks = mask[:, :, words[j]:words[j + 1]].reshape(-1, words[j + 1] - words[j])
+            g = gap[:, :, j].reshape(-1)
+            multi = np.bitwise_count(masks).sum(axis=1) > 1
+            if (multi & (g > top[j])).any():
+                want.append((c, masks[multi & (g > top[j])]))
+            top[j] = max(top[j], int(np.minimum(g, measure(masks, M)).max()))
+    assert next(passes, None) is None and want
+    assert len(calls) == len(want)
+    for (c, got), (c2, rows) in zip(calls, want):
+        assert c == c2 and np.array_equal(got, rows)
 
 
 def test_audit_bgi_allocates_chunks_not_squares():
@@ -885,6 +1023,20 @@ def _validate_structure_reference(m):
                     rep.add("missing-rho-set", (a, b), "nested pair")
                 if (a, b) not in m.rho_map:
                     rep.add("missing-rho-map", (a, b), "nested pair")
+    E = list(lat.elements)
+
+    def position(key):
+        return tuple(E.index(e) if e in E else len(E) for e in key)
+
+    def nested(a, b):
+        return a in E and b in E and a != b and lat.rel(a, b) == "nested" \
+            and lat.properly_nested(a, b)
+    for key in sorted(m.rho_set, key=position):
+        if not (nested(*key) or (set(key) <= set(E) and lat.rel(*key) == "trans")):
+            rep.add("unexpected-rho-set", key, "no relative projection")
+    for key in sorted(m.rho_map, key=position):
+        if not nested(*key):
+            rep.add("unexpected-rho-map", key, "not a properly nested pair")
     for (a, b), S in m.rho_set.items():
         CB = m.hyp.get(b)
         if CB is not None and any(p not in CB for p in S):
@@ -919,6 +1071,13 @@ def test_validate_structure_matches_the_pair_loop(rho_model):
     for key in (nested, (E[i], E[j]), (E[j], E[i])):
         variants.append(({k: S for k, S in m.rho_set.items() if k != key}, m.rho_map))
     variants.append((m.rho_set, {k: f for k, f in m.rho_map.items() if k != nested}))
+    # rho data on pairs without a relative projection, a label outside the
+    # lattice among them, each added in reverse position order
+    orth = tuple(E[x] for x in np.argwhere(lat.orth)[0].tolist())
+    extra = [orth, nested[::-1], (E[0], "zzz"), ("zzz", E[0])]
+    S, f = m.rho_set[nested], m.rho_map[nested]
+    variants.append(({**m.rho_set, **{k: S for k in reversed(extra)}}, m.rho_map))
+    variants.append((m.rho_set, {**m.rho_map, **{k: f for k in reversed(extra + [(E[i], E[j])])}}))
     for rho_set, rho_map in variants:
         v = HHSModel(m.space, lat, m.hyp, m.proj, rho_set, rho_map, name=m.name)
         got, want = v.validate_structure(), _validate_structure_reference(v)

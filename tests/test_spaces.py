@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hhspace import spaces
 from hhspace.fixtures import hagen_target
 from hhspace.spaces import (CoarseMap, FiniteSpace, _bfs_all_pairs,
-                            coarse_map_constants, cone_off, cycle_graph,
+                            coarse_map_constants, cone_off, cycle_graph, dist_dtype,
                             four_point_delta, path_graph, product_graph,
                             qi_constants, single_point, sort_key, vkey)
 
@@ -658,7 +658,7 @@ def test_bfs_matches_reference(case):
     for cells in (spaces._CHUNK_CELLS, 7):
         with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
             dist = _bfs_all_pairs(n, adj)
-        assert dist.dtype == ref.dtype and (dist == ref).all()
+        assert dist.dtype == dist_dtype(int(ref.max())) and (dist == ref).all()
     if (ref < 0).any():
         with pytest.raises(ValueError):
             FiniteSpace(range(n), [(a, b) for a in range(n) for b in adj[a]])
@@ -679,6 +679,19 @@ def test_bfs_named_graphs(monkeypatch):
     assert (_bfs_all_pairs(12, complete) == 1 - np.eye(12, dtype=np.int64)).all()
 
 
+@pytest.mark.parametrize("make", [lambda: path_graph(40), lambda: path_graph(64),
+                                  lambda: cycle_graph(127), lambda: cycle_graph(128),
+                                  lambda: product_graph(path_graph(5), cycle_graph(6))])
+def test_space_stores_the_kernel_table_without_a_copy(make):
+    # a path from an end vertex has depth bound 2 * 39 > 63 but diameter 39,
+    # so int8; diameters 63 and 64 sit on both sides of the int8 bound
+    made = []
+    with mock.patch.object(spaces, "_bfs_all_pairs",
+                           side_effect=lambda *a: made.append(_bfs_all_pairs(*a)) or made[-1]):
+        g = make()
+    assert g.dist is made[-1] and g.dist.dtype == dist_dtype(g.diam())
+
+
 def _both_budgets(n, adj):
     """_bfs_all_pairs at the default chunk budget and at one cell a chunk,
     checked equal to the reference."""
@@ -686,7 +699,7 @@ def _both_budgets(n, adj):
     for cells in (spaces._CHUNK_CELLS, 1):
         with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
             dist = _bfs_all_pairs(n, adj)
-        assert dist.dtype == np.int64 and (dist == ref).all()
+        assert dist.dtype == dist_dtype(int(ref.max())) and (dist == ref).all()
     return ref
 
 
