@@ -20,10 +20,11 @@ Layout:
   serialize     JSON schemas and DOT export
   cli           the batch front door
 
-Models are immutable after construction; model-level scan tables fill
-on first use. Audits decompose into independent read-only passes per
-axiom and reports are assembled in sorted order, so results are
-deterministic.
+Models, their spaces and their maps are frozen at construction (read-only
+mappings and arrays), so the report of HHSModel.validate_structure, the
+one door, and the model-level scan tables fill on first use and stay
+valid. Audits decompose into independent read-only passes per axiom and
+reports are assembled in sorted order, so results are deterministic.
 """
 
 from .embedding import Embedding, clipped_sum_compare, probe_embedding, verify_embedding

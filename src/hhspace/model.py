@@ -15,6 +15,7 @@ projection sets; distances from a point to a subspace use the min-gap.
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -121,27 +122,29 @@ class HHSModel:
     model of B; it must exist exactly when A is properly nested in B or A
     and B are transverse. rho_map[(V, W)] is the downward coarse map from
     the model of W to the model of V, exactly for V properly nested in W.
-    validate_structure reports a missing key and an unexpected one.
+    validate_structure is the door: it reports a missing key, an unexpected
+    one, a map not between the model's own spaces, and an empty marker.
 
-    A model is not changed after construction: xi() and basics() keep
-    their first result, and dist_to_set_array keeps each row it computes,
-    so a changed space, lattice, projection or rho datum would be read
-    against stale values. A variant of a model (a planted defect, a
-    restriction) is built as a new HHSModel.
+    hyp, proj, rho_set and rho_map are read-only copies, and the distance
+    tables of the spaces and the set ids of the maps are read-only arrays,
+    so a variant of a model (a planted defect, a restriction) is built as
+    a new HHSModel. The door's report, xi(), basics(), pair_matrix and the
+    rows of dist_to_set_array are computed once per model and rely on that.
     """
 
     def __init__(self, space, lattice, hyp, proj, rho_set=None, rho_map=None, name=""):
         self.space = space
         self.lattice = lattice
-        self.hyp = dict(hyp)
-        self.proj = dict(proj)
-        self.rho_set = {k: frozenset(v) for k, v in (rho_set or {}).items()}
-        self.rho_map = dict(rho_map or {})
+        self.hyp = MappingProxyType(dict(hyp))
+        self.proj = MappingProxyType(dict(proj))
+        self.rho_set = MappingProxyType({k: frozenset(v) for k, v in (rho_set or {}).items()})
+        self.rho_map = MappingProxyType(dict(rho_map or {}))
         self.name = name
         self._pair = {}
         self._rows = {}
         self._xi = None
         self._basics = None
+        self._door = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -261,39 +264,56 @@ class HHSModel:
     # -- structure ---------------------------------------------------------
 
     def validate_structure(self):
+        """The door, computed once per model: each rule lists its misses in
+        position order, with the key as witness."""
+        if self._door is not None:
+            return self._door
         rep = ValidationReport("model:%s" % self.name)
-        lat = self.lattice
+        lat, hyp = self.lattice, self.hyp.get
         for U in lat.elements:
             if U not in self.hyp:
                 rep.add("missing-hyp", (U,))
-            if U not in self.proj:
+            f = self.proj.get(U)
+            if f is None:
                 rep.add("missing-projection", (U,))
+            elif f.domain is not self.space or f.codomain is not hyp(U):
+                rep.add("projection-ends", (U,), "not from the space to hyp[U]")
         for i, j in np.argwhere(lat.rho).tolist():
             a, b = lat.elements[i], lat.elements[j]
             if lat.lt[i, j]:
                 if (a, b) not in self.rho_set:
                     rep.add("missing-rho-set", (a, b), "nested pair")
-                if (a, b) not in self.rho_map:
+                elif not self.rho_set[(a, b)]:
+                    rep.add("empty-rho-set", (a, b))
+                r = self.rho_map.get((a, b))
+                if r is None:
                     rep.add("missing-rho-map", (a, b), "nested pair")
+                elif r.domain is not hyp(b) or r.codomain is not hyp(a):
+                    rep.add("rho-map-ends", (a, b), "not from hyp[b] to hyp[a]")
             elif i < j:     # a transverse pair, both orders at once
                 for (p, q) in ((a, b), (b, a)):
                     if (p, q) not in self.rho_set:
                         rep.add("missing-rho-set", (p, q), "transverse pair")
-        # rho data on a pair that carries no relative projection; a label
-        # outside the lattice takes position k, after every element
+                    elif not self.rho_set[(p, q)]:
+                        rep.add("empty-rho-set", (p, q))
+        # a key outside the elements or their relations; a label outside the
+        # lattice takes position k, after every element
         k = len(lat.elements)
+        every = np.ones(k, dtype=bool)
         for rule, keys, table, why in (
+                ("unexpected-hyp", [(U,) for U in self.hyp], every, "not an element"),
+                ("unexpected-projection", [(U,) for U in self.proj], every, "not an element"),
                 ("unexpected-rho-set", self.rho_set, lat.rho, "no relative projection"),
                 ("unexpected-rho-map", self.rho_map, lat.lt, "not a properly nested pair")):
             at = {key: tuple(lat.pos.get(e, k) for e in key) for key in keys}
             for key in sorted(keys, key=at.__getitem__):
-                i, j = at[key]
-                if k in (i, j) or not table[i, j]:
+                if k in at[key] or not table[at[key]]:
                     rep.add(rule, key, why)
         for (a, b), S in self.rho_set.items():
-            CB = self.hyp.get(b)
+            CB = hyp(b)
             if CB is not None and any(p not in CB for p in S):
                 rep.add("rho-set-outside-model", (a, b))
+        self._door = rep
         return rep
 
 

@@ -137,8 +137,8 @@ def dist_dtype(diam):
 
 class FiniteSpace:
     """A finite connected metric space with integer distances: ``dist`` is
-    the n x n table over vertex indices, in ``dist_dtype`` of the space's
-    diameter."""
+    the read-only n x n table over vertex indices, in ``dist_dtype`` of the
+    space's diameter."""
 
     def __init__(self, vertices, edges=None, dist=None, name=""):
         """A graph (``edges`` between labels) or a metric table ``dist``
@@ -155,6 +155,7 @@ class FiniteSpace:
         if perm != list(range(len(perm))):
             perm = np.array(perm)
             self.dist = self.dist[perm[:, None], perm]
+            self.dist.flags.writeable = False
 
     @classmethod
     def _in_order(cls, vertices, edges=None, dist=None, name=""):
@@ -166,8 +167,8 @@ class FiniteSpace:
 
     def _store(self, vertices, edges, dist, name):
         """Keep the labels in the given order, and the table, whose rows
-        follow that order, or the graph's BFS metric, in the dtype of its
-        diameter; a table already in that dtype is kept, not copied."""
+        follow that order, or the graph's BFS metric, read-only in the dtype
+        of its diameter; a table already in that dtype is kept, not copied."""
         self.name = name
         self.vertices = vertices
         self.index = {v: i for i, v in enumerate(vertices)}
@@ -195,6 +196,7 @@ class FiniteSpace:
             if (dist < 0).any():
                 raise ValueError("graph is not connected")
         self.dist = dist.astype(dist_dtype(int(dist.max())), copy=False)
+        self.dist.flags.writeable = False
 
     @classmethod
     def from_matrix(cls, vertices, table, name=""):
@@ -705,8 +707,8 @@ class CoarseMap:
     """Set-valued map between FiniteSpaces with bounded point images, stored
     as its image-set table: ``sets``, the distinct image sets (frozensets of
     codomain labels) in order of first appearance over the domain vertices,
-    and ``sids``, each domain vertex's set id. The constructor takes images
-    by domain label (files, hand-made maps); maps built from maps use ids."""
+    and the read-only ``sids``, each domain vertex's set id. The constructor
+    takes images by domain label (files, hand-made maps); maps from maps use ids."""
 
     def __init__(self, domain, codomain, images, name=""):
         self._build(domain, codomain, None, [images[v] for v in domain.vertices], name)
@@ -737,6 +739,7 @@ class CoarseMap:
             renum = np.zeros(len(sets), dtype=np.int64)
             renum[live] = list(map(pos.__getitem__, imgs))
             self.sids = renum[ids]
+        self.sids.flags.writeable = False
         self._image = frozenset().union(*self.sets)
         if not (all(self.sets) and codomain.index.keys() >= self._image):
             s = next(s for s, A in enumerate(self.sets) if not (A and codomain.index.keys() >= A))

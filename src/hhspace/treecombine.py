@@ -434,38 +434,33 @@ def _image_tables(m):
 
 def model_key(m):
     """The label-free structure of a model in index order, as (sizes,
-    tables), or None when a map or rho set reaches outside its space.
+    tables), or None when the model fails its door (validate_structure),
+    so that it is a class of its own; past the door no lookup below misses.
 
     The key holds the distance tables of the space and of every hyperbolic
     model, the lattice relations by position, the image sets of every
     projection and rho map, and every rho set as an index list. sizes holds
-    the sizes, the relations, the rho keys by position and whether each map
-    runs between the model's own spaces. Models with equal keys are one
-    model up to relabelling; the key refers to the model's tables and copies
-    none."""
+    the sizes, the relations and the rho keys by position. Models with equal
+    keys are one model up to relabelling; the key refers to the model's
+    tables and copies none."""
+    if not m.validate_structure().ok:
+        return None
     lat, space, hyp = m.lattice, m.space, m.hyp
     pos = lat.pos
-    try:
-        hyps = [hyp[U] for U in lat.elements]
-        proj = [m.proj[U] for U in lat.elements]
-        rho_sets = sorted(((pos[a], pos[b]), np.sort(hyp[b].idx(list(S))))
-                          for (a, b), S in m.rho_set.items())
-        rho_maps = sorted(((pos[v], pos[w]), r,
-                           r.domain is hyp[w] and r.codomain is hyp[v])
-                          for (v, w), r in m.rho_map.items())
-        sizes = (len(space), lat.relations_by_position(),
-                 tuple(len(C) for C in hyps),
-                 tuple(len(p.sets) for p in proj),
-                 tuple(p.domain is space and p.codomain is C
-                       for p, C in zip(proj, hyps)),
-                 tuple((k, len(S)) for k, S in rho_sets),
-                 tuple((k, len(r.sets), own) for k, r, own in rho_maps))
-    except KeyError:
-        return None
+    hyps = [hyp[U] for U in lat.elements]
+    proj = [m.proj[U] for U in lat.elements]
+    rho_sets = sorted(((pos[a], pos[b]), np.sort(hyp[b].idx(list(S))))
+                      for (a, b), S in m.rho_set.items())
+    rho_maps = sorted(((pos[v], pos[w]), r) for (v, w), r in m.rho_map.items())
+    sizes = (len(space), lat.relations_by_position(),
+             tuple(len(C) for C in hyps),
+             tuple(len(p.sets) for p in proj),
+             tuple((k, len(S)) for k, S in rho_sets),
+             tuple((k, len(r.sets)) for k, r in rho_maps))
     return sizes, (space.dist, *(C.dist for C in hyps),
                    *chain.from_iterable(map(_image_tables, proj)),
                    *(S for _, S in rho_sets),
-                   *chain.from_iterable(_image_tables(r) for _, r, _ in rho_maps))
+                   *chain.from_iterable(_image_tables(r) for _, r in rho_maps))
 
 
 def embedding_key(emb, models):

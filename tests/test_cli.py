@@ -11,7 +11,7 @@ from hhspace.cli import main
 from hhspace.fixtures import (bs_window, factor_inclusion, fixture_b_product,
                               free_product_z2_z3, grid_product, raag_path)
 from hhspace.model import trivial_model
-from hhspace.spaces import FiniteSpace
+from hhspace.spaces import FiniteSpace, single_point
 from hhspace.graphproduct import ProductSpec
 
 
@@ -308,6 +308,34 @@ def test_rho_data_on_a_pair_without_relative_projection_fails_structure(tmp_path
     rule = "unexpected-rho-set" if key == "rho_sets" else "unexpected-rho-map"
     (w,) = entry["witnesses"]
     assert w.startswith("Violation(rule=%r, witness=%r" % (rule, ORTH))
+
+
+def _extra_hyp(doc):
+    """A one-point model and its projection for the label "ghost"."""
+    doc["hyp"].append(["ghost", serialize.space_to_json(single_point())])
+    doc["proj"].append(["ghost", {"images": [[x, ["*"]] for x in doc["space"]["vertices"]]}])
+    return "unexpected-hyp", ("ghost",)
+
+
+def _empty_marker(doc):
+    """The marker of (l, S1) in S emptied."""
+    row = next(r for r in doc["rho_sets"] if r[:2] == [["l", "S1"], ["S"]])
+    row[2] = []
+    return "empty-rho-set", (("l", "S1"), ("S",))
+
+
+@pytest.mark.parametrize("edit", [_extra_hyp, _empty_marker], ids=["extra-hyp", "empty-marker"])
+def test_a_model_file_that_fails_the_door_fails_structure(tmp_path, edit):
+    # the file loads, and the audit fails its structure entry, with the key
+    # as the witness of its first violation
+    doc = serialize.model_to_json(fixture_b_product())
+    rule, key = edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(doc))
+    assert run(["--out", tmp_path, "audit", path]) == 1
+    entry = json.loads((tmp_path / "audit.json").read_text())["entries"][0]
+    assert entry["name"] == "structure" and not entry["ok"]
+    assert entry["witnesses"][0].startswith("Violation(rule=%r, witness=%r" % (rule, key))
 
 
 def test_missing_relation_is_schema_error(tmp_path):

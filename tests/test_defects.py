@@ -12,7 +12,7 @@ import pytest
 from hhspace.fixtures import fixture_b_product, raag_path
 from hhspace.lattice import IndexLattice
 from hhspace.model import HHSModel, audit_axioms
-from hhspace.spaces import CoarseMap, FiniteSpace, path_graph
+from hhspace.spaces import CoarseMap, FiniteSpace, path_graph, single_point
 from hhspace.treecombine import ConedTree, audit_combined, build_combined
 from test_treecombine import grid_chain
 
@@ -73,6 +73,44 @@ def extra_rho_map(m):
     return _with_rho(m, rho_map={ORTH: down}), ORTH
 
 
+# a nested pair and an element of fixture B that the door rows below plant
+# data on
+NESTED, LEAF = (("l", "S1"), ("S",)), ("l", "S1")
+
+
+def _equal_copy(space):
+    """The same labels and table in another space object."""
+    return FiniteSpace(space.vertices, dist=space.dist)
+
+
+def _into_copy(f):
+    return CoarseMap.from_ids(f.domain, _equal_copy(f.codomain), f.sids, f.sets, name=f.name)
+
+
+def foreign_projection(m):
+    """The projection to LEAF into an equal copy of its hyperbolic model."""
+    proj = {**m.proj, LEAF: _into_copy(m.proj[LEAF])}
+    return HHSModel(m.space, m.lattice, m.hyp, proj, m.rho_set, m.rho_map, name=m.name), (LEAF,)
+
+
+def extra_hyp(m):
+    """A hyperbolic model and a projection for a label outside the lattice."""
+    C = single_point()
+    hyp = {**m.hyp, "ghost": C}
+    proj = {**m.proj, "ghost": CoarseMap.constant(m.space, C, C.vertices)}
+    return HHSModel(m.space, m.lattice, hyp, proj, m.rho_set, m.rho_map, name=m.name), ("ghost",)
+
+
+def rho_map_into_copy(m):
+    """The downward map of NESTED into an equal copy of its target model."""
+    return _with_rho(m, rho_map={NESTED: _into_copy(m.rho_map[NESTED])}), NESTED
+
+
+def empty_rho_set(m):
+    """The marker of NESTED emptied."""
+    return _with_rho(m, rho_set={NESTED: ()}), NESTED
+
+
 DEFECTS = {
     "far-side-moved-projection": (lambda: build_combined(grid_chain()),
                                   far_side_moved_projection, audit_combined,
@@ -81,6 +119,10 @@ DEFECTS = {
                                   coning_dropped_cone_point, audit_combined, "coning"),
     "extra-rho-marker": (fixture_b_product, extra_rho_marker, audit_axioms, "structure"),
     "extra-rho-map": (fixture_b_product, extra_rho_map, audit_axioms, "structure"),
+    "foreign-projection": (fixture_b_product, foreign_projection, audit_axioms, "structure"),
+    "extra-hyp": (fixture_b_product, extra_hyp, audit_axioms, "structure"),
+    "rho-map-into-copy": (fixture_b_product, rho_map_into_copy, audit_axioms, "structure"),
+    "empty-rho-set": (fixture_b_product, empty_rho_set, audit_axioms, "structure"),
 }
 
 

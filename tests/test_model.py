@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import hhspace
 from hhspace import fixtures, model as model_module, serialize, spaces, treecombine
+from hhspace.embedding import pullback_model
 from hhspace.fixtures import (bounded_factor_product, fixture_b_product, grid_product,
                               random_valid_lattice)
 from hhspace.lattice import IndexLattice, ValidationReport
@@ -27,6 +28,7 @@ from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceed
 from hhspace.spaces import (CoarseMap, FiniteSpace, cycle_graph, path_graph, product_graph,
                             single_point, vkey)
 from test_spaces import _traced_peak, connected_graphs, metric_spaces
+from test_treecombine import _combined_structures
 
 L1 = ("l", "S1")
 R2 = ("r", "S2")
@@ -1009,6 +1011,14 @@ def _validate_structure_reference(m):
             rep.add("missing-hyp", (U,))
         if U not in m.proj:
             rep.add("missing-projection", (U,))
+        elif m.proj[U].domain is not m.space or m.proj[U].codomain is not m.hyp.get(U):
+            rep.add("projection-ends", (U,), "not from the space to hyp[U]")
+
+    def marker(p, q, why):
+        if (p, q) not in m.rho_set:
+            rep.add("missing-rho-set", (p, q), why)
+        elif len(m.rho_set[(p, q)]) == 0:
+            rep.add("empty-rho-set", (p, q))
     for i, a in enumerate(lat.elements):
         for j, b in enumerate(lat.elements):
             if a == b:
@@ -1016,13 +1026,14 @@ def _validate_structure_reference(m):
             r = lat.rel(a, b)
             if r == "trans" and i < j:
                 for (p, q) in ((a, b), (b, a)):
-                    if (p, q) not in m.rho_set:
-                        rep.add("missing-rho-set", (p, q), "transverse pair")
+                    marker(p, q, "transverse pair")
             if r == "nested" and lat.properly_nested(a, b):
-                if (a, b) not in m.rho_set:
-                    rep.add("missing-rho-set", (a, b), "nested pair")
-                if (a, b) not in m.rho_map:
+                marker(a, b, "nested pair")
+                f = m.rho_map.get((a, b))
+                if f is None:
                     rep.add("missing-rho-map", (a, b), "nested pair")
+                elif not (f.domain is m.hyp.get(b) and f.codomain is m.hyp.get(a)):
+                    rep.add("rho-map-ends", (a, b), "not from hyp[b] to hyp[a]")
     E = list(lat.elements)
 
     def position(key):
@@ -1031,6 +1042,10 @@ def _validate_structure_reference(m):
     def nested(a, b):
         return a in E and b in E and a != b and lat.rel(a, b) == "nested" \
             and lat.properly_nested(a, b)
+    for rule, keys in (("unexpected-hyp", m.hyp), ("unexpected-projection", m.proj)):
+        for U in sorted(keys, key=lambda U: position((U,))):
+            if U not in E:
+                rep.add(rule, (U,), "not an element")
     for key in sorted(m.rho_set, key=position):
         if not (nested(*key) or (set(key) <= set(E) and lat.rel(*key) == "trans")):
             rep.add("unexpected-rho-set", key, "no relative projection")
@@ -1071,11 +1086,14 @@ def test_validate_structure_matches_the_pair_loop(rho_model):
     for key in (nested, (E[i], E[j]), (E[j], E[i])):
         variants.append(({k: S for k, S in m.rho_set.items() if k != key}, m.rho_map))
     variants.append((m.rho_set, {k: f for k, f in m.rho_map.items() if k != nested}))
+    variants.append(({**m.rho_set, nested: ()}, m.rho_map))
     # rho data on pairs without a relative projection, a label outside the
     # lattice among them, each added in reverse position order
     orth = tuple(E[x] for x in np.argwhere(lat.orth)[0].tolist())
     extra = [orth, nested[::-1], (E[0], "zzz"), ("zzz", E[0])]
     S, f = m.rho_set[nested], m.rho_map[nested]
+    variants.append((m.rho_set, {**m.rho_map, nested: CoarseMap.constant(
+        f.codomain, f.domain, f.domain.vertices[:1])}))     # the wrong way round
     variants.append(({**m.rho_set, **{k: S for k in reversed(extra)}}, m.rho_map))
     variants.append((m.rho_set, {**m.rho_map, **{k: f for k in reversed(extra + [(E[i], E[j])])}}))
     for rho_set, rho_map in variants:
@@ -1084,3 +1102,49 @@ def test_validate_structure_matches_the_pair_loop(rho_model):
         assert [(x.rule, x.witness, x.detail) for x in got.violations] == \
             [(x.rule, x.witness, x.detail) for x in want.violations]
         assert got.ok == (rho_set is m.rho_set and rho_map is m.rho_map)
+
+
+# -- the door: every builder's model passes it, and a model stays as built -----------
+
+
+def _library_models():
+    """Every model the library builds on the fixtures: the fixture models,
+    the pullbacks along factor_inclusion(1..3) and hagen(2..8), normalize
+    and concretize of the product fixtures, every vertex and edge model of
+    the decorated trees of raag_path(1), free_product_z2_z3(2) and
+    bs_window(2, 4) with each combined model, and a JSON round trip of each."""
+    products = [fixture_b_product(), grid_product(), bounded_factor_product()]
+    out = [*products, trivial_model(path_graph(4))]
+    for e in [*map(fixtures.factor_inclusion, range(1, 4)), *map(fixtures.hagen, range(2, 9))]:
+        out += [e.source, e.target, pullback_model(e)]
+    for m in products:
+        out += [normalize(m), concretize(m).model]
+    trees = [treecombine.decorate(fixtures.bs_window(2, 4))]
+    for build in (lambda: fixtures.raag_path(1), lambda: fixtures.free_product_z2_z3(2)):
+        for c in _combined_structures(build):
+            out.append(c.model)
+            trees.append(c.tree)
+    for t in trees:
+        out += [*t.vertex_models.values(), *t.edge_models.values()]
+    out = list({id(m): m for m in out}.values())
+    return out + [serialize.model_from_json(json.loads(serialize.dumps(
+        serialize.model_to_json(m)))) for m in out]
+
+
+def test_every_library_model_passes_the_door():
+    models = _library_models()
+    assert len(models) > 200
+    assert [(m.name, m.validate_structure().violations) for m in models
+            if not m.validate_structure().ok] == []
+
+
+def test_a_model_and_its_spaces_and_maps_are_read_only():
+    m = fixture_b_product()
+    U = m.elements[0]
+    for data, key in ((m.hyp, U), (m.proj, U), (m.rho_set, next(iter(m.rho_set))),
+                      (m.rho_map, next(iter(m.rho_map)))):
+        with pytest.raises(TypeError):
+            data[key] = data[key]
+    for array in (m.space.dist, m.hyp[L1].dist, m.proj[L1].sids, m.rho_map[(L1, ("S",))].sids):
+        with pytest.raises(ValueError):
+            array[0] = array[0]

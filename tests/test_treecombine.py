@@ -945,26 +945,51 @@ def _chain_model():
     return build_combined(point_edge_tree([path_graph(0, 1), cycle3()])).model
 
 
+def _rebuilt(m, space=None, hyp=(), lattice=None, proj=(), rho_set=(), rho_map=()):
+    """A new model: m with the given parts replaced, and every map moved
+    onto the new model's own spaces."""
+    X, H = space or m.space, {**m.hyp, **dict(hyp)}
+
+    def onto(f, domain, codomain):
+        return CoarseMap.from_ids(domain, codomain, f.sids, f.sets, name=f.name)
+    return HHSModel(X, lattice or m.lattice, H,
+                    {U: onto(f, X, H[U]) for U, f in {**m.proj, **dict(proj)}.items()},
+                    {**m.rho_set, **dict(rho_set)},
+                    {(v, w): onto(r, H[w], H[v])
+                     for (v, w), r in {**m.rho_map, **dict(rho_map)}.items()},
+                    name=m.name)
+
+
+def _bumped(space):
+    """A new space: space with the distance of its first two points one
+    more."""
+    dist = space.dist.copy()
+    dist[0, 1] += 1
+    dist[1, 0] += 1
+    return FiniteSpace(space.vertices, dist=dist)
+
+
 def _set_distance(m):
-    m.space.dist[0, 1] += 1
-    m.space.dist[1, 0] += 1
+    return _rebuilt(m, space=_bumped(m.space))
 
 
 def _set_hyperbolic_distance(m):
-    C = next(m.hyp[U] for U in m.elements if len(m.hyp[U]) > 1)
-    C.dist[0, 1] += 1
-    C.dist[1, 0] += 1
+    U = next(U for U in m.elements if len(m.hyp[U]) > 1)
+    return _rebuilt(m, hyp={U: _bumped(m.hyp[U])})
 
 
 def _drop_orthogonality(m):
+    """The first orthogonal pair made transverse, with the one-point
+    markers that the door then asks for."""
     lat = m.lattice
-    m.lattice = IndexLattice(lat.elements, lat.maximal, lat.nest_pairs(),
-                             lat.orth_pairs()[1:])
+    (a, b), *rest = lat.orth_pairs()
+    return _rebuilt(m, lattice=IndexLattice(lat.elements, lat.maximal, lat.nest_pairs(), rest),
+                    rho_set={(p, q): m.hyp[q].vertices[:1] for p, q in ((a, b), (b, a))})
 
 
 def _swap_projection_images(m):
     U = next(U for U in m.elements if _has_two_images(m.proj[U]))
-    m.proj[U] = _swapped_images(m.proj[U])
+    return _rebuilt(m, proj={U: _swapped_images(m.proj[U])})
 
 
 def _move_rho_set(m):
@@ -972,12 +997,12 @@ def _move_rho_set(m):
     S = set(m.rho_set[k])
     S.remove(min(S, key=m.hyp[k[1]].index.__getitem__))
     S.add(next(p for p in m.hyp[k[1]].vertices if p not in m.rho_set[k]))
-    m.rho_set[k] = frozenset(S)
+    return _rebuilt(m, rho_set={k: S})
 
 
 def _swap_rho_map_images(m):
     k = next(k for k, r in m.rho_map.items() if _has_two_images(r))
-    m.rho_map[k] = _swapped_images(m.rho_map[k])
+    return _rebuilt(m, rho_map={k: _swapped_images(m.rho_map[k])})
 
 
 MODEL_MUTANTS = {"distance entry": _set_distance,
@@ -1003,8 +1028,8 @@ def test_a_relabelled_copy_is_in_the_class_of_its_model():
 @pytest.mark.parametrize("field", MODEL_MUTANTS)
 def test_a_model_key_mutant_is_a_class_of_its_own(field):
     m = _chain_model()
-    mutant = _copied_model(m)
-    MODEL_MUTANTS[field](mutant)
+    mutant = MODEL_MUTANTS[field](_copied_model(m))
+    assert mutant.validate_structure().ok
     assert not _same_model_class(m, mutant)
 
 
