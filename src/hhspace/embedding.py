@@ -19,7 +19,7 @@ from .indexmaps import IndexMap, verify_fullness, verify_index_map
 from .lattice import ValidationReport
 from .model import (HHSModel, _audit_bgi, _clipped_class_sum, _least_grid_fit,
                     _linear_need, audit_axioms, gate_map, hq_check, product_region)
-from .spaces import CoarseMap, coarse_map_constants, qi_constants
+from .spaces import CoarseMap, coarse_map_constants, cross, qi_constants
 
 
 class NotFull(Exception):
@@ -111,13 +111,13 @@ def clipped_sum_compare(e, s, s2):
     K * (image-side clipped sum at threshold s2) + C, and the same for the
     reverse direction. Returns {"forward": (K, C), "reverse": (K, C)}."""
     ids, total = _clipped_class_sum(e.source, e.source.elements, s)
-    src = total[ids[:, None], ids]
+    src = cross(total, ids, ids)
     # image side, evaluated at the least image point of each source vertex
     index = e.target.space.index
     idx = [min(index[p] for p in e.space_map(x)) for x in e.source.space.vertices]
     ids, total = _clipped_class_sum(e.target, list(map(e.index_map, e.source.elements)), s2)
     ids = ids[idx]
-    img = total[ids[:, None], ids]
+    img = cross(total, ids, ids)
     return {"forward": _fit_linear(src, img), "reverse": _fit_linear(img, src)}
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import spaces
 from .lattice import ValidationReport, singleton_lattice
-from .spaces import CoarseMap, coarse_map_constants, four_point_delta, groups
+from .spaces import (CoarseMap, coarse_map_constants, cross, four_point_delta,
+                     groups)
 
 
 class NoConsistentTuple(Exception):
@@ -182,10 +183,12 @@ class HHSModel:
         return rank[key], first[by_first]
 
     def class_table(self, U, reps):
-        """K x K table of d_U between the class representatives reps."""
+        """K x K table of d_U between the class representatives reps: the
+        set table of U's projection read at the reps' image sets by
+        ``spaces.cross``."""
         sids, _, M = self.proj[U].set_table()
         s = sids[reps]
-        return M[s[:, None], s]
+        return cross(M, s, s)
 
     def dist_to_set_array(self, U, S):
         """Read-only array over base vertices: the sup-distance from the

@@ -39,7 +39,7 @@ from .embedding import Embedding, verify_embedding
 from .lattice import EMPTY, IndexLattice, NotALattice, ValidationReport
 from .model import (AxiomEntry, HHSModel, _innermost_big, audit_axioms,
                     concretize, hq_check, measure_alpha, product_region)
-from .spaces import (CoarseMap, FiniteSpace, check_distinct, cone_off,
+from .spaces import (CoarseMap, FiniteSpace, check_distinct, cone_off, cross,
                      qi_constants)
 
 # support ids ("T", rank) in rank order
@@ -230,7 +230,7 @@ def _check_connected(t, support):
     """A vertex set of a tree is connected exactly when it spans |S| - 1
     tree edges (pairs at distance one)."""
     ids = t.space.idx(list(support))
-    if (t.space.dist[ids[:, None], ids] == 1).sum() != 2 * (len(ids) - 1):
+    if (cross(t.space.dist, ids, ids) == 1).sum() != 2 * (len(ids) - 1):
         raise HypothesisFailure("class support is not connected",
                                 tuple(t.space.ordered(support)))
 
@@ -568,7 +568,19 @@ def build_combined(t):
     concretization, classes and supports, comparison maps (uniformity
     enforced), the glued space, the combined lattice and all projection
     data. The structure records the decorated tree. The first three stages
-    share one table of model keys, so each model object is keyed once."""
+    share one table of model keys, so each model object is keyed once.
+
+    Every vertex and edge model of t must pass its door first: the first
+    that fails, in vertex and then edge order, raises HypothesisFailure
+    naming it with its first three violations. The door's report is kept
+    on the model, and model_key reads it for every model anyway."""
+    for kind, keys, given in (("vertex", t.vertices, t.vertex_models),
+                              ("edge", t.edges, t.edge_models)):
+        for key in keys:
+            rep = given[key].validate_structure()
+            if not rep.ok:
+                raise HypothesisFailure("%s model fails structure checks" % kind,
+                                        (key, rep.violations[:3]))
     models = _Classes()
     t = decorate(t, models)
     check_hypotheses(t, models)

@@ -13,6 +13,7 @@ from hhspace.fixtures import (bs_window, factor_inclusion, fixture_b_product,
 from hhspace.model import trivial_model
 from hhspace.spaces import FiniteSpace, single_point
 from hhspace.graphproduct import ProductSpec
+from test_treecombine import ghost_tree_doc
 
 
 ORTH = (("V", ("l", "S1")), ("l", "S1"))
@@ -118,6 +119,18 @@ def test_combine_command_repeated_vertex_is_schema_error(tmp_path, capsys):
     path.write_text(serialize.dumps(doc))
     assert run(["--out", tmp_path, "combine", path]) == 2
     assert "repeated tree vertex" in capsys.readouterr().err
+    assert not (tmp_path / "combined.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_combine_command_runs_the_door_on_every_tree_model(tmp_path, kind):
+    path = tmp_path / "tree.json"
+    path.write_text(serialize.dumps(ghost_tree_doc(kind)))
+    assert run(["--out", tmp_path, "combine", path]) == 1
+    failure = json.loads((tmp_path / "failure.json").read_text())
+    assert failure["error"] == "HypothesisFailure"
+    assert failure["reason"] == "%s model fails structure checks" % kind
+    assert "Violation(rule='unexpected-hyp', witness=('ghost',)" in failure["witness"]
     assert not (tmp_path / "combined.json").exists()
 
 

@@ -24,7 +24,7 @@ from hhspace.model import (HHSModel, _audit_large_links, _clipped_class_sum, _in
 from hhspace.spaces import CoarseMap, cycle_graph, path_graph, single_point, vkey
 from hhspace.treecombine import THAT, _support_large_links, audit_combined
 from test_model import nested_pairs, orthogonal_pairs
-from test_spaces import connected_graphs
+from test_spaces import _traced_peak, connected_graphs
 
 
 def _max_pair_matrix_reference(model):
@@ -148,6 +148,17 @@ def test_raag_window_classes_are_coarser_than_vertices(windows):
         assert (sids == sids[reps][ids]).all()
     assert _audit_large_links(m, 3)[0] == 2.0
     assert _theta_table(m)[1] == 9 and m.realization_defect() == 2
+
+
+def test_class_tables_allocate_a_few_squares(windows):
+    # each of the 19 K x K class tables at K = 282 reads its set table (at
+    # most K x K) through one intermediate of K rows or columns of it
+    m = windows["raag"].model
+    _, reps = m.coordinate_classes(m.elements)
+    K = len(reps)
+    for U in m.elements:
+        T = m.class_table(U, reps)
+        assert _traced_peak(m.class_table, U, reps) <= 3 * K * K * T.itemsize
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,3 +1,4 @@
+import ast
 import functools
 import pathlib
 import tracemalloc
@@ -1075,3 +1076,106 @@ def test_set_family_matches_per_set_reference(case):
     assert got.diams.dtype == g.dist.dtype
     for a, b in zip(got[1:], want[1:]):
         assert a.tolist() == b.tolist()
+
+
+@st.composite
+def cross_cases(draw):
+    """A table in one of five dtypes, writable or not, and row and column
+    indexes that may repeat or be empty. A "tall" read takes 10 or more
+    rows of a table at least 3 wide and at most 3 columns, so cross gathers
+    the columns first; a "wide" read the other way round gathers the rows
+    first; a "square" read takes as many rows as columns of a square
+    table, a tie that goes to the rows unless there are more of them than
+    the table has; "any" may do either."""
+    shape = draw(st.sampled_from(["tall", "wide", "square", "any"]))
+    n0 = draw(st.integers(3 if shape == "wide" else 1, 9))
+    n1 = n0 if shape == "square" else draw(st.integers(3 if shape == "tall" else 1, 9))
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int64, np.bool_, np.float64]))
+    values = draw(st.lists(st.integers(-128, 127), min_size=n0 * n1, max_size=n0 * n1))
+    T = np.array(values).reshape(n0, n1)
+    T = (T / 3).astype(dtype) if dtype is np.float64 else T.astype(dtype)
+    T.flags.writeable = draw(st.booleans())
+    long, short = st.integers(10, 30), st.integers(0, 3)
+    nr, nc = {"tall": (long, short), "wide": (short, long),
+              "square": (st.just(draw(st.integers(0, 12))),) * 2,
+              "any": (st.integers(0, 12),) * 2}[shape]
+
+    def index(n, size):
+        k = draw(size)
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)),
+                        dtype=np.int64)
+    return T, index(n0, nr), index(n1, nc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cross_cases())
+def test_cross_matches_the_broadcast_index_pair(case):
+    T, rows, cols = case
+    got = spaces.cross(T, rows, cols)
+    want = T[rows[:, None], cols]
+    assert got.dtype == T.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert not np.shares_memory(got, T)
+
+
+def test_cross_gathers_the_few_columns_of_a_tall_read_first():
+    # a family of pairs covering every point of a 2000-path: a gather of its
+    # 2000 rows first would hold the whole n x n table (8 MB in int16)
+    g = path_graph(2000)
+    fam = g.set_family([{2 * i, 2 * i + 1} for i in range(1000)])
+    cols = np.array([0, 999, 1999])
+    assert _traced_peak(g.per_set, fam, cols, np.minimum) < g.dist.nbytes / 100
+
+
+def _broadcast_reads(tree):
+    """(kind, function, line) of every broadcast index pair X[a[:, None], b]
+    in a module's syntax tree, kind "pair", with the column made of a 1-d
+    index by [:, None], [i, None] or np.newaxis (a 2-d index widened by
+    [..., None] is a 3-d read, not a pair), and of every np.ix_, kind
+    "ix_"."""
+    found, where = [], []
+
+    def is_column(e):
+        if not (isinstance(e, ast.Subscript) and isinstance(e.slice, ast.Tuple)
+                and len(e.slice.elts) == 2):
+            return False
+        first, second = e.slice.elts
+        new = (isinstance(second, ast.Constant) and second.value is None
+               or isinstance(second, ast.Attribute) and second.attr == "newaxis")
+        return new and not (isinstance(first, ast.Constant) and first.value is Ellipsis)
+
+    def visit(node):
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if named:
+            where.append(node.name)
+        here = where[-1] if where else None
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                and len(node.slice.elts) == 2 and is_column(node.slice.elts[0])):
+            found.append(("pair", here, node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr == "ix_":
+            found.append(("ix_", here, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        if named:
+            where.pop()
+    visit(tree)
+    return found
+
+
+def test_sub_table_reads_go_through_cross():
+    # the one spelling of the gather rule (spaces module docstring): no
+    # module of the package reads a sub-table by a broadcast index pair but
+    # CoarseMap.pair_distance_matrix, the reference path of the pair scans'
+    # tests, and only lattice and indexmaps read their k x k relation
+    # tables by np.ix_
+    package = pathlib.Path(spaces.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for kind, fn, line in _broadcast_reads(ast.parse(path.read_text())):
+            found.setdefault((kind, path.name, fn), []).append(line)
+    stray = {(kind, name, fn): lines for (kind, name, fn), lines in found.items()
+             if not (kind == "pair" and (name, fn) == ("spaces.py", "pair_distance_matrix")
+                     or kind == "ix_" and name in ("lattice.py", "indexmaps.py"))}
+    assert stray == {}
+    assert ("pair", "spaces.py", "pair_distance_matrix") in found

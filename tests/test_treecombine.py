@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhspace import treecombine
+from hhspace import serialize, treecombine
 from hhspace.embedding import Embedding, verify_embedding
 from hhspace.fixtures import (bs_window, factor_inclusion, free_product_z2_z3,
                               grid_product, raag_path)
@@ -46,6 +46,40 @@ def point_edge_tree(spaces):
         emap[(e, names[i])] = attach(vm[names[i]], spaces[i].vertices[0])
         emap[(e, names[i + 1])] = attach(vm[names[i + 1]], spaces[i + 1].vertices[0])
     return TreeOfHHS(names, edges, vm, em, emap, name="chain")
+
+
+def ghost_tree_doc(kind):
+    """The JSON document of the tree point_edge_tree makes of three two-point
+    paths, with a one-point space and its projection for the label "ghost",
+    which is not an element, added to its first ``kind`` ("vertex" or
+    "edge") model."""
+    doc = serialize.tree_to_json(point_edge_tree([path_graph(0, 1)] * 3))
+    m = doc[kind + "_models"][0][1]
+    m["hyp"].append(["ghost", serialize.space_to_json(single_point())])
+    m["proj"].append(["ghost", {"images": [[x, ["*"]] for x in m["space"]["vertices"]]}])
+    return doc
+
+
+def test_the_ghost_tree_combines_without_its_ghost():
+    t = serialize.tree_from_json(serialize.tree_to_json(
+        point_edge_tree([path_graph(0, 1)] * 3)))
+    assert audit_combined(build_combined(t)).ok
+
+
+@pytest.mark.parametrize("kind, key", [("vertex", "v0"), ("edge", ("v0", "v1"))],
+                         ids=["vertex", "edge"])
+def test_build_combined_runs_the_door_on_every_tree_model(kind, key):
+    # the theorem takes well-formed vertex and edge models: a model that
+    # fails its door stops the combination before decorate, named with its
+    # first three violations
+    t = serialize.tree_from_json(ghost_tree_doc(kind))
+    with pytest.raises(HypothesisFailure) as exc:
+        build_combined(t)
+    assert exc.value.reason == "%s model fails structure checks" % kind
+    where, violations = exc.value.witness
+    assert where == key
+    assert [(v.rule, v.witness) for v in violations] == [
+        ("unexpected-hyp", ("ghost",)), ("unexpected-projection", ("ghost",))]
 
 
 def test_not_a_tree_rejected():
