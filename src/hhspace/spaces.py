@@ -64,7 +64,8 @@ import numpy as np
 # cells (of any dtype) one test of FiniteSpace.qc_constant, one row chunk of
 # FiniteSpace.interval_reduce, one middle-vertex chunk of FiniteSpace.steps,
 # one row chunk of the tree or bitset distance kernel, one neighbour gather
-# of a bitset BFS level or one chunk of the four-point scan may take;
+# of a bitset BFS level, one chunk of the four-point scan or one row chunk of
+# the isometry certificate of qi_constants may take;
 # small chunks keep the peak memory of these scans flat
 _CHUNK_CELLS = 1 << 15
 
@@ -164,16 +165,21 @@ def cross(T, rows, cols):
 class FiniteSpace:
     """A finite connected metric space with integer distances: ``dist`` is
     the read-only n x n table over vertex indices, in ``dist_dtype`` of the
-    space's diameter."""
+    space's diameter. ``edges`` is None for a metric-table space; for a
+    graph it holds the sorted index pairs of the edges, and ``dist`` is
+    their path metric."""
 
     def __init__(self, vertices, edges=None, dist=None, name=""):
         """A graph (``edges`` between labels) or a metric table ``dist``
         whose rows and columns follow the order of ``vertices``; labels are
-        stored sorted by ``vkey``."""
-        if dist is None:
-            self._store(sorted_vertices(vertices), edges, None, name)
-            return
+        stored sorted by ``vkey``. ValueError on a repeated label."""
         given = tuple(vertices)
+        if dist is None:
+            labels = sorted_vertices(given)
+            if len(labels) < len(given):
+                check_distinct(given, "vertex")
+            self._store(labels, edges, None, name)
+            return
         check_distinct(given, "vertex")
         keys = list(map(sort_key(), given))
         perm = sorted(range(len(given)), key=keys.__getitem__)
@@ -203,7 +209,9 @@ class FiniteSpace:
             raise ValueError("a FiniteSpace needs at least one vertex")
         self._steps = None
         if dist is not None:
-            self.edges = tuple(edges) if edges is not None else None
+            if edges is not None:
+                raise ValueError("a space takes edges or a distance table, not both")
+            self.edges = None
             dist = np.asarray(dist)
             if dist.shape != (n, n):
                 raise ValueError("distance table shape mismatch")
@@ -892,8 +900,26 @@ class CoarseMap:
 
 def coarse_map_constants(m):
     """Measured coarsely-lipschitz constants in the (K, K) convention:
-    the least K with dset(f x, f y) <= K d(x, y) + K. Returns (1, 0) for
-    1-lipschitz maps and (0, 0) for constant maps."""
+    the least K with dset(f x, f y) <= K d(x, y) + K. Returns (0, 0) for a
+    map onto one point, and (1, 0) exactly for a 1-lipschitz point map:
+    (1, 0) asks dset(f x, f y) <= d(x, y) for all x, y, and at x = y that
+    asks every image to be a point.
+
+    On a graph domain (``domain.edges`` set, so ``dist`` is its path
+    metric), a point map with two or more images is certified without the
+    set or fiber tables: it is 1-lipschitz iff every edge lands at codomain
+    distance at most 1. If every edge does, then along a geodesic x = x_0,
+    ..., x_k = y the triangle inequality gives d(f x, f y) <= k = d(x, y);
+    an edge that lands farther breaks the bound itself. Every other map,
+    and every map on a metric-table domain, takes the fiber-table scan."""
+    fam = m.image_sets()
+    edges = m.domain.edges
+    if edges and len(fam.flat) == len(fam.sets) > 1:
+        # a point map: flat holds the one point of each image set
+        a, b = np.array(edges).T
+        p = fam.flat[m.sids]
+        if (m.codomain.dist[p[a], p[b]] <= 1).all():
+            return (1.0, 0.0)
     M = m.set_table()[2]
     if M.max() == 0:
         return (0.0, 0.0)
@@ -906,8 +932,27 @@ def coarse_map_constants(m):
 
 def qi_constants(m):
     """Quasi-isometric-embedding constants: max of the forward (K,K) constant
-    and the reverse one (domain distance against image distance). Isometric
-    maps measure (1, 0)."""
+    and the reverse one (domain distance against image distance). Returns
+    (1, 0) exactly for an isometric embedding. With M the set table and lo
+    and hi the fiber tables (CoarseMap.fiber_table), (1, 0) asks M == lo ==
+    hi. On the diagonal, M is an image's diameter, lo is 0 and hi is a
+    fiber's diameter, so that asks an injective point map; off it, it asks
+    d(f x, f y) = d(x, y) for all x, y.
+
+    So an injective point map (as many image sets as domain points, each a
+    point) is certified by comparing the codomain table on its image with
+    the domain table, in row chunks of about _CHUNK_CELLS cells, up to the
+    first chunk that differs. Every other map, and every injective point
+    map that is not isometric, takes the fiber-table scan."""
+    fam, dom = m.image_sets(), m.domain
+    n = len(dom)
+    if len(fam.sets) == len(fam.flat) == n:
+        # sets are numbered by first appearance, so set i is the image of point i
+        p = fam.flat
+        step = max(1, _CHUNK_CELLS // n)
+        if all(np.array_equal(cross(m.codomain.dist, p[i:i + step], p), dom.dist[i:i + step])
+               for i in range(0, n, step)):
+            return (1.0, 0.0)
     M = m.set_table()[2]
     lo, hi = m.fiber_table(np.minimum), m.fiber_table(np.maximum)
     if (M == lo).all() and (M == hi).all():

@@ -747,10 +747,10 @@ class _CombinedBuilder:
     def build(self):
         t = self.t
         # glued space
-        verts = []
-        edges = []
+        verts, edges, runs = [], [], []
         for v in t.vertices:
             m = t.vertex_models[v]
+            runs.append((v, len(verts), len(m.space)))
             verts.extend((v, p) for p in m.space.vertices)
             for (ia, ib) in m.space.edges or ():
                 edges.append(((v, m.space.vertices[ia]), (v, m.space.vertices[ib])))
@@ -761,8 +761,12 @@ class _CombinedBuilder:
             for x in t.edge_models[e].space.vertices:
                 edges.append(tuple((v, min(m(x), key=index.__getitem__))
                                    for v, m, index in ends))
+        # verts is already in label order, as t.vertices and every vertex
+        # space's labels are and that order compares the pairs (v, p) entry
+        # by entry: X keeps it unsorted, and the points over v are the run
+        # (v, start, length) of runs
         try:
-            X = FiniteSpace(verts, edges, name=t.name + "|X")
+            X = FiniteSpace._in_order(verts, edges, name=t.name + "|X")
         except ValueError:
             raise HypothesisFailure("vertex space is a metric table, not a graph",
                                     (_torn_vertex(t, edges),)) from None
@@ -824,9 +828,6 @@ class _CombinedBuilder:
         for sid in sup_ids:
             proj[sid] = proj[THAT].compose(self.rho_map[(sid, THAT)])
             proj[sid].name = "pi:%r" % (sid,)
-        # X sorts (v, p) by v first: the points over v are a run (v, start, length)
-        runs = [(v, X.index[(v, sp.vertices[0])], len(sp))
-                for v, sp in ((v, t.vertex_models[v].space) for v in t.vertices)]
         for cls in self.classes:
             ids = np.empty(len(X), dtype=np.int64)
             vals = []

@@ -237,6 +237,17 @@ def test_schema_error(tmp_path):
     assert run(["audit", bad]) == 2
 
 
+def test_repeated_graph_vertex_is_schema_error(tmp_path, capsys):
+    # a graph space that names a vertex twice is rejected, not merged
+    doc = serialize.model_to_json(grid_product(2, 3))
+    doc["space"]["vertices"].append(doc["space"]["vertices"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(doc))
+    assert run(["audit", path]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and "repeated vertex" in err
+
+
 def _grid_document_with(tmp_path, edit):
     doc = serialize.model_to_json(grid_product(2, 3))
     edit(next(m for U, m in doc["proj"] if U == ["l", "S1"])["images"])

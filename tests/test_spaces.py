@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hhspace import spaces
-from hhspace.fixtures import hagen_target
+from hhspace import model, serialize, spaces
+from hhspace.fixtures import hagen_target, raag_path
 from hhspace.spaces import (CoarseMap, FiniteSpace, _bfs_all_pairs,
                             coarse_map_constants, cone_off, cycle_graph, dist_dtype,
                             four_point_delta, path_graph, product_graph,
                             qi_constants, single_point, sort_key, vkey)
+from hhspace.treecombine import audit_combined
 
 
 def test_path_metric():
@@ -28,6 +29,16 @@ def test_path_metric():
 def test_disconnected_rejected():
     with pytest.raises(ValueError):
         FiniteSpace([0, 1, 2], [(0, 1)])
+
+
+def test_repeated_graph_vertex_rejected():
+    # as the table constructor does, not merged into one point
+    with pytest.raises(ValueError, match="repeated vertex 0"):
+        FiniteSpace([0, 0, 1], [(0, 1)])
+    with pytest.raises(ValueError, match="repeated vertex 0"):
+        serialize.space_from_json({"vertices": [0, 0, 1], "edges": [[0, 1]]})
+    with pytest.raises(ValueError, match="not both"):
+        FiniteSpace([0, 1], [(0, 1)], dist=[[0, 1], [1, 0]])
 
 
 def test_set_distances():
@@ -429,10 +440,88 @@ def _qi_constants_reference(m):
     return (K, K)
 
 
-@settings(max_examples=150, deadline=None)
-@given(maps_and_targets())
-def test_map_constants_match_pair_matrix_reference(case):
-    f = case[0]
+Certified = namedtuple("Certified", "map lipschitz isometric")
+
+
+def _neighbours(space, v):
+    """v and the points of space at distance 1 from it."""
+    return [space.vertices[j] for j in np.flatnonzero(space.dist[space.index[v]] <= 1)]
+
+
+def _geodesic(space, a, b):
+    """A geodesic of space from a to b, as a list of labels."""
+    out = [a]
+    while out[-1] != b:
+        out.append(next(x for x in _neighbours(space, out[-1])
+                        if space.d(x, b) == space.d(out[-1], b) - 1))
+    return out
+
+
+@st.composite
+def certified_maps(draw):
+    """A point map that certifies by construction, 1-lipschitz or an
+    isometric embedding, on a graph domain or on a subspace of one (a
+    metric table), or one of its mutants, which the flags do not count as
+    certified: one edge (a pair at distance 1) stretched to two or more,
+    collapsed to a point, or one image widened to a set."""
+    cod = draw(connected_graphs())
+    kind = draw(st.sampled_from(["bfs-parent", "tree", "geodesic", "identity", "product"]))
+    if kind == "bfs-parent":
+        # each vertex goes to its BFS parent's image or a neighbour of it:
+        # the point of a lazy walk at its depth
+        dom = draw(connected_graphs())
+        root = draw(st.sampled_from(dom.vertices))
+        walk = [draw(st.sampled_from(cod.vertices))]
+        while len(walk) <= dom.diam():
+            walk.append(draw(st.sampled_from(_neighbours(cod, walk[-1]))))
+        images = {v: walk[dom.d(root, v)] for v in dom.vertices}
+    elif kind == "tree":
+        n = draw(st.integers(1, 7))
+        parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+        dom = FiniteSpace(range(n), [(parent[i], i) for i in range(1, n)])
+        images = {0: draw(st.sampled_from(cod.vertices))}
+        for i in range(1, n):
+            images[i] = draw(st.sampled_from(_neighbours(cod, images[parent[i]])))
+    elif kind == "geodesic":
+        line = _geodesic(cod, draw(st.sampled_from(cod.vertices)),
+                         draw(st.sampled_from(cod.vertices)))
+        dom = path_graph(len(line))
+        images = dict(enumerate(line))
+    elif kind == "identity":
+        dom = cod
+        images = {v: v for v in cod.vertices}
+    else:
+        dom = cod
+        cod = product_graph(dom, path_graph(draw(st.integers(1, 3))))
+        level = draw(st.sampled_from(cod.vertices))[1]
+        images = {v: (v, level) for v in dom.vertices}
+    isometric = kind in ("geodesic", "identity", "product")
+    if draw(st.booleans()):
+        dom = dom.subspace(draw(st.lists(st.sampled_from(dom.vertices), min_size=1)))
+    images = {v: images[v] for v in dom.vertices}
+    close = [(u, v) for u in dom.vertices for v in dom.vertices if dom.d(u, v) == 1]
+    mutant = draw(st.sampled_from([None, "stretch", "collapse", "widen"])) if close else None
+    if mutant:
+        x, y = draw(st.sampled_from(close))
+        far = [z for z in cod.vertices if cod.d(images[x], z) >= 2]
+        if mutant == "stretch" and far:
+            images[y] = draw(st.sampled_from(far))
+        elif mutant == "collapse":
+            images[y] = images[x]
+        elif mutant == "widen" and len(cod) > 1:
+            wider = [z for z in _neighbours(cod, images[y]) if z != images[y]]
+            images[y] = frozenset([images[y], draw(st.sampled_from(wider))])
+        else:
+            mutant = None
+    f = CoarseMap(dom, cod, {v: A if isinstance(A, frozenset) else frozenset([A])
+                             for v, A in images.items()})
+    return Certified(f, mutant is None, isometric and mutant is None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(maps_and_targets().map(lambda case: case[0]),
+                 certified_maps().map(lambda case: case.map)))
+def test_map_constants_match_pair_matrix_reference(f):
     assert coarse_map_constants(f) == _coarse_map_constants_reference(f)
     assert qi_constants(f) == _qi_constants_reference(f)
     sids = f.image_sets().sids
@@ -447,10 +536,60 @@ def test_map_constants_match_pair_matrix_reference(case):
             assert (lo[s, t], hi[s, t]) == (block.min(), block.max())
 
 
+@settings(max_examples=200, deadline=None)
+@given(certified_maps())
+def test_certified_maps_measure_one_zero_without_fiber_tables(case):
+    # the certificates read no fiber table: a 1-lipschitz point map with two
+    # or more images on a graph domain, and an isometric embedding on any
+    # domain, in row chunks of every size down to one row
+    f = case.map
+    graph = f.domain.edges is not None and len(f.sets) > 1
+    with mock.patch.object(CoarseMap, "fiber_table", side_effect=AssertionError):
+        if case.lipschitz and graph:
+            assert coarse_map_constants(f) == (1.0, 0.0)
+        for cells in (spaces._CHUNK_CELLS, 1):
+            with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
+                if case.isometric:
+                    assert qi_constants(f) == (1.0, 0.0)
+
+
+def test_combined_audit_reads_fiber_tables_only_off_one_zero():
+    # the projections of the combined model of raag_path(1) live on the
+    # graph X: the audit's coarse_map_constants reads the fiber tables only
+    # of those that do not measure (1, 0)
+    c = raag_path(1).combined
+    read, measured = [], []
+    fiber_table = CoarseMap.fiber_table
+
+    def spy(m, reduce):
+        read.append(m)
+        return fiber_table(m, reduce)
+
+    def measure(m):
+        measured.append(coarse_map_constants(m))
+        return measured[-1]
+    with mock.patch.object(CoarseMap, "fiber_table", spy), \
+            mock.patch.object(model, "coarse_map_constants", measure):
+        assert audit_combined(c).ok
+    assert (1.0, 0.0) in measured and read
+    assert all(coarse_map_constants(m) != (1.0, 0.0) for m in read)
+
+
 def test_map_constants_match_reference_on_isometries():
     g = product_graph(path_graph(0, 3), cycle_graph(5))
-    for f in (CoarseMap.identity(g), CoarseMap.constant(g, g, [(0, 0), (3, 2)]),
-              CoarseMap.single(path_graph(0, 4), g, lambda v: (v % 4, v % 5))):
+    with mock.patch.object(CoarseMap, "fiber_table", side_effect=AssertionError):
+        assert coarse_map_constants(CoarseMap.identity(g)) == (1.0, 0.0)
+        assert qi_constants(CoarseMap.identity(g)) == (1.0, 0.0)
+    # and one-edge mutants of the isometry of a path: its first or its last
+    # edge stretched to 2 or collapsed, or one image widened to a set
+    line, longer = path_graph(0, 6), path_graph(0, 8)
+    mutants = [CoarseMap.single(line, longer, fn) for fn in (
+        lambda v: v + (v > 0), lambda v: v + (v == 6),
+        lambda v: max(v, 1), lambda v: min(v, 5))]
+    mutants.append(CoarseMap(line, longer, {v: {v, v + 1} if v == 3 else {v}
+                                            for v in line.vertices}))
+    for f in [CoarseMap.identity(g), CoarseMap.constant(g, g, [(0, 0), (3, 2)]),
+              CoarseMap.single(path_graph(0, 4), g, lambda v: (v % 4, v % 5))] + mutants:
         assert coarse_map_constants(f) == _coarse_map_constants_reference(f)
         assert qi_constants(f) == _qi_constants_reference(f)
 

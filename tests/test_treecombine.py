@@ -15,7 +15,7 @@ from hhspace.lattice import IndexLattice
 from hhspace.model import (HHSModel, audit_axioms, hq_check, measure_alpha,
                            trivial_model)
 from hhspace.spaces import (CoarseMap, FiniteSpace, path_graph, single_point,
-                            vkey)
+                            sort_key, vkey)
 from hhspace.treecombine import (THAT, ComparisonNotUniform, HypothesisFailure,
                                  TreeOfHHS, _check_connected, audit_combined,
                                  build_combined, check_hypotheses,
@@ -1162,6 +1162,19 @@ def test_classes_relate_alike_at_every_common_vertex(name):
     # in the free-product windows and bs_window(2, 1) no two classes share
     # more than one vertex, so the check there holds at once
     assert (shared > 0) == name.startswith(("raag", "cyclic"))
+
+
+@pytest.mark.parametrize("name", ["raag_path(1)", "free_product_z2_z3(2)", "cyclic(2) radius 4"])
+def test_glued_space_is_the_sorted_space(name):
+    # the glue keeps its labels unsorted, as they are already in vkey order;
+    # the sorting constructor, given them reversed, builds the same space
+    for c in ACCEPTED[name]():
+        X = c.model.space
+        assert list(X.vertices) == sorted(X.vertices, key=sort_key())
+        edges = [(X.vertices[a], X.vertices[b]) for a, b in X.edges]
+        ref = FiniteSpace(X.vertices[::-1], edges)
+        assert (ref.vertices, ref.edges) == (X.vertices, X.edges)
+        assert ref.dist.dtype == X.dist.dtype and (ref.dist == X.dist).all()
 
 
 def _relation_swapped(emb):
