@@ -845,6 +845,20 @@ def _audit_bgi(model):
     interval I(a, b) to the rho set, diameter of the interval's image under
     the downward map).
 
+    A pair (v, w) is first certified at 0, with no witness, when every step
+    (c, b) of C_w (FiniteSpace.steps) with neither end in the rho set keeps
+    its image set, and the image set of every point off the rho set is a
+    single point. This is exact. If I(a, b) meets the rho set, its gap is
+    0. Otherwise take x in I(a, b) other than a, and the point c of
+    I(a, x) - {x} nearest x. No y lies strictly between c and x, as such a
+    y would lie in I(a, x) - {x} nearer x, so (c, x) is a step; and
+    d(a, c) + d(c, b) <= d(a, c) + d(c, x) + d(x, b) = d(a, b), so c lies
+    in I(a, b), nearer a than x. By induction on d(a, x), steps inside
+    I(a, b), so off the rho set, join every point of it to a: its image is
+    a's image set, of diameter 0. The scan gives such a pair 0 too, and a
+    value of 0 never sets a witness. Only the vs left uncertified are
+    scanned, and a w with none builds nothing.
+
     One FiniteSpace.interval_reduce pass per w serves every v nested in it,
     through the recursion I(a, b) = {b} | U I(a, c) over the steps (c, b)
     on geodesics from a: it reduces each v's rho distances with np.minimum
@@ -873,6 +887,18 @@ def _audit_bgi(model):
     best = {}
     for w, vs in by_w.items():
         CW = model.hyp[w]
+        sc, sb = CW.steps()
+        for v in vs:
+            off = np.ones(len(CW), dtype=bool)
+            off[CW.idx(list(model.rho_set[(v, w)]))] = False
+            rec = model.rho_map[(v, w)].image_sets()
+            keep = off[sc] & off[sb]
+            moved = rec.sids[sc[keep]] != rec.sids[sb[keep]]
+            if not (moved.any() or rec.diams[rec.sids[off]].any()):
+                best[v, w] = (0, None)
+        vs = [v for v in vs if (v, w) not in best]
+        if not vs:
+            continue
         n, J = len(CW), len(vs)
         to_rho = np.stack([CW.dist[:, CW.idx(list(model.rho_set[(v, w)]))].min(axis=1)
                            for v in vs], axis=1)

