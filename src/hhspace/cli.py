@@ -3,8 +3,8 @@
 One command per process, structured JSON in and out, DOT for renderings,
 no interactive mode. Exit status 0 when every designated assertion
 passes, 1 on combination-hypothesis failures (the witness is emitted as
-JSON), 2 on input that fails to load (unreadable, not JSON, or not the
-schema).
+JSON), 2 on a usage error and on input that fails to load (unreadable,
+not JSON, or not the schema).
 """
 
 import argparse
@@ -57,7 +57,7 @@ def main(argv=None):
     p = sub.add_parser("distance-formula", parents=[common],
                        help="fit the clipped-sum distance formula on a model")
     p.add_argument("file")
-    p.add_argument("--s", type=int, default=3, help="largest threshold to fit")
+    p.add_argument("--s", type=_threshold, default=3, help="largest threshold to fit")
 
     p = sub.add_parser("probe-theorem-b", parents=[common],
                        help="measure the five linked embedding conditions")
@@ -83,16 +83,23 @@ def main(argv=None):
         return SCHEMA_ERROR
 
 
-def _radius(text):
-    """A window radius: a non-negative integer."""
-    try:
-        r = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "radius must be an integer, got %r" % text) from None
-    if r < 0:
-        raise argparse.ArgumentTypeError("radius must be non-negative, got %d" % r)
-    return r
+def _int_at_least(name, least, rule):
+    """An argparse type: an integer of at least ``least``, else a usage
+    error (exit 2) saying that ``name`` must be ``rule``."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "%s must be an integer, got %r" % (name, text)) from None
+        if n < least:
+            raise argparse.ArgumentTypeError("%s must be %s, got %d" % (name, rule, n))
+        return n
+    return parse
+
+
+_radius = _int_at_least("radius", 0, "non-negative")
+_threshold = _int_at_least("--s", 1, "at least 1")
 
 
 def _failure_doc(exc):
@@ -173,7 +180,7 @@ def cmd_product(args):
 def cmd_distance_formula(args):
     model = _load(args.file, serialize.model_from_json, "model")
     table = []
-    for s in range(1, max(1, args.s) + 1):
+    for s in range(1, args.s + 1):
         fit = distance_formula_fit(model, s)
         table.append({"s": s, "K": fit.K, "C": fit.C,
                       "worst_pair": [repr(fit.worst_pair[0]),

@@ -38,29 +38,6 @@ class ScanBudgetExceeded(Exception):
 
 
 @dataclass
-class ConstantsRecord:
-    """Measured constants of a model; all values are minimal workable ones."""
-    delta: float = 0.0
-    xi: float = 0.0
-    kappa0: float = 0.0
-    e_bgi: float = 0.0
-    e_large_links: float = 0.0
-    lambda_ll: float = 1.0
-    alpha_pr: float = 0.0
-    proj_lip: float = 0.0
-    proj_qc: float = 0.0
-    surj_radius: float = 0.0
-    complexity: int = 1
-    theta_u: dict = field(default_factory=dict)
-    s0: float = 1.0
-
-    def as_dict(self):
-        d = dict(self.__dict__)
-        d["theta_u"] = {int(k): int(v) for k, v in self.theta_u.items()}
-        return d
-
-
-@dataclass
 class AxiomEntry:
     name: str
     ok: bool
@@ -87,15 +64,6 @@ class AuditReport:
             if e.name == name:
                 return e
         raise KeyError(name)
-
-    def constants_record(self):
-        rec = ConstantsRecord()
-        for e in self.entries:
-            for k, v in e.constants.items():
-                if hasattr(rec, k):
-                    setattr(rec, k, v)
-        rec.s0 = max(1.0, rec.xi, rec.kappa0) + 1.0
-        return rec
 
     def as_dict(self):
         return {"model": self.model_name, "ok": self.ok,
@@ -501,7 +469,7 @@ def hq_check(model, subset):
     imgs = [(U, model.proj[U].image_of_set(subset)) for U in model.elements]
     k0 = max(model.hyp[U].qc_constant(img) for U, img in imgs)
     gaps = np.stack([model.gap_to_set_array(U, img) for U, img in imgs]).max(axis=0)
-    to_sub = model.space.dist[:, model.space.idx(list(subset))].min(axis=1)
+    to_sub = model.space.dist_to(subset)
     table = {}
     for kappa in sorted(set(int(g) for g in gaps)):
         table[kappa] = int(to_sub[gaps <= kappa].max())
@@ -590,7 +558,7 @@ def concretize(model, eps=None):
     removed = tuple(e for e in model.elements if not model.lattice.nested(e, s_eps))
     region = product_region(model, s_eps, max(model.basics()))
     core = region.F if region.F else frozenset([model.basepoint])
-    dist_to_core = int(model.space.dist[:, model.space.idx(list(core))].min(axis=1).max())
+    dist_to_core = int(model.space.dist_to(core).max())
     sub = model.restrict(s_eps, name=model.name + "|core")
     return ConcretizeResult(sub, True, s_eps, removed, eps, dist_to_core)
 
@@ -755,8 +723,7 @@ def audit_axioms(model):
         lip = max(lip, coarse_map_constants(model.proj[U])[0])
         img = model.proj[U].image()
         qc = max(qc, model.hyp[U].qc_constant(img))
-        CU = model.hyp[U]
-        surj = max(surj, int(CU.dist[:, CU.idx(list(img))].min(axis=1).max()))
+        surj = max(surj, int(model.hyp[U].dist_to(img).max()))
     rep.entries.append(AxiomEntry("projections", True,
                                   {"proj_lip": lip, "proj_qc": qc,
                                    "surj_radius": surj, "xi": float(xi),
@@ -864,17 +831,11 @@ def _audit_bgi(model):
     on geodesics from a: it reduces each v's rho distances with np.minimum
     and its one-hot image-set bits (uint64 words) with np.bitwise_or.
 
-    Per chunk, one array pass over all the vs settles every endpoint pair
-    whose interval image is a single image set s: the popcounts of the
-    OR-ed words, summed over each v's words, count the sets; the lone bit
-    of a word is popcount(word - 1), in exact integers; and the value is
-    min(gap, M[s, s]), read from one diagonal of all the vs' set tables.
-    A pair of two or more sets is measured by _mask_diams only when its
-    gap exceeds its v's running best, the largest value of the chunks
-    before. This is exact: a pair left out has a value at most its gap, so
-    at most that best, and so does the placeholder min(gap, ...) it keeps,
-    so it can neither beat that best strictly nor come before the witness
-    that set it.
+    Per chunk, only the endpoint pairs whose gap exceeds their v's running
+    best, the largest value of the chunks before, are measured, by
+    _mask_diams on their OR-ed words. This is exact: a pair left out has a
+    value at most its gap, so at most that best, so it can neither beat
+    that best strictly nor come before the witness that set it.
 
     Witness rule: each v keeps its largest value with the first (a, b) in
     row-major order that reaches it; the pairs are then taken in
@@ -900,51 +861,25 @@ def _audit_bgi(model):
         if not vs:
             continue
         n, J = len(CW), len(vs)
-        to_rho = np.stack([CW.dist[:, CW.idx(list(model.rho_set[(v, w)]))].min(axis=1)
-                           for v in vs], axis=1)
+        to_rho = np.stack([CW.dist_to(model.rho_set[(v, w)]) for v in vs], axis=1)
         tables = [model.rho_map[(v, w)].set_table() for v in vs]
-        sizes = [len(M) for _, _, M in tables]
-        words = np.cumsum([0] + [(k + 63) // 64 for k in sizes])
+        words = np.cumsum([0] + [(len(M) + 63) // 64 for _, _, M in tables])
         bits = np.zeros((n, words[-1]), dtype=np.uint64)
         for (sids, _, _), w0 in zip(tables, words):
             bits[np.arange(n), w0 + sids // 64] = np.uint64(1) << (sids % 64).astype(np.uint64)
-        # word c of v's words holds v's sets 64 c .. 64 c + 63; base[c] is
-        # the place of the first of them in the diagonal of all the tables
-        diag = np.concatenate([M.diagonal() for _, _, M in tables])
-        owner = np.repeat(np.arange(J), np.diff(words))
-        place = np.min_scalar_type(len(diag) + 64)
-        base = (np.cumsum([0] + sizes)[owner]
-                + 64 * (np.arange(words[-1]) - words[owner])).astype(place)
-        heads, count_t = words[:-1], np.min_scalar_type(max(sizes))
         top, wit = np.zeros(J, dtype=np.int64), [None] * J
         for a0, (gap, mask) in CW.interval_reduce(np.arange(n), [(to_rho, np.minimum),
                                                                  (bits, np.bitwise_or)]):
-            ones = np.bitwise_count(mask)
-            single = np.add.reduceat(ones, heads, axis=2, dtype=count_t) == 1
-            # a word less one has as many ones as the index of its lowest
-            # bit, and 64 if the word is 0, which & 63 clears (taken in place
-            # and undone: no uint64 temporary the size of mask). With the
-            # base of each word that holds a set, the sum over v's words is
-            # the place of a lone set; only a single-set pair's sum is a
-            # place, clip keeps the others in range, and their values are
-            # measured below or stay at most their gap
-            mask -= np.uint64(1)
-            ones = ones * base + (np.bitwise_count(mask) & 63)
-            mask += np.uint64(1)
-            at = np.add.reduceat(ones, heads, axis=2, dtype=place)
-            vals = np.minimum(gap, diag.take(at, mode="clip"))
-            vals, gap = vals.reshape(-1, J), gap.reshape(-1, J)
-            multi = ~single.reshape(-1, J) & (gap > top)
-            for j in np.flatnonzero(multi.any(axis=0)).tolist():
-                rows = np.flatnonzero(multi[:, j])
-                masks = mask.reshape(len(vals), -1)[rows, words[j]:words[j + 1]]
-                vals[rows, j] = np.minimum(gap[rows, j], _mask_diams(masks, tables[j][2]))
-            p = vals.argmax(axis=0)
-            got = vals[p, np.arange(J)]
-            for j in np.flatnonzero(got > top).tolist():
-                top[j], wit[j] = got[j], (a0 + int(p[j]) // n, int(p[j]) % n)
-            # drop this chunk's arrays before interval_reduce makes the next
-            del gap, mask, ones, single, at, vals, multi
+            gap, mask = gap.reshape(-1, J), mask.reshape(-1, words[-1])
+            for j in range(J):
+                rows = np.flatnonzero(gap[:, j] > top[j])
+                if not len(rows):
+                    continue
+                vals = np.minimum(gap[rows, j],
+                                  _mask_diams(mask[rows, words[j]:words[j + 1]], tables[j][2]))
+                p = int(vals.argmax())
+                if vals[p] > top[j]:
+                    top[j], wit[j] = vals[p], divmod(a0 * n + int(rows[p]), n)
         for v, val, ab in zip(vs, top.tolist(), wit):
             best[v, w] = (val, ab)
     e_bgi, witness = 0, None

@@ -13,6 +13,8 @@ All distance conventions used by the auditors live here:
   their union (the usual convention for projection distances),
 - ``gap`` is the minimal distance between sets, used for neighborhoods,
   gates and Hausdorff distances,
+- ``dist_to`` is the distance from every vertex to a nonempty set, the
+  one kernel for that row,
 - ``nearest`` answers every closest-point question: for each vertex, the
   index of its nearest vertex of a subset, ties going to the least index.
 
@@ -307,9 +309,21 @@ class FiniteSpace:
         cols = np.sort(self.idx(list(subset)))
         return cols[self.dist[:, cols].argmin(axis=1)]
 
+    def dist_to(self, S):
+        """For every vertex index, its distance to the nonempty set S, in the
+        table's dtype. dist is symmetric, so the rows of S are reduced by
+        np.minimum, in chunks of about _CHUNK_CELLS cells."""
+        ia = self.idx(list(S))
+        if not len(ia):
+            raise ValueError("distance to an empty set")
+        step = max(1, _CHUNK_CELLS // len(self))
+        out = self.dist[ia[:step]].min(axis=0)
+        for r0 in range(step, len(ia), step):
+            np.minimum(out, self.dist[ia[r0:r0 + step]].min(axis=0), out=out)
+        return out
+
     def neighborhood(self, A, r):
-        ia = self.idx(list(A))
-        keep = (self.dist[:, ia].min(axis=1) <= r).nonzero()[0]
+        keep = (self.dist_to(A) <= r).nonzero()[0]
         return frozenset(self.vertices[i] for i in keep)
 
     def interval(self, u, v):
@@ -407,8 +421,8 @@ class FiniteSpace:
         tested in vain, reads fewer cells than the |A| x |A| x n cube of all
         the intervals.
 
-        dist is symmetric, so d(x, A) and d(x, b) are read from rows of A.
-        Every temporary holds about _CHUNK_CELLS cells: to_A is reduced over
+        to_A is dist_to(A). dist is symmetric, so d(x, b) is read from rows
+        of A. Every temporary holds about _CHUNK_CELLS cells: dist_to reduces
         chunks of rows of A, and a test is a (rows of A) x A x (points off A)
         cube, chunked over both the rows and the points. The one exception
         is the first gather of each ``cross`` read, which holds whole rows
@@ -419,10 +433,7 @@ class FiniteSpace:
         if k <= 1:
             return 0
         D = self.dist
-        step = max(1, _CHUNK_CELLS // len(self))
-        to_A = D[ia[0]].copy()
-        for r0 in range(1, k, step):
-            np.minimum(to_A, D[ia[r0:r0 + step]].min(axis=0), out=to_A)
+        to_A = self.dist_to(A)
         order = np.argsort(-to_A, kind="stable")[:np.count_nonzero(to_A)]
         cstep = max(1, min(len(order), _CHUNK_CELLS // k))
         rstep = max(1, _CHUNK_CELLS // (k * cstep))

@@ -222,6 +222,17 @@ def test_distance_formula_command(tmp_path):
                               "worst_pair": doc["fits"][0]["worst_pair"]}
 
 
+@pytest.mark.parametrize("s", [0, -4])
+def test_distance_formula_threshold_below_one_is_a_usage_error(tmp_path, capsys, s):
+    path = tmp_path / "model.json"
+    path.write_text(serialize.dumps(serialize.model_to_json(grid_product(5, 7))))
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", tmp_path, "distance-formula", path, "--s", s])
+    assert exc.value.code == 2
+    assert "--s must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "distance_formula.json").exists()
+
+
 def test_probe_command(tmp_path):
     emb = factor_inclusion(2)
     path = tmp_path / "emb.json"

@@ -48,8 +48,11 @@ def test_realize_inverts_coordinates_on_fixtures():
 def test_distance_formula_finite_above_s0():
     from hhspace.model import distance_formula_fit
     for m in (fixtures.grid_product(4, 5), fixtures.hagen_target(3)):
-        rec = audit_axioms(m).constants_record()
-        for s in range(1, int(rec.s0) + 2):
+        rep = audit_axioms(m)
+        xi = rep.entry("projections").constants["xi"]
+        kappa0 = rep.entry("consistency").constants["kappa0"]
+        s0 = max(1, xi, kappa0) + 1
+        for s in range(1, int(s0) + 2):
             fit = distance_formula_fit(m, s)
             assert np.isfinite(fit.K) and np.isfinite(fit.C)
 
@@ -73,12 +76,13 @@ def test_window_constants_monotone_and_stabilizing():
     recs = []
     for radius in (1, 2, 3):
         res = fixtures.free_product_z2_z3(radius)
-        recs.append(audit_axioms(res.combined.model).constants_record())
+        entries = audit_axioms(res.combined.model).entries
+        recs.append({k: v for e in entries for k, v in e.constants.items()})
     for key in ("kappa0", "e_bgi", "alpha_pr"):
-        vals = [getattr(r, key) for r in recs]
+        vals = [r[key] for r in recs]
         assert vals[0] <= vals[1] + 1e-9
         assert vals[1] <= vals[2] + 1e-9
-    assert getattr(recs[1], "kappa0") == getattr(recs[2], "kappa0")
+    assert recs[1]["kappa0"] == recs[2]["kappa0"]
 
 
 def test_probe_outside_projection_bounded_for_certified_inclusions():

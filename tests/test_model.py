@@ -43,23 +43,24 @@ def test_trivial_model_audits(grid):
     m = trivial_model(path_graph(0, 5))
     rep = audit_axioms(m)
     assert rep.ok
-    rec = rep.constants_record()
-    assert rec.kappa0 == 0 and rec.alpha_pr == 0 and rec.complexity == 1
+    assert rep.entry("consistency").constants["kappa0"] == 0
+    assert rep.entry("partial-realization").constants["alpha_pr"] == 0
+    assert rep.entry("complexity").constants["complexity"] == 1
 
 
 def test_fixture_b_audits():
     rep = audit_axioms(fixture_b_product())
     assert rep.ok
-    assert rep.constants_record().kappa0 == 0
+    assert rep.entry("consistency").constants["kappa0"] == 0
 
 
 def test_grid_audits(grid):
     rep = audit_axioms(grid)
     assert rep.ok
-    rec = rep.constants_record()
-    assert rec.complexity == 3
-    assert rec.kappa0 == 0
-    assert rec.proj_lip == 1.0   # every projection is 1-lipschitz, none constant
+    assert rep.entry("complexity").constants["complexity"] == 3
+    assert rep.entry("consistency").constants["kappa0"] == 0
+    # every projection is 1-lipschitz, none constant
+    assert rep.entry("projections").constants["proj_lip"] == 1.0
 
 
 def test_missing_rho_detected(grid):
@@ -657,7 +658,7 @@ def _bgi_certified_reference(model, v, w):
             and all(len(A) == 1 for A, o in zip(image, off) if o))
 
 
-def test_mask_diams_measures_only_multi_set_pairs_above_the_running_best(raag_window):
+def test_mask_diams_measures_only_pairs_above_the_running_best(raag_window):
     # every nested pair of the hagen family is certified, so it is never
     # scanned and no mask is measured
     with mock.patch.object(model_module, "_mask_diams",
@@ -668,8 +669,8 @@ def test_mask_diams_measures_only_multi_set_pairs_above_the_running_best(raag_wi
             _audit_bgi(fixtures.hagen(r).target)
     # on the raag window: one interval_reduce pass per w with an uncertified
     # v, over those vs only; replay each chunk it yields and check that
-    # _mask_diams gets exactly the rows of each v that hold two or more sets
-    # and whose gap is above v's best over the chunks before
+    # _mask_diams gets exactly the rows of each v whose gap is above v's
+    # best over the chunks before
     m, runs, chunks, calls = raag_window, [], [], []
     reduce, measure = FiniteSpace.interval_reduce, model_module._mask_diams
 
@@ -704,9 +705,8 @@ def test_mask_diams_measures_only_multi_set_pairs_above_the_running_best(raag_wi
         for j, M in enumerate(Ms):
             masks = mask[:, :, words[j]:words[j + 1]].reshape(-1, words[j + 1] - words[j])
             g = gap[:, :, j].reshape(-1)
-            multi = np.bitwise_count(masks).sum(axis=1) > 1
-            if (multi & (g > top[j])).any():
-                want.append((c, masks[multi & (g > top[j])]))
+            if (g > top[j]).any():
+                want.append((c, masks[g > top[j]]))
             top[j] = max(top[j], int(np.minimum(g, measure(masks, M)).max()))
     assert next(passes, None) is None and want
     assert len(calls) == len(want)

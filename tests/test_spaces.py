@@ -282,6 +282,24 @@ def test_qc_constant_matches_pairwise_in_small_chunks(case):
     _assert_qc_constant_matches(*case)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs_and_subsets(),
+                 metric_spaces().flatmap(lambda g: st.tuples(
+                     st.just(g), st.frozensets(st.sampled_from(g.vertices))))))
+def test_dist_to_is_the_least_column_of_the_set(case):
+    # at the default budget and at one row of S per chunk
+    g, S = case
+    with pytest.raises(ValueError):
+        g.dist_to(frozenset())
+    if not S:
+        return
+    want = g.dist[:, g.idx(list(S))].min(axis=1)
+    for cells in (spaces._CHUNK_CELLS, 1):
+        with mock.patch.object(spaces, "_CHUNK_CELLS", cells):
+            got = g.dist_to(S)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("g, A, want", [
     # convex: the segment 0..9 of a path has levels 1..20, each scanned in vain
     (path_graph(30), range(10), 0),
@@ -1035,6 +1053,11 @@ def test_kernels_allocate_chunks_not_cubes():
     assert _traced_peak(g.qc_constant, range(0, 257, 2)) < 1e6
     g = path_graph(300)
     assert _traced_peak(g.qc_constant, range(200)) < 1e6
+    # the rows of A are reduced a chunk at a time: one gather of all of them
+    # would take 120 kB here and 6 MB for 1500 points of a 2000-path
+    assert _traced_peak(g.dist_to, range(200)) < 1e6
+    g = path_graph(2000)
+    assert _traced_peak(g.dist_to, range(1500)) < 1e6
 
 
 # -- label order and the nearest-point kernel ----------------------------------
@@ -1342,3 +1365,38 @@ def test_sub_table_reads_go_through_cross():
                      or kind == "ix_" and name in ("lattice.py", "indexmaps.py"))}
     assert stray == {}
     assert ("pair", "spaces.py", "pair_distance_matrix") in found
+
+
+def _set_distance_rows(tree):
+    """(function, line) of every reduction of a column gather of a distance
+    table, X.dist[:, cols].min(...), in a module's syntax tree."""
+    found, where = [], []
+
+    def visit(node):
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if named:
+            where.append(node.name)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "min"):
+            read = node.func.value
+            if (isinstance(read, ast.Subscript) and isinstance(read.value, ast.Attribute)
+                    and read.value.attr == "dist" and isinstance(read.slice, ast.Tuple)
+                    and isinstance(read.slice.elts[0], ast.Slice)):
+                found.append((where[-1] if where else None, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        if named:
+            where.pop()
+    visit(tree)
+    return found
+
+
+def test_distance_to_set_rows_go_through_dist_to():
+    # the one spelling of a row of distances to a set (spaces module
+    # docstring): no module of the package reduces a column gather of a
+    # distance table but FiniteSpace.dist_to
+    package = pathlib.Path(spaces.__file__).parent
+    stray = [(path.name, fn, line) for path in sorted(package.glob("*.py"))
+             for fn, line in _set_distance_rows(ast.parse(path.read_text()))
+             if (path.name, fn) != ("spaces.py", "dist_to")]
+    assert stray == []
